@@ -22,6 +22,10 @@ struct RunConfig {
   bool trace = false;
 };
 
+// Each workload sets up this many times and reports the median set-up time, so that work
+// moved into set-up shows and one slow set-up on a busy host does not.
+constexpr int kSetupRepeats = 5;
+
 struct Metric {
   std::string name;
   double value = 0.0;
@@ -72,6 +76,65 @@ inline double Mean(const std::vector<double>& v) {
     sum += x;
   }
   return v.empty() ? 0.0 : sum / static_cast<double>(v.size());
+}
+
+// Mean of the largest `share` of the sample, at least one value; 0 for an empty sample.
+// Where a percentile would sit in the gap between two modes and jump as samples cross it,
+// this moves smoothly.
+inline double TailMean(std::vector<double> v, double share) {
+  if (v.empty()) {
+    return 0.0;
+  }
+  std::sort(v.begin(), v.end(), [](double a, double b) { return a > b; });
+  size_t k = std::max<size_t>(1, static_cast<size_t>(share * static_cast<double>(v.size())));
+  v.resize(k);
+  return Mean(v);
+}
+
+// Typical latency of a mix of operation classes: the mean over the classes of each class's
+// median. Every class counts once whatever its share of the operations, and a few samples
+// slowed by a busy host move no median. Classes without samples are skipped.
+inline double TypicalLatency(const std::vector<std::vector<double>>& by_class) {
+  std::vector<double> medians;
+  for (const auto& samples : by_class) {
+    if (!samples.empty()) {
+      medians.push_back(Percentile(samples, 50.0));
+    }
+  }
+  return Mean(medians);
+}
+
+// Sustained rate of a closed loop whose operations `op_ms` come in blocks of `block` that
+// together cover the workload's mix once: operations per second over the median block.
+// Only whole blocks count.
+inline double BlockRate(const std::vector<double>& op_ms, size_t block) {
+  std::vector<double> block_ms;
+  for (size_t i = 0; i + block <= op_ms.size(); i += block) {
+    double sum = 0.0;
+    for (size_t j = i; j < i + block; ++j) {
+      sum += op_ms[j];
+    }
+    block_ms.push_back(sum);
+  }
+  double median_ms = Percentile(block_ms, 50.0);
+  return median_ms > 0.0 ? static_cast<double>(block) * 1e3 / median_ms : 0.0;
+}
+
+// Core speed. The benchmark shares its host with other tenants, whose load can slow the
+// cores by a third for minutes at a time. The closed loops run a fixed probe computation,
+// which touches nothing of the program, after every operation, and every workload runs it
+// after each set-up. Durations of CPU-bound work are scaled by kReferenceProbeMs over the
+// median probe time taken alongside them: they read as if taken on a core that runs the
+// probe in 1 ms.
+constexpr double kReferenceProbeMs = 1.0;
+
+// Runs the probe once and returns its wall time in ms.
+double SpeedProbeMs();
+
+// Factor that scales a duration measured alongside `probe_ms` to the reference core speed.
+inline double SpeedScale(const std::vector<double>& probe_ms) {
+  double median_ms = Percentile(probe_ms, 50.0);
+  return median_ms > 0.0 ? kReferenceProbeMs / median_ms : 1.0;
 }
 
 // Share `part / whole`, 0 when `whole` is 0.

@@ -36,6 +36,7 @@ capsys::Cluster ChaosCluster() {
 // and telemetry; keeping those for every run would make peak memory grow with the run
 // count, and so with machine speed.
 struct Run {
+  size_t query = 0;
   double wall_ms = 0.0;
   double delivered = 0.0;  // share of the nominal target input the run delivered
   double mttr_s = -1.0;
@@ -82,6 +83,7 @@ double Delivered(const Run& r) { return r.delivered; }
 
 struct Window {
   std::vector<Run> runs;
+  std::vector<double> probe_ms;  // the core-speed probe, after each run
   double wall_s = 0.0;
 };
 
@@ -93,8 +95,10 @@ Window RunWindow(const std::vector<QuerySpec>& queries, uint64_t seed, double se
   Window win;
   auto start = std::chrono::steady_clock::now();
   while (win.runs.size() < max_runs && SecondsSince(start) < seconds) {
-    const QuerySpec& q = queries[win.runs.size() % queries.size()];
-    win.runs.push_back(ChaosOnce(q, rng.NextU64(), report));
+    size_t q = win.runs.size() % queries.size();
+    win.runs.push_back(ChaosOnce(queries[q], rng.NextU64(), report));
+    win.runs.back().query = q;
+    win.probe_ms.push_back(SpeedProbeMs());
   }
   win.wall_s = SecondsSince(start);
   return win;
@@ -119,14 +123,36 @@ std::vector<double> Mttrs(const Window& w) {
   return out;
 }
 
+std::vector<double> WallMs(const Window& w) {
+  return Collect(w, [](const Run& r) { return r.wall_ms; });
+}
+
+// Run wall times by query: the classes of the typical run latency.
+std::vector<std::vector<double>> WallMsByQuery(const Window& w, size_t num_queries) {
+  std::vector<std::vector<double>> by_query(num_queries);
+  for (const Run& r : w.runs) {
+    by_query[r.query].push_back(r.wall_ms);
+  }
+  return by_query;
+}
+
 double LossPct(const Window& w) {
   return (1.0 - Mean(Collect(w, Delivered))) * 100.0;
 }
 
-void PrintWindow(const Window& w) {
-  std::vector<double> wall = Collect(w, [](const Run& r) { return r.wall_ms; });
+void PrintWindow(const Window& w, size_t num_queries) {
+  std::vector<double> wall = WallMs(w);
   std::printf("chaos_failover: %zu runs of %.0f simulated s in %.3f s\n", w.runs.size(), kRunS,
               w.wall_s);
+  std::printf("  run_typical_ms=%.3f runs_per_s=%.4f (median block of %zu) "
+              "speed_probe_ms=%.4f\n",
+              TypicalLatency(WallMsByQuery(w, num_queries)), BlockRate(wall, num_queries),
+              num_queries, Percentile(w.probe_ms, 50.0));
+  std::printf("  run_p50_ms by query:");
+  for (const auto& samples : WallMsByQuery(w, num_queries)) {
+    std::printf(" %.3f", Percentile(samples, 50.0));
+  }
+  std::printf("\n");
   std::printf("  chaos_run_s=%.4f (mean %.4f, p95 %.4f, n=%zu) mttr_s=%.2f (n=%zu) "
               "throughput_loss_pct=%.3f\n",
               Percentile(wall, 50) / 1e3, Mean(wall) / 1e3, Percentile(wall, 95) / 1e3,
@@ -138,8 +164,9 @@ void PrintWindow(const Window& w) {
 
 void RunChaosFailover(const RunConfig& config, Report* report) {
   std::vector<double> setup_s;
+  std::vector<double> setup_probe_ms;
   std::vector<QuerySpec> queries;
-  for (int rep = 0; rep < 3; ++rep) {
+  for (int rep = 0; rep < kSetupRepeats; ++rep) {
     auto t0 = std::chrono::steady_clock::now();
     queries = {capsys::BuildQ1Sliding(), capsys::BuildQ5Aggregate()};
     for (auto& q : queries) {
@@ -147,19 +174,21 @@ void RunChaosFailover(const RunConfig& config, Report* report) {
     }
     ChaosOnce(queries.front(), /*seed=*/0, report);
     setup_s.push_back(SecondsSince(t0));
+    setup_probe_ms.push_back(SpeedProbeMs());
   }
   const double window_s = config.trace ? config.seconds / 2.0 : config.seconds;
 
   Window base = RunWindow(queries, config.seed, window_s, SIZE_MAX, report);
-  PrintWindow(base);
+  PrintWindow(base, queries.size());
   report->attempted += base.runs.size();
   if (!config.trace) {
-    std::vector<double> wall = Collect(base, [](const Run& r) { return r.wall_ms; });
-    report->Add("latency_p95_ms", Percentile(wall, 95.0), "ms");
-    report->Add("ops_per_s", base.runs.size() / base.wall_s, "1/s");
+    const double scale = SpeedScale(base.probe_ms);
+    report->Add("latency_ms", TypicalLatency(WallMsByQuery(base, queries.size())) * scale,
+                "ms");
+    report->Add("ops_per_s", BlockRate(WallMs(base), queries.size()) / scale, "1/s");
     report->Add("throughput_ratio", Mean(Collect(base, Delivered)), "ratio");
     report->Add("peak_rss_mb", PeakRssMb(), "MB");
-    report->Add("setup_s", Percentile(setup_s, 50.0), "s");
+    report->Add("setup_s", Percentile(setup_s, 50.0) * SpeedScale(setup_probe_ms), "s");
     return;
   }
 
@@ -170,7 +199,7 @@ void RunChaosFailover(const RunConfig& config, Report* report) {
   capsys::Tracer::Global().Disable();
   Rollup rollup(capsys::Tracer::Global().Snapshot());
   capsys::Tracer::Global().Reset();
-  PrintWindow(traced);
+  PrintWindow(traced, queries.size());
   std::printf("%s", rollup.ToString().c_str());
   report->attempted += traced.runs.size();
 
@@ -204,12 +233,12 @@ void RunChaosFailover(const RunConfig& config, Report* report) {
               Mean(Collect(traced, [](const Run& r) { return 1.0 * r.false_positives; })),
               "count");
   report->Add("checkpoint.completed_share", Share(completed, triggered), "ratio");
-  report->Add("chaos_run_s",
-              Percentile(Collect(traced, [](const Run& r) { return r.wall_ms; }), 50.0) / 1e3,
-              "s");
+  report->Add("chaos_run_s", Percentile(WallMs(traced), 50.0) / 1e3, "s");
+  report->Add("chaos_run_p95_s", Percentile(WallMs(traced), 95.0) / 1e3, "s");
   report->Add("mttr_s", Percentile(Mttrs(traced), 50.0), "sim_s");
   report->Add("throughput_loss_pct", LossPct(traced), "%");
   report->Add("obs.tracing_overhead_pct", OverheadPct(traced.wall_s, base.wall_s), "%");
+  report->Add("host.speed_probe_ms", Percentile(traced.probe_ms, 50.0), "ms");
 }
 
 }  // namespace perfbench

@@ -47,7 +47,9 @@ capsys::DeployOptions Options() {
 }
 
 struct Op {
+  size_t query = 0;
   double deploy_ms = 0.0;
+  double wall_ms = 0.0;  // Deploy, the placement check and the simulation
   double throughput_ratio = 0.0;
   double backpressure = 0.0;
   double plan_cost = 0.0;
@@ -88,6 +90,7 @@ Op DeployOnce(const QuerySpec& base, double scale, const capsys::Cluster& cluste
 
 struct Window {
   std::vector<Op> ops;
+  std::vector<double> probe_ms;  // the core-speed probe, after each operation
   double wall_s = 0.0;
 };
 
@@ -112,7 +115,12 @@ Window RunWindow(const std::vector<QuerySpec>& queries, uint64_t seed, double se
     double visit = static_cast<double>(win.ops.size() / queries.size());
     double u = phase[q] + visit * kGolden;
     double scale = kScaleMin + (kScaleMax - kScaleMin) * (u - std::floor(u));
-    win.ops.push_back(DeployOnce(queries[q], scale, cluster, report));
+    auto t0 = std::chrono::steady_clock::now();
+    Op op = DeployOnce(queries[q], scale, cluster, report);
+    op.query = q;
+    op.wall_ms = SecondsSince(t0) * 1e3;
+    win.ops.push_back(op);
+    win.probe_ms.push_back(SpeedProbeMs());
   }
   win.wall_s = SecondsSince(start);
   return win;
@@ -126,9 +134,28 @@ std::vector<double> Field(const Window& w, double Op::*field) {
   return out;
 }
 
-void PrintWindow(const Window& w) {
+// Deploy times by query: the classes of the typical deploy latency.
+std::vector<std::vector<double>> DeployMsByQuery(const Window& w, size_t num_queries) {
+  std::vector<std::vector<double>> by_query(num_queries);
+  for (const Op& op : w.ops) {
+    by_query[op.query].push_back(op.deploy_ms);
+  }
+  return by_query;
+}
+
+void PrintWindow(const Window& w, size_t num_queries) {
   std::vector<double> deploy = Field(w, &Op::deploy_ms);
   std::printf("deploy_tight: %zu deploys in %.3f s\n", w.ops.size(), w.wall_s);
+  std::printf("  deploy_typical_ms=%.3f deploys_per_s=%.4f (median sweep of %zu) "
+              "speed_probe_ms=%.4f\n",
+              TypicalLatency(DeployMsByQuery(w, num_queries)),
+              BlockRate(Field(w, &Op::wall_ms), num_queries), num_queries,
+              Percentile(w.probe_ms, 50.0));
+  std::printf("  deploy_p50_ms by query:");
+  for (const auto& samples : DeployMsByQuery(w, num_queries)) {
+    std::printf(" %.3f", Percentile(samples, 50.0));
+  }
+  std::printf("\n");
   std::printf("  deploy_mean_ms=%.3f deploy_p50_ms=%.3f deploy_p95_ms=%.3f (n=%zu)\n",
               Mean(deploy), Percentile(deploy, 50), Percentile(deploy, 95), deploy.size());
   std::printf("  plan_throughput_ratio=%.4f plan_backpressure_pct=%.3f plan_cost_mean=%.4f\n",
@@ -140,27 +167,31 @@ void PrintWindow(const Window& w) {
 
 void RunDeployTight(const RunConfig& config, Report* report) {
   std::vector<double> setup_s;
+  std::vector<double> setup_probe_ms;
   std::vector<QuerySpec> queries;
-  for (int rep = 0; rep < 3; ++rep) {
+  for (int rep = 0; rep < kSetupRepeats; ++rep) {
     auto t0 = std::chrono::steady_clock::now();
     queries = capsys::BuildAllQueries();
     for (const QuerySpec& q : queries) {
       DeployOnce(q, kWarmScale, DeployCluster(), report);
     }
     setup_s.push_back(SecondsSince(t0));
+    setup_probe_ms.push_back(SpeedProbeMs());
   }
   const double window_s = config.trace ? config.seconds / 2.0 : config.seconds;
 
   Window base = RunWindow(queries, config.seed, window_s, SIZE_MAX, report);
-  PrintWindow(base);
+  PrintWindow(base, queries.size());
   report->attempted += base.ops.size();
   if (!config.trace) {
-    std::vector<double> deploy = Field(base, &Op::deploy_ms);
-    report->Add("latency_p95_ms", Percentile(deploy, 95.0), "ms");
-    report->Add("ops_per_s", base.ops.size() / base.wall_s, "1/s");
+    const double scale = SpeedScale(base.probe_ms);
+    report->Add("latency_ms", TypicalLatency(DeployMsByQuery(base, queries.size())) * scale,
+                "ms");
+    report->Add("ops_per_s", BlockRate(Field(base, &Op::wall_ms), queries.size()) / scale,
+                "1/s");
     report->Add("throughput_ratio", Mean(Field(base, &Op::throughput_ratio)), "ratio");
     report->Add("peak_rss_mb", PeakRssMb(), "MB");
-    report->Add("setup_s", Percentile(setup_s, 50.0), "s");
+    report->Add("setup_s", Percentile(setup_s, 50.0) * SpeedScale(setup_probe_ms), "s");
     return;
   }
 
@@ -171,7 +202,7 @@ void RunDeployTight(const RunConfig& config, Report* report) {
   capsys::Tracer::Global().Disable();
   Rollup rollup(capsys::Tracer::Global().Snapshot());
   capsys::Tracer::Global().Reset();
-  PrintWindow(traced);
+  PrintWindow(traced, queries.size());
   std::printf("%s", rollup.ToString().c_str());
   report->attempted += traced.ops.size();
 
@@ -179,6 +210,7 @@ void RunDeployTight(const RunConfig& config, Report* report) {
                  rollup.Get("controller.deploy").total_ms, report);
   AddSimulatorMetrics(rollup, traced.wall_s * 1e3, report);
   report->Add("deploy_p50_ms", Percentile(Field(traced, &Op::deploy_ms), 50.0), "ms");
+  report->Add("deploy_p95_ms", Percentile(Field(traced, &Op::deploy_ms), 95.0), "ms");
   report->Add("controller.profile_p50_ms",
               Percentile(rollup.Get("controller.profile").durations_ms, 50.0), "ms");
   report->Add("controller.ds2_p50_ms",
@@ -188,6 +220,7 @@ void RunDeployTight(const RunConfig& config, Report* report) {
   report->Add("plan_backpressure_pct", Mean(Field(traced, &Op::backpressure)) * 100.0, "%");
   report->Add("plan_cost_mean", Mean(Field(traced, &Op::plan_cost)), "ratio");
   report->Add("obs.tracing_overhead_pct", OverheadPct(traced.wall_s, base.wall_s), "%");
+  report->Add("host.speed_probe_ms", Percentile(traced.probe_ms, 50.0), "ms");
 }
 
 }  // namespace perfbench

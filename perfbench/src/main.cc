@@ -26,8 +26,8 @@ namespace perfbench {
 
 const std::vector<MetricSpec>& EndToEndMetrics() {
   static const std::vector<MetricSpec> kMetrics = {
-      {"latency_p95_ms", "ms"}, {"ops_per_s", "1/s"},   {"throughput_ratio", "ratio"},
-      {"peak_rss_mb", "MB"},    {"setup_s", "s"},
+      {"latency_ms", "ms"},  {"ops_per_s", "1/s"}, {"throughput_ratio", "ratio"},
+      {"peak_rss_mb", "MB"}, {"setup_s", "s"},
   };
   return kMetrics;
 }
@@ -35,8 +35,11 @@ const std::vector<MetricSpec>& EndToEndMetrics() {
 const std::vector<MetricSpec>& PerLayerMetrics() {
   static const std::vector<MetricSpec> kMetrics = {
       {"decision_p50_ms", "ms"},
+      {"decision_p95_ms", "ms"},
       {"deploy_p50_ms", "ms"},
+      {"deploy_p95_ms", "ms"},
       {"chaos_run_s", "s"},
+      {"chaos_run_p95_s", "s"},
       {"caps.autotune.ms_per_tune", "ms"},
       {"caps.autotune.probes_per_tune", "count"},
       {"caps.autotune.probe_budget_hit_share", "ratio"},
@@ -73,8 +76,41 @@ const std::vector<MetricSpec>& PerLayerMetrics() {
       {"mttr_s", "sim_s"},
       {"throughput_loss_pct", "%"},
       {"obs.tracing_overhead_pct", "%"},
+      {"host.speed_probe_ms", "ms"},
   };
   return kMetrics;
+}
+
+namespace {
+// Keeps the probe's result alive, so the compiler cannot drop its work.
+volatile double speed_probe_sink = 0.0;
+}  // namespace
+
+double SpeedProbeMs() {
+  // Integer, branch and L1 work on a 32 KB table, then a chain of dependent
+  // floating-point multiply-adds: the kinds of work the search and the simulator do.
+  static std::vector<double> table(4096);
+  auto t0 = std::chrono::steady_clock::now();
+  uint64_t x = 0x9E3779B97F4A7C15ull;
+  double acc = 0.0;
+  for (int i = 0; i < 100000; ++i) {
+    x ^= x << 13;
+    x ^= x >> 7;
+    x ^= x << 17;
+    double& slot = table[x & 4095];
+    slot = slot * 0.5 + static_cast<double>(x >> 40) * 1e-6;
+    acc = slot > acc ? slot * 0.9 : acc + 1e-3;
+  }
+  double a = 1.0;
+  double b = 0.5;
+  double c = 0.25;
+  for (int i = 0; i < 100000; ++i) {
+    a = a * 0.999999 + b;
+    b = b * 0.999998 + c * 1e-9;
+    c = c * 1.000001 - a * 1e-12;
+  }
+  speed_probe_sink = acc + a + b + c;
+  return SecondsSince(t0) * 1e3;
 }
 
 double PeakRssMb() {
