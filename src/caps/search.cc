@@ -48,15 +48,18 @@ struct CapsSearch::Ctx {
   }
 };
 
+bool CapsSearchable(const LogicalGraph& graph) {
+  return std::none_of(graph.edges().begin(), graph.edges().end(), [&](const LogicalEdge& e) {
+    return e.scheme == PartitionScheme::kForward && graph.op(e.from).parallelism != 1;
+  });
+}
+
 CapsSearch::CapsSearch(const CostModel& model, SearchOptions options)
     : model_(model), options_(options) {
   const PhysicalGraph& graph = model.graph();
   const LogicalGraph& logical = graph.logical();
-  for (const auto& e : logical.edges()) {
-    CAPSYS_CHECK_MSG(e.scheme != PartitionScheme::kForward ||
-                         logical.op(e.from).parallelism == 1,
-                     "CAPS requires all-to-all connectivity for parallel operators");
-  }
+  CAPSYS_CHECK_MSG(CapsSearchable(logical),
+                   "CAPS requires all-to-all connectivity for parallel operators");
 
   int num_ops = logical.num_operators();
   op_task_demand_.resize(static_cast<size_t>(num_ops));

@@ -77,11 +77,14 @@ struct SearchResult {
   SearchStats stats;
 };
 
+// True when no forward edge of `graph` leaves an operator with parallelism > 1. CAPS treats
+// the tasks of an operator as interchangeable, which subtask-paired forward channels would
+// break, so this is the precondition of CapsSearch.
+bool CapsSearchable(const LogicalGraph& graph);
+
 class CapsSearch {
  public:
-  // `model` must outlive the search. The graph may not contain forward edges between
-  // operators with parallelism > 1 (task symmetry would be broken by subtask pairing);
-  // this is CHECKed.
+  // `model` must outlive the search. Its graph must be CapsSearchable; this is CHECKed.
   CapsSearch(const CostModel& model, SearchOptions options);
   ~CapsSearch();
 

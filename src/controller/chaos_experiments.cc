@@ -40,7 +40,7 @@ ChaosRun RunChaosExperiment(const QuerySpec& query, const Cluster& cluster,
   // --- Initial deployment -------------------------------------------------------------------
   DeployOptions deploy_options;
   deploy_options.policy = options.policy;
-  deploy_options.use_ds2_sizing = options.use_ds2_sizing;
+  deploy_options.use_ds2_sizing = true;
   deploy_options.search_threads = options.search_threads;
   deploy_options.seed = options.seed;
   CapsysController controller(cluster, deploy_options);

@@ -2,10 +2,10 @@
 // deployed query while the hardened controller loop runs — heartbeat failure detection with
 // suspicion and flap blacklisting, bounded re-planning under churn, and graceful
 // degraded-mode recovery (down-scaling parallelism when the survivors cannot host the query
-// at full width, re-upscaling when workers return). Generalizes the single-kill
-// RunFailureRecoveryExperiment into an arbitrary-fault harness and reports the resiliency
-// metrics StreamShield-style evaluations use: MTTR, reconfiguration count, throughput-loss
-// integral, and detector false positives.
+// at full width, re-upscaling when workers return). The one fault harness of the repo: a
+// single worker kill is the one-event schedule FaultSchedule().Crash(t, w). Reports the
+// resiliency metrics StreamShield-style evaluations use: MTTR, reconfiguration count,
+// throughput-loss integral, and detector false positives.
 #ifndef SRC_CONTROLLER_CHAOS_EXPERIMENTS_H_
 #define SRC_CONTROLLER_CHAOS_EXPERIMENTS_H_
 
@@ -58,7 +58,6 @@ struct ChaosExperimentOptions {
   // Minimum gap before re-upscaling onto restored workers (prevents reconfiguration storms
   // when workers churn).
   double upscale_cooldown_s = 30.0;
-  bool use_ds2_sizing = true;
   int search_threads = 2;
   uint64_t seed = 1;
   FailureDetectorOptions detector;
@@ -109,6 +108,7 @@ struct ChaosRun {
   std::string ToString() const;
 };
 
+// Deploys `query` DS2-sized with `options.policy`, then replays `schedule` against it.
 ChaosRun RunChaosExperiment(const QuerySpec& query, const Cluster& cluster,
                             const FaultSchedule& schedule,
                             const ChaosExperimentOptions& options);

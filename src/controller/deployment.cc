@@ -2,10 +2,9 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cmath>
 
 #include "src/baselines/flink_strategies.h"
-#include "src/caps/greedy.h"
+#include "src/caps/plan.h"
 #include "src/common/logging.h"
 #include "src/common/str.h"
 #include "src/dataflow/rates.h"
@@ -13,26 +12,6 @@
 #include "src/obs/trace.h"
 
 namespace capsys {
-
-namespace {
-
-// Predicted bottleneck utilization of a plan: per-worker loads normalized by the worker's
-// actual capacities, maximized over workers and dimensions. The cost vector only measures
-// *relative* imbalance per dimension; when choosing among pareto-optimal plans this
-// capacity-aware score identifies which imbalance actually limits throughput.
-double MaxUtilization(const CostModel& model, const Cluster& cluster, const Placement& plan) {
-  auto loads = model.WorkerLoads(plan);
-  double worst = 0.0;
-  for (WorkerId w = 0; w < cluster.num_workers(); ++w) {
-    const auto& spec = cluster.worker(w).spec;
-    const auto& l = loads[static_cast<size_t>(w)];
-    worst = std::max({worst, l.cpu / spec.cpu_capacity, l.io / spec.io_bandwidth_bps,
-                      l.net / spec.net_bandwidth_bps});
-  }
-  return worst;
-}
-
-}  // namespace
 
 const char* PolicyName(PlacementPolicy policy) {
   switch (policy) {
@@ -118,74 +97,39 @@ Placement CapsysController::Place(const PhysicalGraph& physical,
   place_span.AddAttr("policy", PolicyName(options_.policy));
   place_span.AddAttr("tasks", physical.num_tasks());
   auto start = std::chrono::steady_clock::now();
-  Placement placement;
-  ResourceVector alpha{1.0, 1.0, 1.0};
-  ResourceVector plan_cost;
+  PlannedPlacement planned;
+  planned.alpha = ResourceVector{1.0, 1.0, 1.0};
   switch (options_.policy) {
     case PlacementPolicy::kCaps: {
       CostModel model(physical, cluster_, demands);
       // Precomputed thresholds for this scaling scenario skip the runtime auto-tuning.
       std::optional<ResourceVector> cached;
       if (options_.threshold_cache != nullptr) {
-        std::vector<int> parallelism;
-        for (const auto& op : physical.logical().operators()) {
-          parallelism.push_back(op.parallelism);
-        }
-        cached = options_.threshold_cache->Lookup(parallelism);
+        cached = options_.threshold_cache->Lookup(physical.logical().Parallelism());
       }
-      if (cached.has_value()) {
-        alpha = *cached;
-      } else {
-        AutoTuneOptions tune = options_.autotune;
-        tune.num_threads = options_.search_threads;
-        AutoTuneResult tuned = AutoTuneThresholds(model, tune);
-        alpha = tuned.feasible ? tuned.alpha : ResourceVector{1.0, 1.0, 1.0};
-      }
-      SearchOptions search_options;
-      search_options.alpha = alpha;
-      search_options.num_threads = options_.search_threads;
-      search_options.timeout_s = options_.search_timeout_s;
-      search_options.find_first = physical.num_tasks() > options_.find_first_above_tasks;
-      SearchResult result = CapsSearch(model, search_options).Run();
-      // Choose among the pareto front plus a greedy incumbent (which guards against
-      // over-relaxed thresholds and search timeouts on large instances) by the predicted
-      // bottleneck utilization, tie-broken by the scalarized cost.
-      std::vector<ScoredPlan> candidates = std::move(result.pareto);
-      Placement greedy = GreedyBalancedPlacement(model);
-      candidates.push_back(ScoredPlan{greedy, model.Cost(greedy)});
-      size_t best = 0;
-      double best_util = 1e300;
-      for (size_t i = 0; i < candidates.size(); ++i) {
-        double util = MaxUtilization(model, cluster_, candidates[i].placement);
-        if (util < best_util - 1e-9 ||
-            (util < best_util + 1e-9 && BetterCost(candidates[i].cost, candidates[best].cost))) {
-          best = i;
-          best_util = util;
-        }
-      }
-      placement = candidates[best].placement;
-      plan_cost = candidates[best].cost;
+      planned = PlanPlacement(model, cached, options_.autotune, options_.search_threads,
+                              options_.search_timeout_s, options_.find_first_above_tasks);
       break;
     }
     case PlacementPolicy::kFlinkDefault:
-      placement = FlinkDefaultPlacement(physical, cluster_, rng_);
+      planned.placement = FlinkDefaultPlacement(physical, cluster_, rng_);
       break;
     case PlacementPolicy::kFlinkEvenly:
-      placement = FlinkEvenlyPlacement(physical, cluster_, rng_);
+      planned.placement = FlinkEvenlyPlacement(physical, cluster_, rng_);
       break;
   }
   double elapsed =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
   if (out != nullptr) {
-    out->alpha = alpha;
-    out->plan_cost = plan_cost;
+    out->alpha = planned.alpha;
+    out->plan_cost = planned.cost;
     out->decision_time_s = elapsed;
   }
   place_span.AddAttr("decision_time_s", elapsed);
   EmitPlacementDecision(EventLog::Global().now(), PolicyName(options_.policy),
-                        physical.num_tasks(), cluster_.num_workers(), alpha, plan_cost,
-                        elapsed);
-  return placement;
+                        physical.num_tasks(), cluster_.num_workers(), planned.alpha,
+                        planned.cost, elapsed);
+  return planned.placement;
 }
 
 }  // namespace capsys

@@ -9,7 +9,6 @@
 #include <vector>
 
 #include "src/caps/auto_tuner.h"
-#include "src/caps/search.h"
 #include "src/caps/threshold_cache.h"
 #include "src/common/rng.h"
 #include "src/controller/ds2.h"

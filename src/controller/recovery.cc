@@ -24,7 +24,8 @@ const char* RecoveryOutcomeName(RecoveryOutcome outcome) {
 
 std::string RecoveryPlan::ToString() const {
   return Sprintf("outcome=%s slots=%d->%d sustainable=%.0f rec/s",
-                 RecoveryOutcomeName(outcome), slots_before, slots_after, sustainable_rate);
+                 RecoveryOutcomeName(outcome), slots_before, graph.total_parallelism(),
+                 sustainable_rate);
 }
 
 double EstimateSustainableRate(const LogicalGraph& graph,
@@ -81,69 +82,21 @@ RecoveryPlan PlanRecovery(const LogicalGraph& graph,
   int available_slots = reduced.total_slots();
 
   // --- Fit parallelism to the survivors -----------------------------------------------------
-  plan.graph = graph;
-  if (plan.graph.total_parallelism() > available_slots) {
-    if (graph.num_operators() > available_slots) {
-      return plan;  // even parallelism 1 per operator cannot fit
-    }
-    // Down-scale via the DS2 sizing model: size each operator for the target rate from its
-    // profiled standalone rate, then shrink the widest operators until the plan fits. The
-    // DS2 pass keeps the relative parallelism proportional to per-operator load, so the
-    // shrink loop degrades the least-loaded dimensions last.
-    std::vector<Ds2Observation> obs(static_cast<size_t>(graph.num_operators()));
-    for (OperatorId o = 0; o < graph.num_operators(); ++o) {
-      obs[static_cast<size_t>(o)].true_rate_per_task =
-          CapsysController::StandaloneTaskRate(costs[static_cast<size_t>(o)],
-                                               reduced.worker(0).spec);
-    }
-    Ds2Options ds2 = options.ds2;
-    ds2.max_parallelism = std::min(ds2.max_parallelism, available_slots);
-    Ds2Decision decision = Ds2Scale(graph, source_rates, obs, ds2);
-    // Never scale *up* beyond the requested graph during recovery.
-    for (OperatorId o = 0; o < graph.num_operators(); ++o) {
-      decision.parallelism[static_cast<size_t>(o)] =
-          std::min(decision.parallelism[static_cast<size_t>(o)], graph.op(o).parallelism);
-    }
-    plan.graph.SetParallelism(decision.parallelism);
-    // Forward edges require equal parallelism on both ends; repair by shrinking to the min.
-    auto repair_forward = [](LogicalGraph& g) {
-      bool changed = true;
-      while (changed) {
-        changed = false;
-        for (const auto& e : g.edges()) {
-          if (e.scheme != PartitionScheme::kForward) {
-            continue;
-          }
-          int p = std::min(g.op(e.from).parallelism, g.op(e.to).parallelism);
-          if (g.op(e.from).parallelism != p || g.op(e.to).parallelism != p) {
-            g.SetParallelism(e.from, p);
-            g.SetParallelism(e.to, p);
-            changed = true;
-          }
-        }
-      }
-    };
-    repair_forward(plan.graph);
-    while (plan.graph.total_parallelism() > available_slots) {
-      OperatorId widest = 0;
-      for (OperatorId o = 1; o < plan.graph.num_operators(); ++o) {
-        if (plan.graph.op(o).parallelism > plan.graph.op(widest).parallelism) {
-          widest = o;
-        }
-      }
-      plan.graph.SetParallelism(widest, plan.graph.op(widest).parallelism - 1);
-      repair_forward(plan.graph);
-    }
+  LogicalGraph fitted = graph;
+  if (!FitParallelism(fitted, available_slots)) {
+    return plan;  // even parallelism 1 per operator cannot fit
+  }
+  plan.graph = std::move(fitted);
+  if (plan.graph.total_parallelism() < plan.slots_before) {
     plan.outcome = RecoveryOutcome::kRecoveredDegraded;
     EmitScaleDecision(EventLog::Global().now(), "degraded_recovery", plan.slots_before,
-                      plan.graph.total_parallelism(), decision.ToString());
+                      plan.graph.total_parallelism(), plan.graph.ToString());
     CAPSYS_LOG_WARN("recovery", Sprintf("down-scaled %d -> %d tasks to fit %d usable slots",
                                         plan.slots_before, plan.graph.total_parallelism(),
                                         available_slots));
   } else {
     plan.outcome = RecoveryOutcome::kRecoveredFull;
   }
-  plan.slots_after = plan.graph.total_parallelism();
 
   // --- Place on the reduced cluster and lift back to global ids -----------------------------
   plan.physical = PhysicalGraph::Expand(plan.graph);

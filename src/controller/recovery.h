@@ -1,8 +1,8 @@
 // Degraded-mode recovery planning (robustness extension): given the subset of workers that
 // are still usable, compute a plan that keeps the query running. When the survivors can
 // host the query at its current parallelism this is a plain re-placement; when they cannot,
-// parallelism is down-scaled via the DS2 sizing model until the plan fits (graceful
-// degradation at reduced capacity); when even parallelism-1 does not fit, the planner
+// FitParallelism shrinks the widest operators until the plan fits (graceful degradation at
+// reduced capacity); when even parallelism-1 does not fit, the planner
 // reports a structured kUnplaceable outcome instead of aborting — the caller keeps the
 // survivors running and retries when workers return.
 #ifndef SRC_CONTROLLER_RECOVERY_H_
@@ -30,7 +30,6 @@ struct RecoveryPlan {
   PhysicalGraph physical;
   Placement placement;      // global worker ids over the *full* cluster
   int slots_before = 0;     // total parallelism of the requested graph
-  int slots_after = 0;      // total parallelism of the planned graph
   // Estimated aggregate source rate the planned parallelism sustains (capped at the
   // target); the throughput bar a degraded deployment is judged against.
   double sustainable_rate = 0.0;
@@ -49,7 +48,9 @@ double EstimateSustainableRate(const LogicalGraph& graph,
 
 // Plans a recovery of `graph` onto the usable subset of `cluster`. `usable` is indexed by
 // global WorkerId. `options.policy` selects the placement policy, as in normal deployment.
-// Never CHECK-fails on insufficient capacity — that is what the outcome reports.
+// `graph` is the nominal (DS2-sized) width; a degraded plan is `graph` shrunk by
+// FitParallelism, the same rule the placement service applies. Never CHECK-fails on
+// insufficient capacity — that is what the outcome reports.
 RecoveryPlan PlanRecovery(const LogicalGraph& graph,
                           const std::map<OperatorId, double>& source_rates,
                           const std::vector<MeasuredCost>& costs, const Cluster& cluster,

@@ -88,6 +88,15 @@ int LogicalGraph::total_parallelism() const {
   return total;
 }
 
+std::vector<int> LogicalGraph::Parallelism() const {
+  std::vector<int> parallelism;
+  parallelism.reserve(operators_.size());
+  for (const auto& op : operators_) {
+    parallelism.push_back(op.parallelism);
+  }
+  return parallelism;
+}
+
 std::vector<OperatorId> LogicalGraph::Upstreams(OperatorId id) const {
   std::vector<OperatorId> ups;
   for (const auto& e : edges_) {
@@ -215,6 +224,45 @@ std::string LogicalGraph::ToString() const {
     parts.push_back(Sprintf("%s(x%d)", op.name.c_str(), op.parallelism));
   }
   return Sprintf("%s: %s, %zu edges", name_.c_str(), Join(parts, " ").c_str(), edges_.size());
+}
+
+bool FitParallelism(LogicalGraph& graph, int free_slots) {
+  // Forward-joined groups as a union-find forest over operator ids.
+  std::vector<OperatorId> group(static_cast<size_t>(graph.num_operators()));
+  for (OperatorId o = 0; o < graph.num_operators(); ++o) {
+    group[static_cast<size_t>(o)] = o;
+  }
+  auto root = [&group](OperatorId o) {
+    while (group[static_cast<size_t>(o)] != o) {
+      o = group[static_cast<size_t>(o)];
+    }
+    return o;
+  };
+  for (const auto& e : graph.edges()) {
+    if (e.scheme == PartitionScheme::kForward) {
+      group[static_cast<size_t>(root(e.from))] = root(e.to);
+    }
+  }
+  while (graph.total_parallelism() > free_slots) {
+    OperatorId widest = kInvalidId;
+    for (const auto& op : graph.operators()) {
+      if (op.parallelism > 1 &&
+          (widest == kInvalidId || op.parallelism > graph.op(widest).parallelism)) {
+        widest = op.id;
+      }
+    }
+    if (widest == kInvalidId) {
+      return false;
+    }
+    int p = graph.op(widest).parallelism - 1;
+    OperatorId shrinking = root(widest);
+    for (OperatorId o = 0; o < graph.num_operators(); ++o) {
+      if (root(o) == shrinking) {
+        graph.SetParallelism(o, std::min(graph.op(o).parallelism, p));
+      }
+    }
+  }
+  return true;
 }
 
 }  // namespace capsys

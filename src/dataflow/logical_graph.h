@@ -28,6 +28,7 @@ class LogicalGraph {
 
   int num_operators() const { return static_cast<int>(operators_.size()); }
   int total_parallelism() const;
+  std::vector<int> Parallelism() const;  // per operator, in id order
 
   const LogicalOperator& op(OperatorId id) const { return operators_[static_cast<size_t>(id)]; }
   LogicalOperator& mutable_op(OperatorId id) { return operators_[static_cast<size_t>(id)]; }
@@ -61,6 +62,12 @@ class LogicalGraph {
   std::vector<LogicalOperator> operators_;
   std::vector<LogicalEdge> edges_;
 };
+
+// Shrinks `graph` until its total parallelism fits `free_slots`: repeatedly takes one task
+// off the widest operator (lowest id on ties). Operators joined by forward edges keep equal
+// parallelism, so they shrink together. Returns false when parallelism 1 everywhere still
+// does not fit; `graph` is then left at that floor.
+bool FitParallelism(LogicalGraph& graph, int free_slots);
 
 }  // namespace capsys
 

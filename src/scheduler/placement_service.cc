@@ -6,7 +6,7 @@
 #include <cmath>
 #include <utility>
 
-#include "src/caps/greedy.h"
+#include "src/caps/plan.h"
 #include "src/caps/search.h"
 #include "src/checkpoint/recovery_model.h"
 #include "src/common/logging.h"
@@ -19,57 +19,22 @@ namespace capsys {
 
 namespace {
 
-// Predicted bottleneck utilization of a plan (same scalarization the batch controller uses
-// to pick among pareto-optimal plans; see controller/deployment.cc).
-double MaxUtilization(const CostModel& model, const Cluster& cluster, const Placement& plan) {
-  auto loads = model.WorkerLoads(plan);
-  double worst = 0.0;
-  for (WorkerId w = 0; w < cluster.num_workers(); ++w) {
-    const auto& spec = cluster.worker(w).spec;
-    const auto& l = loads[static_cast<size_t>(w)];
-    worst = std::max({worst, l.cpu / std::max(1e-12, spec.cpu_capacity),
-                      l.io / std::max(1e-12, spec.io_bandwidth_bps),
-                      l.net / std::max(1e-12, spec.net_bandwidth_bps)});
-  }
-  return worst;
-}
+struct JobDemand {
+  ResourceVector demand;
+  int tasks = 0;
+};
 
-SlotReservation ReservationFromPlacement(const Placement& plan, int num_workers) {
-  SlotReservation counts(static_cast<size_t>(num_workers), 0);
-  for (TaskId t = 0; t < plan.num_tasks(); ++t) {
-    ++counts[static_cast<size_t>(plan.WorkerOf(t))];
+// Aggregate demand of `graph` at its declared profiles and target rates, from the cost
+// model's task demands (Table 1 of the paper): cpu-seconds/s, io bytes/s, net bytes/s.
+JobDemand EstimateDemand(const LogicalGraph& graph,
+                         const std::map<OperatorId, double>& source_rates) {
+  PhysicalGraph physical = PhysicalGraph::Expand(graph);
+  JobDemand out;
+  for (const auto& d : TaskDemands(physical, PropagateRates(graph, source_rates))) {
+    out.demand += d;
   }
-  return counts;
-}
-
-// Shrinks parallelism until the graph fits `free_slots` total slots, leaving operators
-// that touch forward edges untouched (CAPS requires forward endpoints at parallelism 1,
-// so they are already minimal). Largest operator first, so degradation spreads evenly.
-// Returns false when even the floor does not fit.
-bool DownscaleToFit(LogicalGraph& graph, int free_slots, int* reductions) {
-  std::vector<bool> scalable(static_cast<size_t>(graph.num_operators()), true);
-  for (const auto& e : graph.edges()) {
-    if (e.scheme == PartitionScheme::kForward) {
-      scalable[static_cast<size_t>(e.from)] = false;
-      scalable[static_cast<size_t>(e.to)] = false;
-    }
-  }
-  while (graph.total_parallelism() > free_slots) {
-    OperatorId widest = kInvalidId;
-    int widest_p = 1;
-    for (const auto& op : graph.operators()) {
-      if (scalable[static_cast<size_t>(op.id)] && op.parallelism > widest_p) {
-        widest = op.id;
-        widest_p = op.parallelism;
-      }
-    }
-    if (widest == kInvalidId) {
-      return false;  // everything at the floor and it still does not fit
-    }
-    graph.SetParallelism(widest, widest_p - 1);
-    ++(*reductions);
-  }
-  return true;
+  out.tasks = physical.num_tasks();
+  return out;
 }
 
 }  // namespace
@@ -97,17 +62,14 @@ struct PlacementService::EventItem {
 struct PlacementService::PlanOutcome {
   enum class Fail : int { kNone = 0, kNoCapacity, kCancelled };
   Fail fail = Fail::kNone;
-  Placement placement;
+  PlannedPlacement planned;
   SlotReservation reservation;
   std::vector<int> parallelism;
-  ResourceVector alpha;
-  ResourceVector plan_cost;
   bool from_cache = false;
-  bool degraded = false;
   bool recovering = false;
   int attempts = 0;
   int conflicts = 0;
-  int downscale_steps = 0;
+  int downscale_steps = 0;  // slots shed by FitParallelism; > 0 means degraded
   double planning_time_s = 0.0;
   CommitResult commit = CommitResult::kCommitted;
 };
@@ -127,13 +89,10 @@ struct PlacementService::JobRecord {
   JobId id = kInvalidJobId;
   JobSpec spec;
   LogicalGraph graph;  // current (possibly rescaled/degraded) parallelism
-  JobState state = JobState::kSubmitted;
-  AdmissionOutcome admission = AdmissionOutcome::kAdmitted;
-  ResourceVector demand;
-  bool demand_accounted = false;  // counted in admitted_demand_
-  int tasks = 0;
+  bool demand_accounted = false;  // status.demand is counted in admitted_demand_
+  int tasks = 0;                  // of the requested parallelism (admission accounting)
   std::atomic<bool> cancelled{false};
-  JobStatus status;  // placement/alpha/cost + counters; state fields mirrored on read
+  JobStatus status;  // lifecycle state, admission verdict, demand, plan and counters
 };
 
 std::string SchedulerStats::ToString() const {
@@ -296,8 +255,7 @@ void PlacementService::DispatcherLoop() {
 }
 
 void PlacementService::Transition(JobRecord& rec, JobState to, const std::string& detail) {
-  JobState from = rec.state;
-  rec.state = to;
+  JobState from = rec.status.state;
   rec.status.state = to;
   rec.status.detail = detail;
   EmitJobStateChanged(EventLog::Global().now(), rec.id, JobStateName(from), JobStateName(to),
@@ -309,11 +267,11 @@ void PlacementService::Transition(JobRecord& rec, JobState to, const std::string
 
 AdmissionOutcome PlacementService::AdmitLocked(JobRecord& rec) {
   ResourceVector ceiling = view_.TotalCapacity() * options_.admission_headroom;
-  if (rec.tasks > view_.TotalSlots() || !rec.demand.AllLeq(ceiling)) {
+  if (rec.tasks > view_.TotalSlots() || !rec.status.demand.AllLeq(ceiling)) {
     return AdmissionOutcome::kRejectedCapacity;
   }
   if (rec.tasks > view_.TotalFreeSlots() ||
-      !(admitted_demand_ + rec.demand).AllLeq(ceiling)) {
+      !(admitted_demand_ + rec.status.demand).AllLeq(ceiling)) {
     return AdmissionOutcome::kQueuedCapacity;
   }
   return AdmissionOutcome::kAdmitted;
@@ -331,26 +289,20 @@ void PlacementService::HandleSubmit(JobId job) {
   }
   std::string graph_error =
       rec.graph.num_operators() == 0 ? "empty graph" : rec.graph.Validate();
+  if (graph_error.empty() && !CapsSearchable(rec.graph)) {
+    graph_error = "forward edge out of an operator with parallelism > 1";
+  }
   if (!graph_error.empty()) {
-    rec.admission = AdmissionOutcome::kRejectedInvalid;
-    rec.status.admission = rec.admission;
+    rec.status.admission = AdmissionOutcome::kRejectedInvalid;
     ++stats_.rejected;
     EmitAdmissionDecision(EventLog::Global().now(), job,
-                          AdmissionOutcomeName(rec.admission), 0, view_.TotalFreeSlots());
+                          AdmissionOutcomeName(rec.status.admission), 0, view_.TotalFreeSlots());
     Transition(rec, JobState::kRejected, "invalid spec: " + graph_error);
     return;
   }
-  // Demand estimate from the cost model's task demands (Table 1 of the paper): aggregate
-  // cpu-seconds/s, io bytes/s, net bytes/s at the declared profiles and target rates.
-  PhysicalGraph physical = PhysicalGraph::Expand(rec.graph);
-  auto rates = PropagateRates(rec.graph, rec.spec.source_rates);
-  auto demands = TaskDemands(physical, rates);
-  rec.demand = ResourceVector{};
-  for (const auto& d : demands) {
-    rec.demand += d;
-  }
-  rec.tasks = physical.num_tasks();
-  rec.status.demand = rec.demand;
+  JobDemand estimate = EstimateDemand(rec.graph, rec.spec.source_rates);
+  rec.status.demand = estimate.demand;
+  rec.tasks = estimate.tasks;
   rec.status.tasks = rec.tasks;
 
   AdmissionOutcome verdict = AdmitLocked(rec);
@@ -358,14 +310,13 @@ void PlacementService::HandleSubmit(JobId job) {
       admission_queue_.size() >= static_cast<size_t>(options_.max_queued_jobs)) {
     verdict = AdmissionOutcome::kRejectedCapacity;
   }
-  rec.admission = verdict;
   rec.status.admission = verdict;
   EmitAdmissionDecision(EventLog::Global().now(), job, AdmissionOutcomeName(verdict),
                         rec.tasks, view_.TotalFreeSlots());
   switch (verdict) {
     case AdmissionOutcome::kAdmitted:
       ++stats_.admitted;
-      admitted_demand_ += rec.demand;
+      admitted_demand_ += rec.status.demand;
       rec.demand_accounted = true;
       Transition(rec, JobState::kPlanning, "admitted");
       SpawnPlanner(rec, /*recovering=*/false);
@@ -380,7 +331,7 @@ void PlacementService::HandleSubmit(JobId job) {
       ++stats_.rejected;
       Transition(rec, JobState::kRejected,
                  Sprintf("needs %d tasks / %s, cluster has %d usable slots", rec.tasks,
-                         rec.demand.ToString().c_str(), view_.TotalSlots()));
+                         rec.status.demand.ToString().c_str(), view_.TotalSlots()));
       break;
     case AdmissionOutcome::kRejectedInvalid:
       ++stats_.rejected;
@@ -395,18 +346,18 @@ void PlacementService::HandleCancel(JobId job) {
     return;
   }
   JobRecord& rec = *it->second;
-  if (rec.state == JobState::kTerminated || rec.state == JobState::kRejected) {
+  if (rec.status.state == JobState::kTerminated || rec.status.state == JobState::kRejected) {
     return;
   }
   rec.cancelled.store(true);
   ++stats_.cancelled;
-  if (rec.state == JobState::kQueued) {
+  if (rec.status.state == JobState::kQueued) {
     admission_queue_.erase(
         std::remove(admission_queue_.begin(), admission_queue_.end(), job),
         admission_queue_.end());
   }
   if (rec.demand_accounted) {
-    admitted_demand_ -= rec.demand;
+    admitted_demand_ -= rec.status.demand;
     rec.demand_accounted = false;
   }
   view_.Release(job);
@@ -420,36 +371,36 @@ void PlacementService::HandleRescale(JobId job, std::vector<int> parallelism) {
     return;
   }
   JobRecord& rec = *it->second;
-  if (rec.state != JobState::kRunning) {
+  if (rec.status.state != JobState::kRunning) {
     CAPSYS_LOG_WARN("scheduler", Sprintf("rescale of job %lld ignored in state %s",
                                          static_cast<long long>(job),
-                                         JobStateName(rec.state)));
+                                         JobStateName(rec.status.state)));
     return;
   }
-  if (parallelism.size() != static_cast<size_t>(rec.graph.num_operators()) ||
-      std::any_of(parallelism.begin(), parallelism.end(), [](int p) { return p < 1; })) {
+  LogicalGraph resized = rec.graph;
+  bool valid =
+      parallelism.size() == static_cast<size_t>(rec.graph.num_operators()) &&
+      std::all_of(parallelism.begin(), parallelism.end(), [](int p) { return p >= 1; });
+  if (valid) {
+    resized.SetParallelism(parallelism);
+    valid = resized.Validate().empty() && CapsSearchable(resized);
+  }
+  if (!valid) {
     CAPSYS_LOG_WARN("scheduler", Sprintf("rescale of job %lld ignored: bad parallelism",
                                          static_cast<long long>(job)));
     return;
   }
   int slots_before = rec.graph.total_parallelism();
-  rec.graph.SetParallelism(parallelism);
+  rec.graph = std::move(resized);
   // Demand totals change only through rounding (per-task demand is total/p), but the task
   // count does; refresh both for admission accounting.
-  PhysicalGraph physical = PhysicalGraph::Expand(rec.graph);
-  auto rates = PropagateRates(rec.graph, rec.spec.source_rates);
-  auto demands = TaskDemands(physical, rates);
-  ResourceVector new_demand;
-  for (const auto& d : demands) {
-    new_demand += d;
-  }
+  JobDemand estimate = EstimateDemand(rec.graph, rec.spec.source_rates);
   if (rec.demand_accounted) {
-    admitted_demand_ -= rec.demand;
-    admitted_demand_ += new_demand;
+    admitted_demand_ -= rec.status.demand;
+    admitted_demand_ += estimate.demand;
   }
-  rec.demand = new_demand;
-  rec.tasks = physical.num_tasks();
-  rec.status.demand = new_demand;
+  rec.status.demand = estimate.demand;
+  rec.tasks = estimate.tasks;
   std::string parallelism_str;
   for (int p : parallelism) {
     parallelism_str += Sprintf("%d ", p);
@@ -471,30 +422,33 @@ void PlacementService::HandleWorkerDead(WorkerId w) {
       continue;
     }
     JobRecord& rec = *it->second;
-    if (rec.state != JobState::kRunning && rec.state != JobState::kDeploying) {
+    if (rec.status.state != JobState::kRunning && rec.status.state != JobState::kDeploying) {
       // A planner is already in flight (Planning/Rescaling/Recovering): its commit will
-      // re-validate against the new view and replan on conflict; nothing to do here.
+      // re-validate against the new view and replan on conflict; a commit that lands
+      // before this event is caught by HandlePlanCommitted.
       continue;
     }
-    ++stats_.recoveries;
-    ++rec.status.recoveries;
-    // Checkpoint-model estimate of the blackout this recovery will incur (fed to the
-    // Recovering state; the fixed fallback applies when the job has no coordinator).
-    double total_rate = 0.0;
-    for (const auto& [op, r] : rec.spec.source_rates) {
-      total_rate += r;
-    }
-    double domain_now = EventLog::Global().now();
-    RecoveryEstimate est = EstimateRecovery(
-        rec.spec.checkpoint, domain_now, total_rate * domain_now,
-        std::max(1.0, total_rate), std::max(1e6, view_.TotalCapacity().io),
-        RecoveryModelOptions{});
-    rec.status.est_recovery_downtime_s = est.downtime_s;
-    Transition(rec, JobState::kRecovering,
-               Sprintf("worker %d died (lost %d slots, est blackout %.2fs)", w, lost_slots,
-                       est.downtime_s));
-    SpawnPlanner(rec, /*recovering=*/true);
+    BeginRecoveryLocked(rec, Sprintf("worker %d died, lost %d slots", w, lost_slots));
   }
+}
+
+void PlacementService::BeginRecoveryLocked(JobRecord& rec, const std::string& cause) {
+  ++stats_.recoveries;
+  ++rec.status.recoveries;
+  // Checkpoint-model estimate of the blackout this recovery will incur (fed to the
+  // Recovering state; the fixed fallback applies when the job has no coordinator).
+  double total_rate = 0.0;
+  for (const auto& [op, r] : rec.spec.source_rates) {
+    total_rate += r;
+  }
+  double domain_now = EventLog::Global().now();
+  RecoveryEstimate est = EstimateRecovery(
+      rec.spec.checkpoint, domain_now, total_rate * domain_now, std::max(1.0, total_rate),
+      std::max(1e6, view_.TotalCapacity().io), RecoveryModelOptions{});
+  rec.status.est_recovery_downtime_s = est.downtime_s;
+  Transition(rec, JobState::kRecovering,
+             Sprintf("%s (est blackout %.2fs)", cause.c_str(), est.downtime_s));
+  SpawnPlanner(rec, /*recovering=*/true);
 }
 
 void PlacementService::HandleWorkerRestored(WorkerId w) {
@@ -520,9 +474,8 @@ void PlacementService::ReleaseQueuedLocked() {
         std::remove(admission_queue_.begin(), admission_queue_.end(), job),
         admission_queue_.end());
     ++stats_.admitted;
-    rec.admission = AdmissionOutcome::kAdmitted;
-    rec.status.admission = rec.admission;
-    admitted_demand_ += rec.demand;
+    rec.status.admission = AdmissionOutcome::kAdmitted;
+    admitted_demand_ += rec.status.demand;
     rec.demand_accounted = true;
     EmitAdmissionDecision(EventLog::Global().now(), job, "readmitted", rec.tasks,
                           view_.TotalFreeSlots());
@@ -561,8 +514,7 @@ void PlacementService::RunPlanner(PlanRequest req) {
   // free, so one auto-tune per planning session is enough: conflict retries reuse it and
   // pay only for the (much cheaper) re-search. Re-tuned only when degradation changes the
   // graph.
-  ResourceVector tuned_alpha{1.0, 1.0, 1.0};
-  bool have_alpha = false;
+  std::optional<ResourceVector> tuned_alpha;
   while (outcome->attempts < options_.max_plan_attempts) {
     ++outcome->attempts;
     if (req.cancelled->load()) {
@@ -571,79 +523,39 @@ void PlacementService::RunPlanner(PlanRequest req) {
     }
     ClusterSnapshot snap = view_.SnapshotFor(req.job);
     if (graph.total_parallelism() > snap.total_free) {
-      if (req.recovering && req.allow_degraded) {
-        LogicalGraph shrunk = req.graph;  // re-derive from the requested parallelism
-        int steps = 0;
-        if (DownscaleToFit(shrunk, snap.total_free, &steps)) {
-          graph = std::move(shrunk);
-          outcome->degraded = steps > 0;
-          outcome->downscale_steps = steps;
-          have_alpha = false;  // parallelism changed; thresholds must be re-tuned
-        } else {
-          outcome->fail = PlanOutcome::Fail::kNoCapacity;
-          break;
-        }
-      } else {
+      LogicalGraph shrunk = req.graph;  // re-derive from the requested parallelism
+      if (!req.recovering || !req.allow_degraded || !FitParallelism(shrunk, snap.total_free)) {
         outcome->fail = PlanOutcome::Fail::kNoCapacity;
         break;
       }
+      outcome->downscale_steps = req.graph.total_parallelism() - shrunk.total_parallelism();
+      graph = std::move(shrunk);
+      tuned_alpha.reset();  // parallelism changed; thresholds must be re-tuned
     }
     PhysicalGraph physical = PhysicalGraph::Expand(graph);
     auto rates = PropagateRates(graph, req.source_rates);
     auto demands = TaskDemands(physical, rates);
     std::string key;
-    bool hit = false;
-    Placement placement;
-    ResourceVector alpha{1.0, 1.0, 1.0};
-    ResourceVector plan_cost;
+    std::optional<PlannedPlacement> planned;
     if (options_.enable_plan_cache) {
       key = PlanCache::MakeKey(JobGraphFingerprint(graph, req.source_rates),
                                snap.Signature(), BottleneckSignature(demands, cluster_));
       std::lock_guard<std::mutex> lock(cache_mu_);
       auto cached = cache_.Lookup(key);
       if (cached.has_value() && cached->placement.num_tasks() == physical.num_tasks()) {
-        placement = cached->placement;
-        alpha = cached->alpha;
-        plan_cost = cached->plan_cost;
-        hit = true;
+        planned = PlannedPlacement{cached->placement, cached->plan_cost, cached->alpha};
       }
     }
+    const bool hit = planned.has_value();
     if (!hit) {
       Span search_span("scheduler.search");
       Cluster residual = snap.ResidualCluster(cluster_);
       CostModel model(physical, residual, demands);
-      if (!have_alpha) {
-        AutoTuneOptions tune = options_.autotune;
-        tune.num_threads = options_.search_threads;
-        AutoTuneResult tuned = AutoTuneThresholds(model, tune);
-        tuned_alpha = tuned.feasible ? tuned.alpha : ResourceVector{1.0, 1.0, 1.0};
-        have_alpha = true;
-      }
-      alpha = tuned_alpha;
-      SearchOptions search_options;
-      search_options.alpha = alpha;
-      search_options.num_threads = options_.search_threads;
-      search_options.timeout_s = options_.search_timeout_s;
-      search_options.find_first = physical.num_tasks() > options_.find_first_above_tasks;
-      SearchResult result = CapsSearch(model, search_options).Run();
-      std::vector<ScoredPlan> candidates = std::move(result.pareto);
-      Placement greedy = GreedyBalancedPlacement(model);
-      candidates.push_back(ScoredPlan{greedy, model.Cost(greedy)});
-      size_t best = 0;
-      double best_util = 1e300;
-      for (size_t i = 0; i < candidates.size(); ++i) {
-        double util = MaxUtilization(model, residual, candidates[i].placement);
-        if (util < best_util - 1e-9 ||
-            (util < best_util + 1e-9 &&
-             BetterCost(candidates[i].cost, candidates[best].cost))) {
-          best = i;
-          best_util = util;
-        }
-      }
-      placement = candidates[best].placement;
-      plan_cost = candidates[best].cost;
+      planned = PlanPlacement(model, tuned_alpha, options_.autotune, options_.search_threads,
+                              options_.search_timeout_s, options_.find_first_above_tasks);
+      tuned_alpha = planned->alpha;
     }
-    SlotReservation reservation = ReservationFromPlacement(placement, cluster_.num_workers());
+    SlotReservation reservation = planned->placement.LoadByWorker(cluster_);
     CommitResult cr = view_.TryCommit(req.job, snap.epoch, reservation,
                                       !options_.strict_epoch_commit);
     if (cr == CommitResult::kConflict) {
@@ -656,20 +568,15 @@ void PlacementService::RunPlanner(PlanRequest req) {
     }
     if (!hit && options_.enable_plan_cache) {
       std::lock_guard<std::mutex> lock(cache_mu_);
-      cache_.Insert(key, CachedPlan{placement, alpha, plan_cost, snap.epoch});
+      cache_.Insert(key,
+                    CachedPlan{planned->placement, planned->alpha, planned->cost, snap.epoch});
     }
     outcome->fail = PlanOutcome::Fail::kNone;
     outcome->commit = cr;
-    outcome->placement = std::move(placement);
+    outcome->planned = std::move(*planned);
     outcome->reservation = std::move(reservation);
-    outcome->alpha = alpha;
-    outcome->plan_cost = plan_cost;
     outcome->from_cache = hit;
-    std::vector<int> parallelism;
-    for (const auto& op : graph.operators()) {
-      parallelism.push_back(op.parallelism);
-    }
-    outcome->parallelism = std::move(parallelism);
+    outcome->parallelism = graph.Parallelism();
     ev.kind = EventItem::Kind::kPlanCommitted;
     break;
   }
@@ -701,8 +608,8 @@ void PlacementService::HandlePlanCommitted(JobId job, PlanOutcome outcome) {
   rec.status.plan_attempts += outcome.attempts;
   rec.status.commit_conflicts += outcome.conflicts;
   rec.status.planning_time_s += outcome.planning_time_s;
-  if (rec.cancelled.load() || rec.state == JobState::kTerminated ||
-      rec.state == JobState::kRejected) {
+  if (rec.cancelled.load() || rec.status.state == JobState::kTerminated ||
+      rec.status.state == JobState::kRejected) {
     // Lost the race with a cancel: the commit went through, take it back.
     view_.Release(job);
     return;
@@ -714,35 +621,44 @@ void PlacementService::HandlePlanCommitted(JobId job, PlanOutcome outcome) {
   if (outcome.commit == CommitResult::kCommittedStale) {
     ++stats_.stale_commits;
   }
-  if (outcome.degraded) {
-    stats_.downscales += static_cast<uint64_t>(outcome.downscale_steps);
-  }
+  stats_.downscales += static_cast<uint64_t>(outcome.downscale_steps);
   rec.graph.SetParallelism(outcome.parallelism);
-  rec.tasks = outcome.placement.num_tasks();
+  rec.tasks = outcome.planned.placement.num_tasks();
   rec.status.tasks = rec.tasks;
   rec.status.parallelism = outcome.parallelism;
-  rec.status.placement = outcome.placement;
-  rec.status.alpha = outcome.alpha;
-  rec.status.plan_cost = outcome.plan_cost;
-  rec.status.degraded = outcome.degraded;
+  rec.status.placement = outcome.planned.placement;
+  rec.status.alpha = outcome.planned.alpha;
+  rec.status.plan_cost = outcome.planned.cost;
+  rec.status.degraded = outcome.downscale_steps > 0;
   rec.status.plan_from_cache = outcome.from_cache;
   EmitPlacementDecision(EventLog::Global().now(), "scheduler", rec.tasks,
-                        cluster_.num_workers(), outcome.alpha, outcome.plan_cost,
+                        cluster_.num_workers(), outcome.planned.alpha, outcome.planned.cost,
                         outcome.planning_time_s);
+  SlotReservation held = view_.ReservationOf(job);
+  if (held != outcome.reservation) {
+    // A worker died after the commit landed but while the job was still planning, so
+    // HandleWorkerDead left it to this handler: the tasks placed there are gone.
+    int lost = 0;
+    for (size_t w = 0; w < held.size(); ++w) {
+      lost += outcome.reservation[w] - held[w];
+    }
+    BeginRecoveryLocked(rec, Sprintf("a worker died under the new plan, lost %d slots", lost));
+    return;
+  }
   Transition(rec, JobState::kDeploying,
              Sprintf("%s commit (%d attempts%s)", CommitResultName(outcome.commit),
                      outcome.attempts, outcome.from_cache ? ", cached plan" : ""));
   // The runtime hand-off is immediate in this reproduction (the simulator-side runtime is
   // attached out-of-band); the two transitions are kept distinct for the state machine.
   Transition(rec, JobState::kRunning,
-             outcome.degraded ? "running degraded" : "running");
+             rec.status.degraded ? "running degraded" : "running");
   if (rec.status.running_time_s < 0.0) {
     rec.status.running_time_s = NowS();
     rec.status.decision_latency_s = rec.status.running_time_s - rec.status.submit_time_s;
   }
   if (outcome.recovering) {
     EmitRecoveryVerdict(EventLog::Global().now(),
-                        outcome.degraded ? "recovered_degraded" : "recovered_full",
+                        rec.status.degraded ? "recovered_degraded" : "recovered_full",
                         view_.TotalSlots() / std::max(1, cluster_.slots_per_worker()));
   }
   // A downscale or a rescale to fewer slots frees capacity for queued jobs.
@@ -761,12 +677,12 @@ void PlacementService::HandlePlanFailed(JobId job, PlanOutcome outcome) {
   rec.status.planning_time_s += outcome.planning_time_s;
   view_.Release(job);
   if (rec.demand_accounted) {
-    admitted_demand_ -= rec.demand;
+    admitted_demand_ -= rec.status.demand;
     rec.demand_accounted = false;
   }
   if (outcome.fail == PlanOutcome::Fail::kCancelled || rec.cancelled.load() ||
-      rec.state == JobState::kTerminated || rec.state == JobState::kRejected) {
-    if (rec.state != JobState::kTerminated && rec.state != JobState::kRejected) {
+      rec.status.state == JobState::kTerminated || rec.status.state == JobState::kRejected) {
+    if (rec.status.state != JobState::kTerminated && rec.status.state != JobState::kRejected) {
       Transition(rec, JobState::kTerminated, "cancelled while planning");
     }
     ReleaseQueuedLocked();
@@ -775,8 +691,7 @@ void PlacementService::HandlePlanFailed(JobId job, PlanOutcome outcome) {
   // No capacity at plan time (or conflict retries exhausted): back to the admission queue
   // until capacity frees. Structured — never a CHECK abort.
   ++stats_.queued;
-  rec.admission = AdmissionOutcome::kQueuedCapacity;
-  rec.status.admission = rec.admission;
+  rec.status.admission = AdmissionOutcome::kQueuedCapacity;
   admission_queue_.push_back(job);
   if (outcome.recovering) {
     EmitRecoveryVerdict(EventLog::Global().now(), "unplaceable",
@@ -829,7 +744,7 @@ bool PlacementService::WaitIdle(double timeout_s) {
       return false;
     }
     for (const auto& [id, rec] : jobs_) {
-      switch (rec->state) {
+      switch (rec->status.state) {
         case JobState::kSubmitted:
         case JobState::kPlanning:
         case JobState::kDeploying:

@@ -150,6 +150,9 @@ class PlacementService {
   void ReleaseQueuedLocked();
   // Spawns a planner task for `rec` (dispatcher thread, mu_ held).
   void SpawnPlanner(JobRecord& rec, bool recovering);
+  // Moves `rec` to Recovering after it lost slots on a dead worker and spawns a recovery
+  // planner (dispatcher thread, mu_ held).
+  void BeginRecoveryLocked(JobRecord& rec, const std::string& cause);
   // Runs in a planner thread; plans + commits, then posts kPlanCommitted/kPlanFailed.
   void RunPlanner(PlanRequest req);
   void Transition(JobRecord& rec, JobState to, const std::string& detail);

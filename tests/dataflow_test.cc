@@ -100,6 +100,43 @@ TEST(LogicalGraphTest, SetParallelismVector) {
   LogicalGraph g = Diamond();
   g.SetParallelism({1, 1, 1, 1});
   EXPECT_EQ(g.total_parallelism(), 4);
+  EXPECT_EQ(g.Parallelism(), (std::vector<int>{1, 1, 1, 1}));
+}
+
+TEST(LogicalGraphTest, FitParallelismShrinksWidestFirst) {
+  struct Case {
+    const char* name;
+    std::vector<int> parallelism;  // a chain op0 -> op1 -> ...
+    int forward_after = -1;        // the edge op[i] -> op[i+1] is forward, else hash
+    int free_slots;
+    std::vector<int> want;
+    bool fits;
+  };
+  const std::vector<Case> cases = {
+      {"already fits", {1, 4, 2, 1}, -1, 8, {1, 4, 2, 1}, true},
+      {"widest first", {1, 4, 2, 1}, -1, 6, {1, 2, 2, 1}, true},
+      {"lowest id on ties", {1, 3, 3, 1}, -1, 7, {1, 2, 3, 1}, true},
+      {"forward pair shrinks together", {1, 3, 3, 1}, 1, 6, {1, 2, 2, 1}, true},
+      {"forward pair is one step", {1, 3, 3, 2}, 1, 8, {1, 2, 2, 2}, true},
+      {"floor fits exactly", {3, 3}, -1, 2, {1, 1}, true},
+      {"floor does not fit", {2, 2, 2}, -1, 2, {1, 1, 1}, false},
+  };
+  for (const Case& c : cases) {
+    LogicalGraph g("fit");
+    for (size_t i = 0; i < c.parallelism.size(); ++i) {
+      g.AddOperator("op" + std::to_string(i), i == 0 ? OperatorKind::kSource : OperatorKind::kMap,
+                    SimpleProfile(), c.parallelism[i]);
+      if (i > 0) {
+        g.AddEdge(static_cast<OperatorId>(i - 1), static_cast<OperatorId>(i),
+                  static_cast<int>(i) - 1 == c.forward_after ? PartitionScheme::kForward
+                                                              : PartitionScheme::kHash);
+      }
+    }
+    ASSERT_EQ(g.Validate(), "") << c.name;
+    EXPECT_EQ(FitParallelism(g, c.free_slots), c.fits) << c.name;
+    EXPECT_EQ(g.Parallelism(), c.want) << c.name;
+    EXPECT_EQ(g.Validate(), "") << c.name;  // forward endpoints stay equal
+  }
 }
 
 TEST(LogicalGraphTest, MergeProducesDisjointUnion) {

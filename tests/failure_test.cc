@@ -1,9 +1,12 @@
-// Tests for failure injection in the simulator and the recovery experiment driver.
+// Tests for failure injection in the simulator and single-crash recovery through the chaos
+// control loop.
 #include <gtest/gtest.h>
+
+#include <algorithm>
 
 #include "src/caps/cost_model.h"
 #include "src/caps/greedy.h"
-#include "src/controller/failure_experiments.h"
+#include "src/controller/chaos_experiments.h"
 #include "src/dataflow/rates.h"
 #include "src/nexmark/queries.h"
 #include "src/simulator/fluid_simulator.h"
@@ -67,30 +70,65 @@ TEST(FailureInjectionTest, FailedSourceWorkerStopsEmission) {
   EXPECT_LT(sim.Summarize(t - 10, t).throughput, 100.0);
 }
 
+// The busiest worker of the initial deployment dies at `fail_at_s`: a one-event fault
+// schedule for the chaos loop. The victim comes from a Deploy with the same policy and seed.
+ChaosRun RunSingleCrash(const QuerySpec& q, const Cluster& cluster,
+                        const ChaosExperimentOptions& options, double fail_at_s,
+                        WorkerId* victim) {
+  DeployOptions deploy;
+  deploy.policy = options.policy;
+  deploy.use_ds2_sizing = true;
+  deploy.search_threads = options.search_threads;
+  deploy.seed = options.seed;
+  std::vector<int> load =
+      CapsysController(cluster, deploy).Deploy(q).placement.LoadByWorker(cluster);
+  *victim = static_cast<WorkerId>(std::max_element(load.begin(), load.end()) - load.begin());
+  return RunChaosExperiment(q, cluster, FaultSchedule().Crash(fail_at_s, *victim), options);
+}
+
 TEST(FailureRecoveryTest, CapsRecoversToTarget) {
   Cluster cluster(6, WorkerSpec::R5dXlarge(4));
   QuerySpec q = BuildQ1Sliding();
-  FailureExperimentOptions options;
+  const double target = q.TotalTargetRate();
+  ChaosExperimentOptions options;
   options.policy = PlacementPolicy::kCaps;
-  options.fail_at_s = 60.0;
   options.run_s = 240.0;
-  FailureRun run = RunFailureRecoveryExperiment(q, cluster, options);
-  EXPECT_NEAR(run.throughput_before, q.TotalTargetRate(), q.TotalTargetRate() * 0.05);
-  EXPECT_LT(run.throughput_during, run.throughput_before);
-  EXPECT_TRUE(run.recovered);
-  EXPECT_GT(run.recovery_time_s, 0.0);
-  EXPECT_NEAR(run.throughput_after, q.TotalTargetRate(), q.TotalTargetRate() * 0.05);
+  WorkerId victim = kInvalidId;
+  ChaosRun run = RunSingleCrash(q, cluster, options, 60.0, &victim);
+  ASSERT_EQ(run.reconfigurations, 1);
+  const double replaced_s = run.reconfig_times_s.front();
+  EXPECT_GT(replaced_s, 60.0);
+  double before = 0.0;
+  double during = 1e300;
+  double recovered_s = -1.0;
+  for (const TimelinePoint& p : run.timeline) {
+    if (p.time_s <= 60.0) {
+      before = p.throughput;
+    } else if (p.time_s <= replaced_s) {
+      during = std::min(during, p.throughput);
+    } else if (recovered_s < 0.0 && p.throughput >= 0.95 * target) {
+      recovered_s = p.time_s;
+    }
+  }
+  EXPECT_NEAR(before, target, target * 0.05);
+  EXPECT_LT(during, before);
+  EXPECT_GT(recovered_s, replaced_s);
+  EXPECT_EQ(run.last_outcome, RecoveryOutcome::kRecoveredFull);
+  EXPECT_NEAR(run.timeline.back().throughput, target, target * 0.05);
 }
 
 TEST(FailureRecoveryTest, VictimIsBusiestWorker) {
   Cluster cluster(6, WorkerSpec::R5dXlarge(4));
   QuerySpec q = BuildQ1Sliding();
-  FailureExperimentOptions options;
-  options.fail_at_s = 30.0;
+  ChaosExperimentOptions options;
   options.run_s = 120.0;
-  FailureRun run = RunFailureRecoveryExperiment(q, cluster, options);
-  EXPECT_GE(run.victim, 0);
-  EXPECT_LT(run.victim, cluster.num_workers());
+  WorkerId victim = kInvalidId;
+  ChaosRun run = RunSingleCrash(q, cluster, options, 30.0, &victim);
+  EXPECT_GE(victim, 0);
+  EXPECT_LT(victim, cluster.num_workers());
+  // The one crash is the only death the detector declares, and it is real.
+  EXPECT_EQ(run.deaths_declared, 1);
+  EXPECT_EQ(run.false_positives, 0);
   ASSERT_FALSE(run.timeline.empty());
   // Timeline is monotone and covers the full run.
   double prev = 0.0;

@@ -10,6 +10,7 @@
 #include <thread>
 #include <vector>
 
+#include "src/controller/recovery.h"
 #include "src/dataflow/physical_graph.h"
 #include "src/dataflow/rates.h"
 #include "src/nexmark/queries.h"
@@ -331,6 +332,43 @@ TEST(PlacementServiceTest, AdmissionRejectsInvalidSpec) {
   EXPECT_EQ(service.Status(id).admission, AdmissionOutcome::kRejectedInvalid);
 }
 
+// source(p) -forward-> map(p) -> sink: CAPS cannot place the forward channels of a
+// parallel source, so the service must refuse such a job instead of aborting on it.
+JobSpec MakeForwardJob(int parallelism) {
+  JobSpec spec = MakePipelineJob("forward", parallelism, 1e3);
+  LogicalGraph graph("forward");
+  for (const auto& op : spec.graph.operators()) {
+    graph.AddOperator(op.name, op.kind, op.profile,
+                      op.kind == OperatorKind::kSink ? 1 : parallelism);
+  }
+  graph.AddEdge(0, 1, PartitionScheme::kForward);
+  graph.AddEdge(1, 2, PartitionScheme::kHash);
+  spec.graph = std::move(graph);
+  return spec;
+}
+
+TEST(PlacementServiceTest, ForwardEdgeOutOfParallelOperatorIsRejected) {
+  PlacementService service(Cluster(2, WorkerSpec{.slots = 4}), FastOptions());
+  JobId id = service.Submit(MakeForwardJob(2));
+  ASSERT_TRUE(service.WaitIdle(20.0));
+  EXPECT_EQ(service.Status(id).state, JobState::kRejected);
+  EXPECT_EQ(service.Status(id).admission, AdmissionOutcome::kRejectedInvalid);
+  EXPECT_EQ(service.view().CheckInvariants(), "");
+}
+
+TEST(PlacementServiceTest, RescaleOfForwardEndpointsIsIgnored) {
+  PlacementService service(Cluster(2, WorkerSpec{.slots = 4}), FastOptions());
+  JobId id = service.Submit(MakeForwardJob(1));
+  ASSERT_TRUE(service.WaitIdle(20.0));
+  ASSERT_EQ(service.Status(id).state, JobState::kRunning);
+  service.Rescale(id, {2, 2, 1});  // valid graph, but not CAPS-searchable
+  service.Rescale(id, {1, 2, 1});  // breaks forward-edge parallelism equality
+  ASSERT_TRUE(service.WaitIdle(20.0));
+  EXPECT_EQ(service.Status(id).state, JobState::kRunning);
+  EXPECT_EQ(service.Status(id).parallelism, (std::vector<int>{1, 1, 1}));
+  EXPECT_EQ(SumReservation(service.view().ReservationOf(id)), 3);
+}
+
 TEST(PlacementServiceTest, QueuedJobAdmittedWhenCapacityFrees) {
   Cluster cluster(2, WorkerSpec{.slots = 2});
   PlacementService service(cluster, FastOptions());
@@ -374,6 +412,40 @@ TEST(PlacementServiceTest, WorkerDeathTriggersDegradedRecovery) {
   SchedulerStats stats = service.stats();
   EXPECT_GE(stats.recoveries, 1u);
   EXPECT_GE(stats.downscales, 1u);
+}
+
+TEST(PlacementServiceTest, DegradedRecoveryMatchesPlanRecovery) {
+  // The same crash of the same DS2-sized query shrinks it to the same parallelism in the
+  // batch recovery planner and in the service: one fit rule for both.
+  Cluster cluster(6, WorkerSpec::R5dXlarge(4));
+  QuerySpec q = BuildQ1Sliding();
+  q.ScaleRates(3.0);
+  DeployOptions deploy;
+  deploy.policy = PlacementPolicy::kFlinkEvenly;  // the sizing is what matters here
+  deploy.use_ds2_sizing = true;
+  Deployment d = CapsysController(cluster, deploy).Deploy(q);
+  std::vector<bool> usable = {true, true, false, false, false, false};
+  RecoveryPlan plan = PlanRecovery(d.graph, d.source_rates, d.costs, cluster, usable, deploy);
+  ASSERT_EQ(plan.outcome, RecoveryOutcome::kRecoveredDegraded);
+  ASSERT_GT(plan.graph.total_parallelism(), d.graph.num_operators());  // not simply the floor
+
+  PlacementService service(cluster, FastOptions());
+  JobSpec spec;
+  spec.name = "q1";
+  spec.graph = d.graph;
+  spec.source_rates = d.source_rates;
+  spec.allow_degraded_recovery = true;
+  JobId id = service.Submit(std::move(spec));
+  ASSERT_TRUE(service.WaitIdle(20.0));
+  ASSERT_EQ(service.Status(id).state, JobState::kRunning);
+  for (WorkerId w = 2; w < 6; ++w) {
+    service.OnWorkerDead(w);
+    ASSERT_TRUE(service.WaitIdle(20.0));
+  }
+  JobStatus status = service.Status(id);
+  ASSERT_EQ(status.state, JobState::kRunning);
+  EXPECT_TRUE(status.degraded);
+  EXPECT_EQ(status.parallelism, plan.graph.Parallelism());
 }
 
 TEST(PlacementServiceTest, RecoveryQueuesWhenDegradationDisallowed) {

@@ -1,5 +1,6 @@
 // Tests for the CAPS search (src/caps/search.h): enumeration completeness and uniqueness,
-// plan-count reproduction, threshold pruning, reordering, parallel search, and find-first.
+// plan-count reproduction, threshold pruning, reordering, parallel search, and find-first;
+// and for the plan step built on it (src/caps/plan.h).
 #include "src/caps/search.h"
 
 #include <gtest/gtest.h>
@@ -8,6 +9,8 @@
 #include <set>
 
 #include "src/caps/cost_model.h"
+#include "src/caps/greedy.h"
+#include "src/caps/plan.h"
 #include "src/dataflow/rates.h"
 #include "src/nexmark/queries.h"
 
@@ -287,6 +290,64 @@ TEST(CapsSearchTest, TimeoutIsHonored) {
   SearchResult r = CapsSearch(model, options).Run();
   EXPECT_TRUE(r.stats.timed_out);
   EXPECT_LT(r.stats.elapsed_s, 5.0);
+}
+
+TEST(CapsSearchTest, SearchableRejectsForwardEdgeOutOfParallelOperator) {
+  LogicalGraph g = ChainGraph({1, 1, 2});
+  EXPECT_TRUE(CapsSearchable(g));
+  LogicalGraph fwd("fwd");
+  OperatorId a = fwd.AddOperator("a", OperatorKind::kSource, OperatorProfile{}, 1);
+  OperatorId b = fwd.AddOperator("b", OperatorKind::kSink, OperatorProfile{}, 1);
+  fwd.AddEdge(a, b, PartitionScheme::kForward);
+  EXPECT_TRUE(CapsSearchable(fwd));
+  fwd.SetParallelism({2, 2});
+  EXPECT_FALSE(CapsSearchable(fwd));
+}
+
+TEST(PlanPlacementTest, InfeasibleAlphaReturnsGreedyPlan) {
+  PhysicalGraph graph = PhysicalGraph::Expand(ChainGraph({1, 3, 1}));
+  Cluster cluster(2, WorkerSpec::R5dXlarge(4));
+  CostModel model = MakeModel(graph, cluster);
+  const ResourceVector tight{0.0, 0.0, 0.0};
+  SearchOptions options;
+  options.alpha = tight;
+  ASSERT_FALSE(CapsSearch(model, options).Run().found);  // 5 tasks on 2 workers never balance
+  PlannedPlacement planned = PlanPlacement(model, tight, AutoTuneOptions{}, 1, 10.0, 1000);
+  EXPECT_EQ(planned.placement, GreedyBalancedPlacement(model));
+  EXPECT_EQ(planned.cost, model.Cost(planned.placement));
+  EXPECT_EQ(planned.alpha, tight);
+}
+
+TEST(PlanPlacementTest, PicksLowestMaxUtilizationCandidate) {
+  QuerySpec q = BuildQ1Sliding();
+  PhysicalGraph graph = PhysicalGraph::Expand(q.graph);
+  Cluster cluster(4, WorkerSpec::R5dXlarge(4));
+  auto rates = PropagateRates(q.graph, q.source_rates);
+  CostModel model(graph, cluster, TaskDemands(graph, rates));
+  const ResourceVector open{1.0, 1.0, 1.0};
+  PlannedPlacement planned = PlanPlacement(model, open, AutoTuneOptions{}, 1, 60.0, 1000);
+  EXPECT_EQ(planned.placement.Validate(graph, cluster), "");
+  EXPECT_EQ(planned.cost, model.Cost(planned.placement));
+  // Candidates: the full pareto front plus the greedy incumbent.
+  SearchResult r = CapsSearch(model, SearchOptions{}).Run();
+  ASSERT_TRUE(r.found);
+  double best = MaxUtilization(model, GreedyBalancedPlacement(model));
+  for (const ScoredPlan& p : r.pareto) {
+    best = std::min(best, MaxUtilization(model, p.placement));
+  }
+  EXPECT_NEAR(MaxUtilization(model, planned.placement), best, 1e-9);
+}
+
+TEST(PlanPlacementTest, AutoTunesWhenNoAlphaIsGiven) {
+  PhysicalGraph graph = PhysicalGraph::Expand(ChainGraph({1, 3, 1}));
+  Cluster cluster(2, WorkerSpec::R5dXlarge(4));
+  CostModel model = MakeModel(graph, cluster);
+  PlannedPlacement planned = PlanPlacement(model, std::nullopt, AutoTuneOptions{}, 1, 10.0, 1000);
+  EXPECT_EQ(planned.placement.Validate(graph, cluster), "");
+  for (Resource r : kAllResources) {
+    EXPECT_GT(planned.alpha[r], 0.0);
+    EXPECT_LE(planned.alpha[r], 1.0);
+  }
 }
 
 }  // namespace
