@@ -11,26 +11,24 @@ namespace capsys {
 namespace {
 
 // Runs a find-first feasibility probe with the given thresholds and remaining budget.
-bool Feasible(const CostModel& model, const ResourceVector& alpha, int num_threads,
-              double budget_s) {
-  if (budget_s <= 0.0) {
-    return false;
-  }
+SearchResult Probe(const CostModel& model, const ResourceVector& alpha, int num_threads,
+                   double budget_s) {
   SearchOptions options;
   options.alpha = alpha;
   options.find_first = true;
   options.reorder = true;
   options.num_threads = num_threads;
   options.timeout_s = budget_s;
-  CapsSearch search(model, options);
-  return search.Run().found;
+  return CapsSearch(model, options).Run();
 }
 
 }  // namespace
 
 std::string AutoTuneResult::ToString() const {
-  return Sprintf("alpha=%s feasible=%d iterations=%d elapsed=%.3fs%s",
-                 alpha.ToString().c_str(), feasible ? 1 : 0, iterations, elapsed_s,
+  return Sprintf("alpha=%s feasible=%d iterations=%d nodes=%llu probes_timed_out=%d "
+                 "elapsed=%.3fs%s",
+                 alpha.ToString().c_str(), feasible ? 1 : 0, iterations,
+                 static_cast<unsigned long long>(nodes), probes_timed_out, elapsed_s,
                  timed_out ? " TIMED_OUT" : "");
 }
 
@@ -44,17 +42,39 @@ AutoTuneResult AutoTuneThresholds(const CostModel& model, const AutoTuneOptions&
   };
 
   AutoTuneResult result;
+  // Ends the tune: records the elapsed time, also on the span, and returns the result.
+  auto finish = [&]() -> AutoTuneResult {
+    result.elapsed_s = elapsed();
+    tune_span.AddAttr("iterations", result.iterations);
+    tune_span.AddAttr("nodes", result.nodes);
+    tune_span.AddAttr("probes_timed_out", result.probes_timed_out);
+    return result;
+  };
   // Each feasibility probe is one tuning iteration: a find-first search under the candidate
-  // thresholds, traced as its own (nested) span.
-  auto probe = [&](const ResourceVector& alpha) {
+  // thresholds within `budget_s`, traced as its own (nested) span. A probe that runs out of
+  // budget before it finds a plan counts as infeasible.
+  auto probe = [&](const ResourceVector& alpha, double budget_s) {
     Span probe_span("caps.autotune.probe");
     probe_span.AddAttr("iteration", result.iterations);
     probe_span.AddAttr("alpha", alpha.ToString());
     ++result.iterations;
-    double budget = std::min(options.probe_timeout_s, options.timeout_s - elapsed());
-    bool feasible = Feasible(model, alpha, options.num_threads, budget);
+    bool feasible = false;
+    bool timed_out = budget_s <= 0.0;
+    if (!timed_out) {
+      SearchResult search = Probe(model, alpha, options.num_threads, budget_s);
+      result.nodes += search.stats.nodes;
+      feasible = search.found;
+      timed_out = !feasible && search.stats.timed_out;
+    }
+    if (timed_out) {
+      ++result.probes_timed_out;
+      probe_span.AddAttr("timed_out", "true");
+    }
     probe_span.AddAttr("feasible", feasible ? "true" : "false");
     return feasible;
+  };
+  auto probe_budget = [&] {
+    return std::min(options.probe_timeout_s, options.timeout_s - elapsed());
   };
   auto out_of_time = [&] { return elapsed() > options.timeout_s; };
 
@@ -70,12 +90,11 @@ AutoTuneResult AutoTuneThresholds(const CostModel& model, const AutoTuneOptions&
     while (!found) {
       if (out_of_time()) {
         result.timed_out = true;
-        result.elapsed_s = elapsed();
-        return result;
+        return finish();
       }
       ResourceVector alpha{1.0, 1.0, 1.0};
       alpha[r] = std::min(hi, 1.0);
-      if (probe(alpha)) {
+      if (probe(alpha, probe_budget())) {
         found = true;
         break;
       }
@@ -94,7 +113,7 @@ AutoTuneResult AutoTuneThresholds(const CostModel& model, const AutoTuneOptions&
       double mid = 0.5 * (lo + hi);
       ResourceVector alpha{1.0, 1.0, 1.0};
       alpha[r] = mid;
-      if (probe(alpha)) {
+      if (probe(alpha, probe_budget())) {
         hi = mid;
       } else {
         lo = mid;
@@ -110,14 +129,12 @@ AutoTuneResult AutoTuneThresholds(const CostModel& model, const AutoTuneOptions&
   while (true) {
     if (out_of_time()) {
       result.timed_out = true;
-      result.elapsed_s = elapsed();
-      return result;
+      return finish();
     }
-    if (probe(alpha)) {
+    if (probe(alpha, probe_budget())) {
       result.feasible = true;
       result.alpha = alpha;
-      result.elapsed_s = elapsed();
-      return result;
+      return finish();
     }
     bool all_maxed = true;
     for (Resource r : kAllResources) {
@@ -132,13 +149,11 @@ AutoTuneResult AutoTuneThresholds(const CostModel& model, const AutoTuneOptions&
       // Fully relaxed and still nothing found within the probe budget: one last probe with
       // the entire remaining wall budget before declaring infeasibility.
       ResourceVector ones{1.0, 1.0, 1.0};
-      ++result.iterations;
-      if (Feasible(model, ones, options.num_threads, options.timeout_s - elapsed())) {
+      if (probe(ones, options.timeout_s - elapsed())) {
         result.feasible = true;
         result.alpha = ones;
       }
-      result.elapsed_s = elapsed();
-      return result;
+      return finish();
     }
   }
 }

@@ -11,6 +11,7 @@
 #ifndef SRC_CAPS_AUTO_TUNER_H_
 #define SRC_CAPS_AUTO_TUNER_H_
 
+#include <cstdint>
 #include <string>
 
 #include "src/caps/cost_model.h"
@@ -43,6 +44,10 @@ struct AutoTuneResult {
   ResourceVector alpha;        // the minimum feasible threshold vector found
   ResourceVector phase1_alpha;  // per-dimension minima with other dimensions disabled
   int iterations = 0;           // total feasibility probes run
+  uint64_t nodes = 0;           // search nodes walked, summed over the probes
+  // Probes whose answer came from the wall clock (the probe budget ran out before the
+  // search found a plan or proved there is none); α depends on machine load when > 0.
+  int probes_timed_out = 0;
   double elapsed_s = 0.0;
   bool timed_out = false;
 

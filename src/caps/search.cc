@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
+#include <limits>
 
 #include "src/common/logging.h"
 #include "src/common/str.h"
@@ -11,6 +13,10 @@ namespace capsys {
 namespace {
 
 constexpr double kEps = 1e-12;
+// Relative share of the bound the lookahead cuts add as slack (see CapsSearch::limit_).
+constexpr double kLookaheadSlack = 1e-9;
+// A task count no worker reaches.
+constexpr int kNever = std::numeric_limits<int>::max() / 2;
 
 }  // namespace
 
@@ -23,9 +29,10 @@ std::string SearchStats::ToString() const {
 
 // Per-branch mutable search state. Copyable so subtrees can be offloaded to pool threads.
 //
-// The last four fields are *incremental* mirrors of information that older revisions
-// recomputed by scanning all workers on every inner-search node; ApplyPlacement and
-// UndoPlacement keep them exact (see DESIGN.md "Performance" for the invariants):
+// op_placed, op_workers, free_slots and num_violating are *incremental* mirrors of
+// information that older revisions recomputed by scanning all workers on every
+// inner-search node; ApplyPlacement and UndoPlacement keep them exact (see DESIGN.md
+// "Performance" for the invariants):
 //   - op_placed[o]    == sum over workers of op_count[w][o]
 //   - op_workers[o]   == the workers with op_count[w][o] > 0, in placement (stack) order
 //   - free_slots      == total slot capacity minus sum of used
@@ -41,10 +48,49 @@ struct CapsSearch::Ctx {
   std::vector<std::vector<WorkerId>> op_workers;  // workers hosting each operator
   int free_slots = 0;
   int num_violating = 0;
+  // Per-layer lookahead rows, written by EnterLayer and read by every inner node of the
+  // layer. One block per layer, so descending into a later layer never overwrites them
+  // (layout in RowsOf()). Allocated by the first layer that sets up cuts.
+  std::vector<int> layer_ints;
+  std::vector<double> layer_gain;
 
   int* counts_of(WorkerId w) { return op_count.data() + static_cast<size_t>(w) * num_ops; }
   const int* counts_of(WorkerId w) const {
     return op_count.data() + static_cast<size_t>(w) * num_ops;
+  }
+  size_t num_workers() const { return load.size(); }
+
+  // The lookahead rows of one layer:
+  //   fit[w]        sum over workers v >= w of Fit(v), or of the free slots in the last
+  //                 layer                                                    (workers + 1)
+  //   need[w]       sum over workers v >= w of the tasks v must take so the inbound load
+  //                 from the tasks placed elsewhere keeps it within the bound  (workers + 1)
+  //   host_lo/hi[w] the task counts with which w can also host a task of the layer's
+  //                 later sender; empty when lo > hi                           (workers)
+  //   host_min[w]   min of host_lo over workers v >= w with a non-empty range (workers + 1)
+  //   gain[w]       net load w gains per task of the layer's operator placed elsewhere
+  struct Rows {
+    int* fit;
+    int* need;
+    int* host_lo;
+    int* host_hi;
+    int* host_min;
+    double* gain;
+  };
+  Rows RowsOf(size_t layer, size_t layers) {
+    size_t w = num_workers();
+    size_t stride = 5 * w + 3;
+    if (layer_ints.empty()) {
+      layer_ints.assign(layers * stride, 0);
+      layer_gain.assign(layers * w, 0.0);
+    }
+    int* block = layer_ints.data() + layer * stride;
+    return Rows{.fit = block,
+                .need = block + w + 1,
+                .host_lo = block + 2 * w + 2,
+                .host_hi = block + 3 * w + 2,
+                .host_min = block + 4 * w + 2,
+                .gain = layer_gain.data() + layer * w};
   }
 };
 
@@ -119,7 +165,34 @@ CapsSearch::CapsSearch(const CostModel& model, SearchOptions options)
                      [&](OperatorId a, OperatorId b) { return score(a) > score(b); });
   }
 
+  std::vector<size_t> layer_of(static_cast<size_t>(num_ops));
+  for (size_t l = 0; l < order_.size(); ++l) {
+    layer_of[static_cast<size_t>(order_[l])] = l;
+  }
+  // The heaviest edge of each layer's operator toward an operator placed later.
+  auto heaviest_later = [&](size_t l, const std::vector<OpEdge>& edges) {
+    OpEdge best{.peer = kInvalidId, .net_share_per_peer_task = 0.0};
+    for (const auto& e : edges) {
+      if (layer_of[static_cast<size_t>(e.peer)] > l &&
+          e.net_share_per_peer_task > best.net_share_per_peer_task) {
+        best = e;
+      }
+    }
+    return best;
+  };
+  for (size_t l = 0; l < order_.size(); ++l) {
+    later_sender_.push_back(heaviest_later(l, in_edges_[static_cast<size_t>(order_[l])]));
+    later_receiver_.push_back(heaviest_later(l, out_edges_[static_cast<size_t>(order_[l])]));
+  }
+
   bound_ = model.LoadBound(options_.alpha);
+  for (Resource r : kAllResources) {
+    bool bounded = options_.alpha[r] < 1.0;
+    lookahead_ = lookahead_ || bounded;
+    limit_[r] = bounded ? bound_[r] + kEps + kLookaheadSlack * bound_[r]
+                        : std::numeric_limits<double>::infinity();
+  }
+  net_lookahead_ = options_.alpha.net < 1.0;
 
   // Group workers into spec-equivalence classes; only same-class workers are
   // interchangeable for duplicate elimination.
@@ -127,7 +200,6 @@ CapsSearch::CapsSearch(const CostModel& model, SearchOptions options)
   worker_slots_.resize(static_cast<size_t>(cluster.num_workers()));
   for (WorkerId w = 0; w < cluster.num_workers(); ++w) {
     worker_slots_[static_cast<size_t>(w)] = cluster.worker(w).spec.slots;
-    total_slots_ += cluster.worker(w).spec.slots;
   }
   worker_class_.assign(static_cast<size_t>(cluster.num_workers()), 0);
   std::vector<WorkerSpec> classes;
@@ -269,7 +341,175 @@ void CapsSearch::UndoPlacement(Ctx& ctx, size_t layer, WorkerId w, int count) {
   ctx.num_violating += static_cast<int>(Violates(load_w)) - static_cast<int>(w_violated);
 }
 
-void CapsSearch::PlaceOp(Ctx& ctx, size_t layer) {
+double CapsSearch::OutboundNet(const Ctx& ctx, OperatorId o, WorkerId v) const {
+  double net = 0.0;
+  for (const auto& e : out_edges_[static_cast<size_t>(o)]) {
+    int peer_elsewhere = ctx.op_placed[static_cast<size_t>(e.peer)] -
+                         ctx.counts_of(v)[static_cast<size_t>(e.peer)];
+    net += e.net_share_per_peer_task * peer_elsewhere;
+  }
+  return net * model_.WorkerScale(v).net;
+}
+
+int CapsSearch::Fit(const Ctx& ctx, OperatorId o, WorkerId v) const {
+  int fit = worker_slots_[static_cast<size_t>(v)] - ctx.used[static_cast<size_t>(v)];
+  if (!lookahead_ || fit == 0) {
+    return fit;
+  }
+  // Caps the fit by the per-task load increment on `v`, as ApplyPlacement adds it: the
+  // task's own demand plus its outbound share toward already-placed downstream peers.
+  auto cap_by = [&fit](double room, double inc) {
+    if (inc > 0.0 && room < fit * inc) {
+      fit = static_cast<int>(std::max(0.0, room) / inc);
+    }
+  };
+  const ResourceVector& d = op_task_demand_[static_cast<size_t>(o)];
+  const ResourceVector& scale = model_.WorkerScale(v);
+  const ResourceVector& load = ctx.load[static_cast<size_t>(v)];
+  cap_by(limit_.cpu - load.cpu, d.cpu * scale.cpu);
+  cap_by(limit_.io - load.io, d.io * scale.io);
+  if (net_lookahead_) {
+    cap_by(limit_.net - load.net, OutboundNet(ctx, o, v));
+  }
+  return fit;
+}
+
+std::pair<int, int> CapsSearch::HostRange(const Ctx& ctx, size_t layer, WorkerId v,
+                                          int fit) const {
+  OperatorId o = order_[layer];
+  const OpEdge& sender = later_sender_[layer];
+  int tasks = op_parallelism_[static_cast<size_t>(o)];
+  const ResourceVector& d_o = op_task_demand_[static_cast<size_t>(o)];
+  const ResourceVector& d_s = op_task_demand_[static_cast<size_t>(sender.peer)];
+  const ResourceVector& scale = model_.WorkerScale(v);
+  const ResourceVector& load = ctx.load[static_cast<size_t>(v)];
+  // The sender's task needs a slot next to the c tasks.
+  int lo = 0;
+  int hi = std::min(fit, worker_slots_[static_cast<size_t>(v)] -
+                             ctx.used[static_cast<size_t>(v)] - 1);
+  // Applies the constraint c * k <= r.
+  auto constrain = [&](double k, double r) {
+    if (k > 0.0 && r < hi * k) {
+      hi = r < 0.0 ? -1 : static_cast<int>(r / k);
+    } else if (k < 0.0 && r < 0.0) {
+      double least = r / k;
+      lo = least > tasks ? kNever : std::max(lo, static_cast<int>(std::ceil(least)));
+    } else if (k == 0.0 && r < 0.0) {
+      hi = -1;
+    }
+  };
+  constrain(d_o.cpu * scale.cpu, limit_.cpu - load.cpu - d_s.cpu * scale.cpu);
+  constrain(d_o.io * scale.io, limit_.io - load.io - d_s.io * scale.io);
+  // The sender's task sends `share` to each of the tasks - c tasks placed elsewhere.
+  double share = sender.net_share_per_peer_task * scale.net;
+  constrain(OutboundNet(ctx, o, v) - share,
+            limit_.net - load.net - OutboundNet(ctx, sender.peer, v) - share * tasks);
+  return {lo, hi};
+}
+
+CapsSearch::Cuts CapsSearch::EnterLayer(Ctx& ctx, size_t layer) {
+  OperatorId o = order_[layer];
+  int tasks = op_parallelism_[static_cast<size_t>(o)];
+  int num_workers = static_cast<int>(ctx.num_workers());
+  Ctx::Rows rows = ctx.RowsOf(layer, order_.size());
+  // The last layer is entered once per plan prefix, most often of all, and a fit there only
+  // saves nodes of that layer, so it keeps the free slots.
+  bool last = layer + 1 == order_.size();
+  bool fits_bind = false;
+  int* fit = rows.fit;
+  fit[num_workers] = 0;
+  for (WorkerId v = num_workers - 1; v >= 0; --v) {
+    int free = worker_slots_[static_cast<size_t>(v)] - ctx.used[static_cast<size_t>(v)];
+    int fit_v = last ? free : Fit(ctx, o, v);
+    fits_bind = fits_bind || fit_v < free;
+    fit[v] = fit[v + 1] + fit_v;
+  }
+  if (fit[0] < tasks) {
+    return Cuts::kDead;
+  }
+  // Later operators must fit: a fit only shrinks further down the tree.
+  for (size_t later = layer + 1; later < order_.size(); ++later) {
+    OperatorId p = order_[later];
+    int unplaced = op_parallelism_[static_cast<size_t>(p)];
+    for (WorkerId v = 0; v < num_workers && unplaced > 0; ++v) {
+      unplaced -= Fit(ctx, p, v);
+    }
+    if (unplaced > 0) {
+      return Cuts::kDead;
+    }
+  }
+  if (!net_lookahead_) {
+    return fits_bind ? Cuts::kFits : Cuts::kNone;
+  }
+
+  // Certain inbound load: every task of `o` not placed on a host of an upstream peer adds
+  // the peer's channel share to that host's network load. A host must therefore take
+  // enough of the tasks that the rest stay within its room.
+  double* gain = rows.gain;
+  std::fill(gain, gain + num_workers, 0.0);
+  for (const auto& e : in_edges_[static_cast<size_t>(o)]) {
+    for (WorkerId v : ctx.op_workers[static_cast<size_t>(e.peer)]) {
+      gain[v] += ctx.counts_of(v)[static_cast<size_t>(e.peer)] * e.net_share_per_peer_task *
+                 model_.WorkerScale(v).net;
+    }
+  }
+  // The per-node network checks bind only where a worker's final network load can break
+  // the bound: with c of the tasks it ends at load + c * (outbound + receiver traffic) +
+  // (tasks - c) * gain, linear in c, so the counts 0 and fit_v bound it.
+  const OpEdge& receiver = later_receiver_[layer];
+  double receiver_traffic =
+      receiver.peer != kInvalidId
+          ? receiver.net_share_per_peer_task * op_parallelism_[static_cast<size_t>(receiver.peer)]
+          : 0.0;
+  bool net_binds = false;
+  int* need = rows.need;
+  need[num_workers] = 0;
+  for (WorkerId v = num_workers - 1; v >= 0; --v) {
+    int fit_v = fit[v] - fit[v + 1];
+    double room = std::max(0.0, limit_.net - ctx.load[static_cast<size_t>(v)].net);
+    int need_v = 0;
+    if (room < tasks * gain[v]) {
+      need_v = tasks - static_cast<int>(room / gain[v]);
+    }
+    if (need_v > fit_v) {
+      return Cuts::kDead;
+    }
+    need[v] = need[v + 1] + need_v;
+    if (!net_binds && fit_v > 0 && (gain[v] > 0.0 || receiver_traffic > 0.0)) {
+      double per_task =
+          OutboundNet(ctx, o, v) + receiver_traffic * model_.WorkerScale(v).net;
+      net_binds = tasks * gain[v] > room || fit_v * per_task + (tasks - fit_v) * gain[v] > room;
+    }
+  }
+  if (need[0] > tasks) {
+    return Cuts::kDead;
+  }
+  // Later sender: a host of one of its tasks gains its share for every task of `o` placed
+  // elsewhere, so some worker must take a count of `o`'s tasks that lets it host one. That
+  // binds unless some worker hosts it with any count it can take.
+  if (later_sender_[layer].peer != kInvalidId) {
+    bool host_binds = true;
+    rows.host_min[num_workers] = kNever;
+    for (WorkerId v = num_workers - 1; v >= 0; --v) {
+      int fit_v = fit[v] - fit[v + 1];
+      auto [lo, hi] = HostRange(ctx, layer, v, fit_v);
+      rows.host_lo[v] = lo;
+      rows.host_hi[v] = hi;
+      rows.host_min[v] = std::min(rows.host_min[v + 1], lo <= hi ? lo : kNever);
+      host_binds = host_binds && !(lo == 0 && hi >= fit_v);
+    }
+    if (rows.host_min[0] > tasks) {
+      return Cuts::kDead;
+    }
+    net_binds = net_binds || host_binds;
+  }
+  if (net_binds) {
+    return Cuts::kNet;
+  }
+  return fits_bind ? Cuts::kFits : Cuts::kNone;
+}
+
+void CapsSearch::PlaceOp(Ctx& ctx, size_t layer, bool backtracked) {
   if (ShouldStop()) {
     return;
   }
@@ -277,33 +517,51 @@ void CapsSearch::PlaceOp(Ctx& ctx, size_t layer) {
     AtLeaf(ctx);
     return;
   }
-  int later_cap = ctx.free_slots - (worker_slots_[0] - ctx.used[0]);
-  InnerSearch(ctx, layer, 0, op_parallelism_[static_cast<size_t>(order_[layer])], later_cap);
+  int tasks = op_parallelism_[static_cast<size_t>(order_[layer])];
+  // The cuts are set up only off the DFS's first path, so a search that never backtracks
+  // does not pay for them; each layer then runs only the checks that can bind.
+  Cuts cuts = lookahead_ && backtracked ? EnterLayer(ctx, layer) : Cuts::kNone;
+  switch (cuts) {
+    case Cuts::kDead:
+      pruned_.fetch_add(1, std::memory_order_relaxed);
+      return;
+    case Cuts::kNone:
+      InnerSearch<Cuts::kNone>(ctx, layer, 0, tasks,
+                               ctx.free_slots - (worker_slots_[0] - ctx.used[0]), backtracked,
+                               LayerPath{});
+      return;
+    case Cuts::kFits:
+      InnerSearch<Cuts::kFits>(ctx, layer, 0, tasks, 0, backtracked, LayerPath{});
+      return;
+    case Cuts::kNet:
+      InnerSearch<Cuts::kNet>(ctx, layer, 0, tasks, 0, backtracked, LayerPath{});
+      return;
+  }
 }
 
+template <CapsSearch::Cuts kCuts>
 void CapsSearch::InnerSearch(Ctx& ctx, size_t layer, WorkerId w, int remaining,
-                             int later_cap) {
+                             int later_cap, bool backtracked, LayerPath path) {
   nodes_.fetch_add(1, std::memory_order_relaxed);
   if (ShouldStop()) {
     return;
   }
-  int num_workers = static_cast<int>(ctx.load.size());
+  int num_workers = static_cast<int>(ctx.num_workers());
   if (w == num_workers) {
     if (remaining == 0) {
       size_t next = layer + 1;
       if (pool_ != nullptr && next < order_.size() && pool_->HasIdleThread()) {
         // Dynamic work offloading (§5.1): hand the subtree to an idle thread.
         auto copy = std::make_shared<Ctx>(ctx);
-        pool_->Submit([this, copy, next] { PlaceOp(*copy, next); });
+        pool_->Submit([this, copy, next, backtracked] { PlaceOp(*copy, next, backtracked); });
       } else {
-        PlaceOp(ctx, next);
+        PlaceOp(ctx, next, backtracked);
       }
     }
     return;
   }
 
   OperatorId o = order_[layer];
-  int cap = worker_slots_[static_cast<size_t>(w)] - ctx.used[static_cast<size_t>(w)];
   // Duplicate elimination: if an earlier worker has an identical task multiset (ignoring
   // the current operator), this worker may receive at most as many tasks as it did.
   int bound = remaining;
@@ -329,40 +587,101 @@ void CapsSearch::InnerSearch(Ctx& ctx, size_t layer, WorkerId w, int remaining,
       }
     }
   }
-  // Lower bound: remaining tasks must fit into this and later workers.
+  // The tasks not placed here must fit into later workers: their free slots, or with cuts
+  // their fits.
+  Ctx::Rows rows{};
+  if constexpr (kCuts != Cuts::kNone) {
+    rows = ctx.RowsOf(layer, order_.size());
+    later_cap = rows.fit[w + 1];
+  }
+  int cap = worker_slots_[static_cast<size_t>(w)] - ctx.used[static_cast<size_t>(w)];
   int lo = std::max(0, remaining - later_cap);
   int hi = std::min({cap, remaining, bound});
+
+  // Network cuts. Inbound: this worker takes its need and leaves later workers theirs; the
+  // tasks not placed here each add `gain` to its network load. Sender: until some worker
+  // can host a task of the later sender, this one must take a count in [host_lo, host_hi]
+  // or a later worker must still be able to. Receiver: a worker taking c > 0 tasks must
+  // take enough receiver tasks, since each one elsewhere adds c * per_remote to its load.
+  double gain = 0.0;
+  bool track_host = false;
+  const OpEdge& receiver = later_receiver_[layer];
+  bool track_receiver = false;
+  if constexpr (kCuts == Cuts::kNet) {
+    lo = std::max(lo, rows.need[w] - rows.need[w + 1]);
+    hi = std::min(hi, remaining - rows.need[w + 1]);
+    gain = rows.gain[w];
+    track_host = !path.host_found && later_sender_[layer].peer != kInvalidId;
+    track_receiver = receiver.peer != kInvalidId;
+  }
   if (lo > hi) {
     return;
   }
+  // True when count `c` cannot lead to a host of the later sender.
+  auto loses_host = [&](int c, LayerPath& next) {
+    if (!track_host) {
+      return false;
+    }
+    next.host_found = c >= rows.host_lo[w] && c <= rows.host_hi[w];
+    return !next.host_found && rows.host_min[w + 1] > remaining - c;
+  };
+  // True when the applied count `c` breaks the bound once the layer and its later receiver
+  // are placed.
+  auto breaks_later = [&](int c, LayerPath& next) {
+    const ResourceVector& load = ctx.load[static_cast<size_t>(w)];
+    if (gain > 0.0 && load.net + (remaining - c) * gain > limit_.net) {
+      return true;
+    }
+    if (!track_receiver || c == 0) {
+      return false;
+    }
+    int receiver_tasks = op_parallelism_[static_cast<size_t>(receiver.peer)];
+    double room = std::max(0.0, limit_.net - load.net);
+    double per_remote = c * receiver.net_share_per_peer_task * model_.WorkerScale(w).net;
+    if (room >= receiver_tasks * per_remote) {
+      return false;
+    }
+    int need = receiver_tasks - static_cast<int>(room / per_remote);
+    next.receiver_need += need;
+    return next.receiver_need > receiver_tasks || need > Fit(ctx, receiver.peer, w);
+  };
 
   // Tries one task count for this worker; returns false once the search should stop.
   // Worker loads grow monotonically in c, so once a count violates the bounds every larger
   // count does too (dead_above).
   int dead_above = hi + 1;
+  bool first = true;
   auto try_count = [&](int c) {
-    if (c < dead_above) {
+    LayerPath next = path;
+    if (kCuts == Cuts::kNet && loses_host(c, next)) {
+      pruned_.fetch_add(1, std::memory_order_relaxed);
+    } else if (c < dead_above) {
       ApplyPlacement(ctx, layer, w, c);
       if (c > 0 && ctx.num_violating > 0) {
         pruned_.fetch_add(1, std::memory_order_relaxed);
         dead_above = c;
+      } else if (kCuts == Cuts::kNet && breaks_later(c, next)) {
+        pruned_.fetch_add(1, std::memory_order_relaxed);
       } else {
-        // Free capacity of workers beyond w+1 is untouched by placements at w.
-        int next_later = w + 1 < num_workers
+        // Without cuts: free capacity of workers beyond w+1 is untouched by placements at w.
+        int next_later = kCuts == Cuts::kNone && w + 1 < num_workers
                              ? later_cap - (worker_slots_[static_cast<size_t>(w) + 1] -
                                             ctx.used[static_cast<size_t>(w) + 1])
                              : 0;
-        InnerSearch(ctx, layer, w + 1, remaining - c, next_later);
+        InnerSearch<kCuts>(ctx, layer, w + 1, remaining - c, next_later, backtracked || !first,
+                           next);
       }
       UndoPlacement(ctx, layer, w, c);
     }
+    first = false;
     return !stop_.load(std::memory_order_relaxed);
   };
 
   // Value ordering: try counts closest to the proportional (balanced) share first, so the
   // first complete plan the DFS reaches is already near-balanced. This makes find-first
   // searches and time-budgeted searches anytime-good without changing the explored set.
-  // The candidate sequence is generated in place — no per-node ordering buffer.
+  // The candidate sequence is generated in place — no per-node ordering buffer. Narrowing
+  // [lo, hi] only drops counts without a satisfying leaf and keeps the order of the rest.
   if (options_.value_ordering) {
     int ideal = (remaining + (num_workers - w) - 1) / (num_workers - w);
     ideal = std::clamp(ideal, lo, hi);
@@ -482,7 +801,7 @@ SearchResult CapsSearch::Run() {
   for (auto& hosts : root.op_workers) {
     hosts.reserve(static_cast<size_t>(cluster.num_workers()));
   }
-  root.free_slots = total_slots_;
+  root.free_slots = cluster.total_slots();
   // One full scan seeds the violation count; Apply/UndoPlacement keep it exact after.
   root.num_violating = 0;
   for (const auto& l : root.load) {
@@ -494,11 +813,11 @@ SearchResult CapsSearch::Run() {
     if (options_.num_threads > 1) {
       pool_ = std::make_unique<ThreadPool>(options_.num_threads);
       auto shared_root = std::make_shared<Ctx>(std::move(root));
-      pool_->Submit([this, shared_root] { PlaceOp(*shared_root, 0); });
+      pool_->Submit([this, shared_root] { PlaceOp(*shared_root, 0, false); });
       pool_->Wait();
       pool_.reset();
     } else {
-      PlaceOp(root, 0);
+      PlaceOp(root, 0, false);
     }
   }
 

@@ -15,6 +15,14 @@
 //
 // Threshold pruning (§4.4.1): per-worker loads grow monotonically down the tree, so a branch
 // dies as soon as any worker load exceeds L_i_min + alpha_i (L_i_max - L_i_min) (Eq. 10).
+//
+// Lookahead (when some alpha_i < 1): the same monotonicity bounds what a subtree can still
+// hold, so admissible cuts remove subtrees without a satisfying leaf before they are walked:
+// per-worker task fits of the layer's operator, the inbound load a worker is certain to gain
+// from tasks placed after it, a fit check of every later operator, and the traffic to and
+// from operators of later layers. Surviving leaves are visited in the same order, so the
+// find-first plan, the collected plans and the pareto front do not change; only the node and
+// pruned counts do (DESIGN.md §10).
 #ifndef SRC_CAPS_SEARCH_H_
 #define SRC_CAPS_SEARCH_H_
 
@@ -24,6 +32,7 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/caps/cost_model.h"
@@ -62,7 +71,7 @@ struct ScoredPlan {
 struct SearchStats {
   uint64_t nodes = 0;    // inner-search tree nodes expanded
   uint64_t leaves = 0;   // complete plans satisfying the thresholds
-  uint64_t pruned = 0;   // branches cut by threshold pruning
+  uint64_t pruned = 0;   // branches cut by threshold pruning and the lookahead cuts
   double elapsed_s = 0.0;
   bool timed_out = false;
 
@@ -96,10 +105,46 @@ class CapsSearch {
  private:
   struct Ctx;
 
-  void PlaceOp(Ctx& ctx, size_t layer);
-  // `later_cap` is the summed free slot capacity of workers > w, threaded through the
-  // recursion so no node rescans the suffix of the worker array.
-  void InnerSearch(Ctx& ctx, size_t layer, WorkerId w, int remaining, int later_cap);
+  // `backtracked` is false only on the DFS's first path, where every choice so far was the
+  // first count tried. Layers entered on that path set up no lookahead cuts, so searches
+  // that never backtrack do not pay for them. It is a function of the path, not of the
+  // visit history, so offloaded subtrees make the same cuts as the sequential walk.
+  void PlaceOp(Ctx& ctx, size_t layer, bool backtracked);
+  // Lookahead state of the current path through one layer's inner search.
+  struct LayerPath {
+    // A worker before `w` took a count of the layer's tasks that lets it host a task of the
+    // layer's later sender (see later_sender_).
+    bool host_found = false;
+    // Tasks of the layer's later receiver that the workers before `w` must take so their
+    // traffic toward its other tasks stays within the bound (see later_receiver_).
+    int receiver_need = 0;
+  };
+  // The lookahead a layer entry sets up: the layer is cut (kDead), or its inner nodes run
+  // without cuts (kNone: plain free-slot capacities), with the fit suffix (kFits), or with
+  // the fit suffix and the network checks (kNet). A layer runs only the checks that can
+  // bind, so nodes of loosely bounded layers pay for none.
+  enum class Cuts { kDead, kNone, kFits, kNet };
+  // In the kNone variant `later_cap`, the summed free slot capacity of workers > w, is
+  // threaded through the recursion so no node rescans the suffix of the worker array; the
+  // other variants read the layer's fit suffix instead.
+  template <Cuts kCuts>
+  void InnerSearch(Ctx& ctx, size_t layer, WorkerId w, int remaining, int later_cap,
+                   bool backtracked, LayerPath path);
+  // Fills the layer's lookahead rows (Ctx::Rows) from the state at layer entry and returns
+  // which of them can bind; kDead when a cut shows that the layer's operator or a later
+  // operator cannot be placed.
+  Cuts EnterLayer(Ctx& ctx, size_t layer);
+  // Tasks of operator `o` worker `v` can still take: its free slots, and with lookahead
+  // also the largest count whose load increment keeps `v` within the bound. An upper bound
+  // on what `v` can take anywhere below the current node, because loads only grow.
+  int Fit(const Ctx& ctx, OperatorId o, WorkerId v) const;
+  // Network load one task of `o` adds to `v` toward already-placed downstream peer tasks
+  // that are not on `v`.
+  double OutboundNet(const Ctx& ctx, OperatorId o, WorkerId v) const;
+  // The task counts of the layer's operator with which `v` can also host a task of the
+  // layer's later sender within the bound, given that `v` takes at most `fit` of them; an
+  // empty range (first > second) when none can.
+  std::pair<int, int> HostRange(const Ctx& ctx, size_t layer, WorkerId v, int fit) const;
   void AtLeaf(Ctx& ctx);
   bool ShouldStop();
   // Applies / reverts the load deltas of placing `count` tasks of the layer's operator on
@@ -115,11 +160,18 @@ class CapsSearch {
   SearchOptions options_;
   std::vector<OperatorId> order_;  // outer layers
   ResourceVector bound_;           // Eq. 10 load bound
+  // Lookahead cuts run when some alpha_i < 1; with every dimension unbounded nothing can be
+  // cut. `net_lookahead_` additionally needs a bounded network dimension.
+  bool lookahead_ = false;
+  bool net_lookahead_ = false;
+  // The bound the cuts test against: bound_ plus a slack far above the rounding of the
+  // incrementally kept loads, so a cut never removes a leaf the threshold check would keep;
+  // infinite in unbounded dimensions.
+  ResourceVector limit_;
   // Slot capacity per worker, captured once at construction. The search assumes specs do
   // not change while it runs; snapshotting makes that explicit instead of re-reading the
   // cluster's Worker records on every inner-search node.
   std::vector<int> worker_slots_;
-  int total_slots_ = 0;
   // Per-operator task demand (tasks of one operator are identical).
   std::vector<ResourceVector> op_task_demand_;   // indexed by OperatorId
   std::vector<double> op_downstream_channels_;   // |D(t)| per task of op
@@ -132,6 +184,15 @@ class CapsSearch {
   };
   std::vector<std::vector<OpEdge>> out_edges_;  // o -> downstream peers
   std::vector<std::vector<OpEdge>> in_edges_;   // o -> upstream peers (share = peer's)
+  // Per layer: the upstream operator placed in a later layer that sends the layer's
+  // operator the largest per-channel share (peer == kInvalidId when there is none). A host
+  // of one of its tasks gains that share for every task of the layer's operator not on it,
+  // so with a bounded network some worker must take enough of them.
+  std::vector<OpEdge> later_sender_;
+  // Per layer: the downstream operator placed in a later layer that the layer's operator
+  // sends the largest per-channel share. A worker taking c of the layer's tasks gains
+  // c times that share for every receiver task not on it, so it must take enough of them.
+  std::vector<OpEdge> later_receiver_;
 
   // Spec-equivalence class per worker: the duplicate rule only compares workers of the
   // same class (all zero for homogeneous clusters).

@@ -9,6 +9,7 @@
 #include "src/controller/profiler.h"
 #include "src/dataflow/rates.h"
 #include "src/nexmark/queries.h"
+#include "src/obs/trace.h"
 
 namespace capsys {
 namespace {
@@ -151,6 +152,102 @@ TEST(AutoTunerTest, HonorsTimeout) {
   AutoTuneResult r = AutoTuneThresholds(model, options);
   EXPECT_LT(r.elapsed_s, 2.0);
 }
+
+// With no probe budget every bounded probe is answered by the wall clock, so tuning relaxes
+// to all-ones and makes its last probe with the whole remaining budget. That probe, too, is
+// traced and counted.
+TEST(AutoTunerTest, EveryProbeIsTracedAndCounted) {
+  QuerySpec q = BuildQ1Sliding();
+  Cluster cluster(4, WorkerSpec::R5dXlarge(4));
+  PhysicalGraph physical = PhysicalGraph::Expand(q.graph);
+  CostModel model(physical, cluster,
+                  TaskDemands(physical, PropagateRates(q.graph, q.source_rates)));
+  AutoTuneOptions options;
+  options.probe_timeout_s = 0.0;
+  options.timeout_s = 60.0;
+  Tracer::Global().Enable();
+  Tracer::Global().Reset();
+  AutoTuneResult r = AutoTuneThresholds(model, options);
+  auto spans = Tracer::Global().Snapshot();
+  Tracer::Global().Disable();
+  Tracer::Global().Reset();
+
+  ASSERT_TRUE(r.feasible);
+  EXPECT_EQ(r.alpha.Max(), 1.0);
+  EXPECT_EQ(r.probes_timed_out, r.iterations - 1);
+  EXPECT_GT(r.nodes, 0u);
+  int probes = 0;
+  int feasible_probes = 0;
+  for (const SpanRecord& s : spans) {
+    if (s.name != "caps.autotune.probe") {
+      continue;
+    }
+    ++probes;
+    for (const auto& [key, value] : s.attrs) {
+      feasible_probes += key == "feasible" && value == "true" ? 1 : 0;
+    }
+  }
+  EXPECT_EQ(probes, r.iterations);
+  EXPECT_EQ(feasible_probes, 1);
+}
+
+// Auto-tune of the DS2-sized Q2 and Q3 on the deploy_tight cluster (8 m5d.2xlarge workers
+// with 8 slots), with budgets large enough that no probe is answered by the wall clock. α
+// and the probe count are pinned to the values of the search without lookahead cuts; the
+// node totals of that search are the `nodes_before` column, and the cuts must at least
+// halve them.
+struct TuneGolden {
+  const char* query;
+  double scale;
+  ResourceVector alpha;
+  int iterations;
+  uint64_t nodes_before;
+};
+
+void PrintTo(const TuneGolden& g, std::ostream* os) { *os << g.query << " @ " << g.scale; }
+
+class AutoTuneGoldenTest : public ::testing::TestWithParam<TuneGolden> {};
+
+TEST_P(AutoTuneGoldenTest, SameAlphaFromFewerNodes) {
+  const TuneGolden& g = GetParam();
+  QuerySpec q = BuildQueryByName(g.query);
+  q.ScaleRates(g.scale);
+  Cluster cluster(8, WorkerSpec::M5d2xlarge(8));
+  DeployOptions options;
+  options.policy = PlacementPolicy::kFlinkDefault;  // only the DS2-sized graph is needed
+  options.use_ds2_sizing = true;
+  Deployment d = CapsysController(cluster, options).Deploy(q);
+  CostModel model(d.physical, cluster,
+                  DemandsFromMeasuredCosts(d.physical, d.costs,
+                                           PropagateRates(d.graph, d.source_rates)));
+  AutoTuneOptions tune;
+  tune.timeout_s = 600.0;
+  tune.probe_timeout_s = 60.0;
+  tune.num_threads = 1;
+  AutoTuneResult r = AutoTuneThresholds(model, tune);
+  ASSERT_TRUE(r.feasible);
+  EXPECT_EQ(r.probes_timed_out, 0);
+  EXPECT_EQ(r.alpha.cpu, g.alpha.cpu);
+  EXPECT_EQ(r.alpha.io, g.alpha.io);
+  EXPECT_EQ(r.alpha.net, g.alpha.net);
+  EXPECT_EQ(r.iterations, g.iterations);
+  EXPECT_LE(r.nodes, g.nodes_before / 2);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    DeployTight, AutoTuneGoldenTest,
+    ::testing::Values(
+        TuneGolden{"q2-join", 4.8,
+                   {0x1.51eb851eb851ep-3, 0x1.10e5604189375p-2, 0x1.32b020c49ba5fp-2}, 24,
+                   1626836},
+        TuneGolden{"q2-join", 5.3, {0x1.851eb851eb852p-4, 0x1p-3, 0x1.7ae147ae147afp-3}, 26,
+                   6573944},
+        TuneGolden{"q3-inf", 4.8,
+                   {0x1.2c083126e978ep-3, 0x1.1eb851eb851ecp-5, 0x1.54bc6a7ef9db4p-2}, 21,
+                   2869879},
+        TuneGolden{"q3-inf", 5.3,
+                   {0x1.d70a3d70a3d71p-4, 0x1.47ae147ae147bp-8, 0x1.199999999999ap-2}, 19,
+                   2888173}));
 
 // --- Greedy ------------------------------------------------------------------------------------
 

@@ -1,6 +1,7 @@
 // Randomized property tests for the CAPS search: enumeration completeness/uniqueness vs
-// brute force, pruning soundness AND completeness, threshold monotonicity, and pareto-front
-// correctness, across randomly generated instances.
+// brute force, pruning soundness AND completeness, threshold monotonicity, pareto-front
+// correctness, and lookahead admissibility and visit order, across randomly generated
+// instances.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -11,6 +12,7 @@
 #include "src/caps/search.h"
 #include "src/common/rng.h"
 #include "src/dataflow/rates.h"
+#include "src/nexmark/queries.h"
 
 namespace capsys {
 namespace {
@@ -203,7 +205,165 @@ TEST_P(RandomInstanceSweep, ReorderingAndValueOrderingPreserveLeafCount) {
   EXPECT_EQ(counts[2], counts[3]);
 }
 
+// A random threshold vector within the span of the plans' costs, kept more than 1e-9 away
+// from every plan cost so the cost filter below cannot disagree with the search's load
+// check by rounding.
+ResourceVector RandomAlpha(const std::vector<ScoredPlan>& plans, Rng& rng) {
+  ResourceVector alpha;
+  for (Resource r : kAllResources) {
+    double lo = 1.0;
+    double hi = 0.0;
+    for (const auto& p : plans) {
+      lo = std::min(lo, p.cost[r]);
+      hi = std::max(hi, p.cost[r]);
+    }
+    double a = lo < hi ? rng.Uniform(lo, hi) : rng.Uniform(0.01, 0.99);
+    a = std::clamp(a, 1e-3, 1.0 - 1e-3);
+    auto near_a = [&](const ScoredPlan& p) { return std::abs(p.cost[r] - a) <= 1e-9; };
+    while (std::any_of(plans.begin(), plans.end(), near_a)) {
+      a += 1e-6;
+    }
+    alpha[r] = a;
+  }
+  return alpha;
+}
+
+// A threshold vector just above one plan's cost, so that plan sits on the bound and any cut
+// that is one task too tight removes it.
+ResourceVector AlphaAt(const ScoredPlan& plan) {
+  ResourceVector alpha;
+  for (Resource r : kAllResources) {
+    alpha[r] = std::min(plan.cost[r] + 1e-7, 1.0 - 1e-3);
+  }
+  return alpha;
+}
+
+// The lookahead cuts remove only subtrees without a satisfying leaf and keep the DFS order:
+// the plans collected at `alpha` are, in order, the unpruned search's plans with cost within
+// `alpha`; the find-first plan is the first of them; a 4-thread run finds as many leaves.
+void ExpectLookaheadKeepsPlansInOrder(const CostModel& model, const ResourceVector& alpha,
+                                      bool reorder) {
+  SearchOptions unpruned;
+  unpruned.reorder = reorder;
+  unpruned.collect_plans = true;
+  std::vector<Placement> expected;
+  for (const auto& p : CapsSearch(model, unpruned).Run().collected) {
+    if (p.cost.cpu <= alpha.cpu && p.cost.io <= alpha.io && p.cost.net <= alpha.net) {
+      expected.push_back(p.placement);
+    }
+  }
+
+  SearchOptions pruned = unpruned;
+  pruned.alpha = alpha;
+  SearchResult r = CapsSearch(model, pruned).Run();
+  EXPECT_EQ(r.stats.leaves, expected.size()) << "alpha " << alpha.ToString();
+  ASSERT_EQ(r.collected.size(), expected.size()) << "alpha " << alpha.ToString();
+  for (size_t i = 0; i < expected.size(); ++i) {
+    ASSERT_TRUE(r.collected[i].placement == expected[i]) << "plan " << i << " out of order";
+  }
+
+  SearchOptions first = pruned;
+  first.collect_plans = false;
+  first.find_first = true;
+  SearchResult f = CapsSearch(model, first).Run();
+  ASSERT_EQ(f.found, !expected.empty());
+  if (f.found) {
+    EXPECT_TRUE(f.best.placement == expected.front());
+  }
+
+  SearchOptions threaded = pruned;
+  threaded.collect_plans = false;
+  threaded.num_threads = 4;
+  EXPECT_EQ(CapsSearch(model, threaded).Run().stats.leaves, expected.size());
+}
+
+TEST_P(RandomInstanceSweep, LookaheadKeepsPlansInOrder) {
+  Instance inst = RandomInstance(static_cast<uint64_t>(GetParam()) * 4241 + 5);
+  CostModel model(inst.physical, inst.cluster, inst.demands);
+  Rng rng(static_cast<uint64_t>(GetParam()) + 71);
+  auto plans = EnumerateAllPlans(model);
+  for (int trial = 0; trial < 4; ++trial) {
+    ExpectLookaheadKeepsPlansInOrder(model, RandomAlpha(plans, rng), /*reorder=*/true);
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(Seeds, RandomInstanceSweep, ::testing::Range(0, 12));
+
+// The NEXMark queries that fit the 4x4 cluster (Q2 and Q3 have 665 and 950 plans), with
+// random thresholds and thresholds on a spread of plans.
+TEST(LookaheadOrderTest, NexmarkQueries) {
+  Cluster cluster(4, WorkerSpec::R5dXlarge(4));
+  Rng rng(2024);
+  for (const QuerySpec& q : BuildAllQueries()) {
+    if (q.graph.total_parallelism() > cluster.total_slots()) {
+      continue;
+    }
+    PhysicalGraph physical = PhysicalGraph::Expand(q.graph);
+    CostModel model(physical, cluster,
+                    TaskDemands(physical, PropagateRates(q.graph, q.source_rates)));
+    auto plans = EnumerateAllPlans(model);
+    for (bool reorder : {false, true}) {
+      for (int trial = 0; trial < 3; ++trial) {
+        ExpectLookaheadKeepsPlansInOrder(model, RandomAlpha(plans, rng), reorder);
+      }
+      for (size_t i = 0; i < plans.size(); i += plans.size() / 7 + 1) {
+        ExpectLookaheadKeepsPlansInOrder(model, AlphaAt(plans[i]), reorder);
+      }
+    }
+  }
+}
+
+// Placed in id order, the join comes after one of its sources and before the other source
+// and its sink, so the later-sender and later-receiver cuts decide. The join's layer is
+// entered many times, and off the first path it sets up the cuts. Thresholds sit on every
+// plan in turn.
+TEST(LookaheadOrderTest, LaterSenderAndReceiver) {
+  LogicalGraph graph("fan-in");
+  OperatorProfile source;
+  source.cpu_per_record = 1e-6;
+  source.out_bytes_per_record = 4000;
+  OperatorProfile join;
+  join.cpu_per_record = 2e-4;
+  join.out_bytes_per_record = 200;
+  OperatorProfile sink;
+  sink.cpu_per_record = 5e-5;
+  OperatorId b = graph.AddOperator("source-b", OperatorKind::kSource, source, 2);
+  OperatorId j = graph.AddOperator("join", OperatorKind::kMap, join, 3);
+  OperatorId a = graph.AddOperator("source-a", OperatorKind::kSource, source, 1);
+  OperatorId out = graph.AddOperator("sink", OperatorKind::kSink, sink, 1);
+  graph.AddEdge(a, j);
+  graph.AddEdge(b, j);
+  graph.AddEdge(j, out);
+  Cluster cluster(3, WorkerSpec::R5dXlarge(3));
+  PhysicalGraph physical = PhysicalGraph::Expand(graph);
+  CostModel model(physical, cluster, TaskDemands(physical, PropagateRates(graph, 2000.0)));
+  SearchOptions unpruned;
+  unpruned.reorder = false;
+  unpruned.collect_plans = true;
+  auto plans = CapsSearch(model, unpruned).Run().collected;
+  ASSERT_GT(plans.size(), 20u);
+  for (const auto& plan : plans) {
+    ExpectLookaheadKeepsPlansInOrder(model, AlphaAt(plan), /*reorder=*/false);
+  }
+}
+
+// Heterogeneous workers with capacity-normalized loads: the per-worker scales enter every
+// fit and inbound gain.
+TEST(LookaheadOrderTest, HeterogeneousNormalized) {
+  QuerySpec q = BuildQ3Inf();
+  Cluster cluster({WorkerSpec::M5d2xlarge(6), WorkerSpec::R5dXlarge(4),
+                   WorkerSpec::R5dXlarge(4)});
+  PhysicalGraph physical = PhysicalGraph::Expand(q.graph);
+  CostModelOptions options;
+  options.normalize_by_capacity = true;
+  CostModel model(physical, cluster,
+                  TaskDemands(physical, PropagateRates(q.graph, q.source_rates)), options);
+  auto plans = EnumerateAllPlans(model);
+  Rng rng(7);
+  for (int trial = 0; trial < 6; ++trial) {
+    ExpectLookaheadKeepsPlansInOrder(model, RandomAlpha(plans, rng), /*reorder=*/true);
+  }
+}
 
 }  // namespace
 }  // namespace capsys
