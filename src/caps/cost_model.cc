@@ -32,14 +32,22 @@ CostModel::CostModel(const PhysicalGraph& graph, const Cluster& cluster,
   // Per-worker accumulation scale: identity in the paper's absolute model, 1/capacity when
   // normalizing for heterogeneous hardware.
   worker_scale_.resize(static_cast<size_t>(cluster.num_workers()), ResourceVector{1, 1, 1});
-  if (options_.normalize_by_capacity) {
-    for (WorkerId w = 0; w < cluster.num_workers(); ++w) {
-      const auto& spec = cluster.worker(w).spec;
-      auto& scale = worker_scale_[static_cast<size_t>(w)];
-      scale.cpu = 1.0 / std::max(spec.cpu_capacity, kEps);
-      scale.io = 1.0 / std::max(spec.io_bandwidth_bps, kEps);
-      scale.net = 1.0 / std::max(spec.net_bandwidth_bps, kEps);
+  worker_capacity_.resize(static_cast<size_t>(cluster.num_workers()));
+  for (WorkerId w = 0; w < cluster.num_workers(); ++w) {
+    const auto& spec = cluster.worker(w).spec;
+    ResourceVector capacity{std::max(spec.cpu_capacity, kEps),
+                            std::max(spec.io_bandwidth_bps, kEps),
+                            std::max(spec.net_bandwidth_bps, kEps)};
+    auto& scale = worker_scale_[static_cast<size_t>(w)];
+    if (options_.normalize_by_capacity) {
+      scale.cpu = 1.0 / capacity.cpu;
+      scale.io = 1.0 / capacity.io;
+      scale.net = 1.0 / capacity.net;
     }
+    auto& scaled = worker_capacity_[static_cast<size_t>(w)];
+    scaled.cpu = capacity.cpu * scale.cpu;
+    scaled.io = capacity.io * scale.io;
+    scaled.net = capacity.net * scale.net;
   }
 
   std::vector<double> cpu;
@@ -105,6 +113,11 @@ std::vector<ResourceVector> CostModel::WorkerLoads(const Placement& f) const {
   return loads;
 }
 
+double CostModel::Utilization(WorkerId w, const ResourceVector& load) const {
+  const ResourceVector& capacity = worker_capacity_[static_cast<size_t>(w)];
+  return std::max({load.cpu / capacity.cpu, load.io / capacity.io, load.net / capacity.net});
+}
+
 ResourceVector CostModel::Cost(const Placement& f) const {
   auto loads = WorkerLoads(f);
   ResourceVector max_load;
@@ -156,6 +169,15 @@ bool BetterCost(const ResourceVector& a, const ResourceVector& b) {
     return ma < mb;
   }
   return a.Sum() < b.Sum();
+}
+
+double MaxUtilization(const CostModel& model, const Placement& plan) {
+  auto loads = model.WorkerLoads(plan);
+  double worst = 0.0;
+  for (WorkerId w = 0; w < static_cast<WorkerId>(loads.size()); ++w) {
+    worst = std::max(worst, model.Utilization(w, loads[static_cast<size_t>(w)]));
+  }
+  return worst;
 }
 
 }  // namespace capsys

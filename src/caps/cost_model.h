@@ -67,6 +67,15 @@ class CostModel {
   const ResourceVector& WorkerScale(WorkerId w) const {
     return worker_scale_[static_cast<size_t>(w)];
   }
+  // Worker `w`'s capacity per dimension in the units of WorkerLoads: its spec capacities
+  // times WorkerScale(w), so all ones under capacity normalization.
+  const ResourceVector& Capacity(WorkerId w) const {
+    return worker_capacity_[static_cast<size_t>(w)];
+  }
+  // Utilization of worker `w` at `load` (in the units of WorkerLoads): the largest share of
+  // its capacity the load takes in any dimension.
+  double Utilization(WorkerId w, const ResourceVector& load) const;
+
   const CostModelOptions& options() const { return options_; }
 
  private:
@@ -75,13 +84,20 @@ class CostModel {
   std::vector<ResourceVector> demands_;
   CostModelOptions options_;
   std::vector<ResourceVector> worker_scale_;
+  std::vector<ResourceVector> worker_capacity_;
   ResourceVector l_min_;
   ResourceVector l_max_;
 };
 
-// Scalarization used to pick one plan from the pareto front: lexicographic
-// (max component, sum of components). Returns true when `a` is strictly better than `b`.
+// Scalarization of the cost vector: lexicographic (max component, sum of components).
+// Returns true when `a` is strictly better than `b`.
 bool BetterCost(const ResourceVector& a, const ResourceVector& b);
+
+// Predicted bottleneck utilization of a plan: the largest CostModel::Utilization over
+// workers. The cost vector only measures *relative* imbalance per dimension; this
+// capacity-aware score says which imbalance actually limits throughput. It reads the same
+// under the absolute and the capacity-normalized model.
+double MaxUtilization(const CostModel& model, const Placement& plan);
 
 }  // namespace capsys
 

@@ -1,7 +1,7 @@
 // The CAPS plan step of the placement controller (paper §5.1, Figure 6 ④), shared by the
 // batch controller and the online placement service: auto-tune the pruning thresholds
-// unless they are given, run the CAPS search, add a greedy incumbent, and pick the
-// candidate with the lowest predicted bottleneck utilization.
+// unless they are given, then run the CAPS search with a greedy incumbent, which returns
+// the plan with the lowest predicted bottleneck utilization (MaxUtilization).
 #ifndef SRC_CAPS_PLAN_H_
 #define SRC_CAPS_PLAN_H_
 
@@ -9,26 +9,23 @@
 
 #include "src/caps/auto_tuner.h"
 #include "src/caps/cost_model.h"
+#include "src/caps/search.h"
 
 namespace capsys {
-
-// Predicted bottleneck utilization of a plan: per-worker loads normalized by the worker's
-// actual capacities, maximized over workers and dimensions. The cost vector only measures
-// *relative* imbalance per dimension; when choosing among pareto-optimal plans this
-// capacity-aware score identifies which imbalance actually limits throughput.
-double MaxUtilization(const CostModel& model, const Placement& plan);
 
 struct PlannedPlacement {
   Placement placement;
   ResourceVector cost;   // CAPS cost vector of `placement`
   ResourceVector alpha;  // thresholds the search ran with
+  SearchStats search;    // the final search's statistics (empty for cached plans)
 };
 
 // Plans `model` with the CAPS search under `alpha`, or under auto-tuned thresholds when
 // `alpha` is empty (all-ones when tuning finds no feasible vector). Instances with more
 // than `find_first_above_tasks` tasks stop at the first satisfying plan (the paper's online
-// mode). The pareto front plus a GreedyBalancedPlacement incumbent, which guards against
-// over-relaxed thresholds and search timeouts, are ranked by MaxUtilization, tie-broken by
+// mode); smaller ones are searched by branch and bound. The search starts from a
+// GreedyBalancedPlacement incumbent, which guards against over-relaxed thresholds and
+// search timeouts, and returns the candidate with the lowest MaxUtilization, tie-broken by
 // the scalarized cost.
 PlannedPlacement PlanPlacement(const CostModel& model, std::optional<ResourceVector> alpha,
                                const AutoTuneOptions& autotune, int search_threads,

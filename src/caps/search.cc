@@ -17,6 +17,55 @@ constexpr double kEps = 1e-12;
 constexpr double kLookaheadSlack = 1e-9;
 // A task count no worker reaches.
 constexpr int kNever = std::numeric_limits<int>::max() / 2;
+constexpr double kInf = std::numeric_limits<double>::infinity();
+// Utilizations closer than this tie, and the tie goes to the better cost.
+constexpr double kPickTolerance = 1e-9;
+
+// The pick order of SearchOptions::incumbent: true when a plan with utilization `util` and
+// cost `cost` beats the one with `best_util` and `best_cost`.
+bool BetterPick(double util, const ResourceVector& cost, double best_util,
+                const ResourceVector& best_cost) {
+  return util < best_util - kPickTolerance ||
+         (util < best_util + kPickTolerance && BetterCost(cost, best_cost));
+}
+
+// A utilization no plan of `model` goes below, given each operator's task demand and
+// parallelism. Network load vanishes when tasks share a worker, so only cpu and io give a
+// floor: some worker takes ceil(P / n) tasks of each operator, n being the workers with a
+// slot, and the busiest worker is at least as busy as all of them together.
+double UtilizationFloor(const CostModel& model, const std::vector<ResourceVector>& op_demand,
+                        const std::vector<int>& op_parallelism) {
+  const Cluster& cluster = model.cluster();
+  int hosts = 0;
+  ResourceVector task_share{kInf, kInf, kInf};  // least utilization one unit of demand adds
+  ResourceVector capacity;                      // summed capacity of the hosts
+  for (WorkerId w = 0; w < cluster.num_workers(); ++w) {
+    if (cluster.worker(w).spec.slots == 0) {
+      continue;
+    }
+    ++hosts;
+    for (Resource r : {Resource::kCpu, Resource::kIo}) {
+      task_share[r] = std::min(task_share[r], model.WorkerScale(w)[r] / model.Capacity(w)[r]);
+      capacity[r] += model.Capacity(w)[r] / model.WorkerScale(w)[r];
+    }
+  }
+  if (hosts == 0) {
+    return 0.0;
+  }
+  ResourceVector demand;
+  for (const auto& d : model.demands()) {
+    demand += d;
+  }
+  double floor = 0.0;
+  for (Resource r : {Resource::kCpu, Resource::kIo}) {
+    floor = std::max(floor, demand[r] / capacity[r]);
+    for (size_t o = 0; o < op_demand.size(); ++o) {
+      int most = (op_parallelism[o] + hosts - 1) / hosts;
+      floor = std::max(floor, most * op_demand[o][r] * task_share[r]);
+    }
+  }
+  return floor;
+}
 
 }  // namespace
 
@@ -36,7 +85,7 @@ std::string SearchStats::ToString() const {
 //   - op_placed[o]    == sum over workers of op_count[w][o]
 //   - op_workers[o]   == the workers with op_count[w][o] > 0, in placement (stack) order
 //   - free_slots      == total slot capacity minus sum of used
-//   - num_violating   == number of workers whose load breaks the Eq. 10 bound
+//   - num_violating   == number of workers whose load breaks their row of `bound`
 struct CapsSearch::Ctx {
   std::vector<ResourceVector> load;  // per-worker accumulated load (Eq. 5 / Eq. 8)
   std::vector<int> used;             // slots used per worker
@@ -48,6 +97,16 @@ struct CapsSearch::Ctx {
   std::vector<std::vector<WorkerId>> op_workers;  // workers hosting each operator
   int free_slots = 0;
   int num_violating = 0;
+  // Per-worker load bound: Eq. 10, tightened under branch and bound by the incumbent box
+  // for the lowest candidate utilization `bound_util` and by the tie-break box for the max
+  // cost `bound_tie_cost`. `limit` is what the lookahead cuts test against: the bound plus
+  // a slack far above the rounding of the incrementally kept loads, so a cut never removes
+  // a leaf the bound check would keep; infinite in unbounded dimensions. Written only by
+  // SetBounds, so a context's rows only ever tighten.
+  std::vector<ResourceVector> bound;
+  std::vector<ResourceVector> limit;
+  double bound_util = kInf;
+  double bound_tie_cost = kInf;
   // Per-layer lookahead rows, written by EnterLayer and read by every inner node of the
   // layer. One block per layer, so descending into a later layer never overwrites them
   // (layout in RowsOf()). Allocated by the first layer that sets up cuts.
@@ -185,14 +244,15 @@ CapsSearch::CapsSearch(const CostModel& model, SearchOptions options)
     later_receiver_.push_back(heaviest_later(l, out_edges_[static_cast<size_t>(order_[l])]));
   }
 
-  bound_ = model.LoadBound(options_.alpha);
-  for (Resource r : kAllResources) {
-    bool bounded = options_.alpha[r] < 1.0;
-    lookahead_ = lookahead_ || bounded;
-    limit_[r] = bounded ? bound_[r] + kEps + kLookaheadSlack * bound_[r]
-                        : std::numeric_limits<double>::infinity();
+  eq10_bound_ = model.LoadBound(options_.alpha);
+  branch_and_bound_ =
+      options_.incumbent.has_value() && !options_.find_first && !options_.collect_plans;
+  lookahead_ = branch_and_bound_ || options_.alpha.cpu < 1.0 || options_.alpha.io < 1.0 ||
+               options_.alpha.net < 1.0;
+  net_lookahead_ = branch_and_bound_ || options_.alpha.net < 1.0;
+  if (branch_and_bound_) {
+    util_floor_ = UtilizationFloor(model, op_task_demand_, op_parallelism_);
   }
-  net_lookahead_ = options_.alpha.net < 1.0;
 
   // Group workers into spec-equivalence classes; only same-class workers are
   // interchangeable for duplicate elimination.
@@ -246,9 +306,44 @@ bool CapsSearch::ShouldStop() {
   return false;
 }
 
-bool CapsSearch::Violates(const ResourceVector& load) const {
-  return load.cpu > bound_.cpu + kEps || load.io > bound_.io + kEps ||
-         load.net > bound_.net + kEps;
+bool CapsSearch::Violates(const Ctx& ctx, WorkerId w) const {
+  const ResourceVector& load = ctx.load[static_cast<size_t>(w)];
+  const ResourceVector& bound = ctx.bound[static_cast<size_t>(w)];
+  return load.cpu > bound.cpu + kEps || load.io > bound.io + kEps ||
+         load.net > bound.net + kEps;
+}
+
+void CapsSearch::SetBounds(Ctx& ctx, double util, double tie_cost) const {
+  size_t num_workers = ctx.num_workers();
+  ctx.bound.resize(num_workers);
+  ctx.limit.resize(num_workers);
+  ctx.bound_util = util;
+  ctx.bound_tie_cost = tie_cost;
+  ctx.num_violating = 0;
+  // A plan that can still be picked keeps every worker's utilization below util plus the
+  // tie tolerance, and once the tie-break decides, its max cost at most tie_cost plus the
+  // tolerance (DESIGN.md §10, "Incumbent bound").
+  bool boxed = util < kInf;
+  ResourceVector tie_box;
+  for (Resource r : kAllResources) {
+    double span = model_.l_max()[r] - model_.l_min()[r];
+    tie_box[r] = tie_cost < kInf && span > kEps
+                     ? model_.l_min()[r] + (tie_cost + kPickTolerance) * span
+                     : kInf;
+  }
+  for (WorkerId w = 0; w < static_cast<WorkerId>(num_workers); ++w) {
+    const ResourceVector& capacity = model_.Capacity(w);
+    auto& bound = ctx.bound[static_cast<size_t>(w)];
+    auto& limit = ctx.limit[static_cast<size_t>(w)];
+    for (Resource r : kAllResources) {
+      bound[r] = boxed ? std::min({eq10_bound_[r], (util + kPickTolerance) * capacity[r],
+                                   tie_box[r]})
+                       : eq10_bound_[r];
+      bool bounded = boxed || options_.alpha[r] < 1.0;
+      limit[r] = bounded ? bound[r] + kEps + kLookaheadSlack * bound[r] : kInf;
+    }
+    ctx.num_violating += static_cast<int>(Violates(ctx, w));
+  }
 }
 
 void CapsSearch::ApplyPlacement(Ctx& ctx, size_t layer, WorkerId w, int count) {
@@ -259,7 +354,7 @@ void CapsSearch::ApplyPlacement(Ctx& ctx, size_t layer, WorkerId w, int count) {
   const ResourceVector& d = op_task_demand_[static_cast<size_t>(o)];
   const ResourceVector& scale_w = model_.WorkerScale(w);
   auto& load_w = ctx.load[static_cast<size_t>(w)];
-  bool w_violated = Violates(load_w);
+  bool w_violated = Violates(ctx, w);
   load_w.cpu += count * d.cpu * scale_w.cpu;
   load_w.io += count * d.io * scale_w.io;
   // Outbound traffic of the new tasks toward already-placed downstream operators: every
@@ -281,12 +376,12 @@ void CapsSearch::ApplyPlacement(Ctx& ctx, size_t layer, WorkerId w, int count) {
       }
       int peer_tasks = ctx.counts_of(v)[static_cast<size_t>(e.peer)];
       auto& load_v = ctx.load[static_cast<size_t>(v)];
-      bool v_violated = Violates(load_v);
+      bool v_violated = Violates(ctx, v);
       load_v.net += peer_tasks * e.net_share_per_peer_task * count * model_.WorkerScale(v).net;
-      ctx.num_violating += static_cast<int>(Violates(load_v)) - static_cast<int>(v_violated);
+      ctx.num_violating += static_cast<int>(Violates(ctx, v)) - static_cast<int>(v_violated);
     }
   }
-  ctx.num_violating += static_cast<int>(Violates(load_w)) - static_cast<int>(w_violated);
+  ctx.num_violating += static_cast<int>(Violates(ctx, w)) - static_cast<int>(w_violated);
   ctx.used[static_cast<size_t>(w)] += count;
   ctx.free_slots -= count;
   int& here = ctx.counts_of(w)[static_cast<size_t>(o)];
@@ -315,7 +410,7 @@ void CapsSearch::UndoPlacement(Ctx& ctx, size_t layer, WorkerId w, int count) {
   const ResourceVector& d = op_task_demand_[static_cast<size_t>(o)];
   const ResourceVector& scale_w = model_.WorkerScale(w);
   auto& load_w = ctx.load[static_cast<size_t>(w)];
-  bool w_violated = Violates(load_w);
+  bool w_violated = Violates(ctx, w);
   load_w.cpu -= count * d.cpu * scale_w.cpu;
   load_w.io -= count * d.io * scale_w.io;
   for (const auto& e : out_edges_[static_cast<size_t>(o)]) {
@@ -333,12 +428,12 @@ void CapsSearch::UndoPlacement(Ctx& ctx, size_t layer, WorkerId w, int count) {
       }
       int peer_tasks = ctx.counts_of(v)[static_cast<size_t>(e.peer)];
       auto& load_v = ctx.load[static_cast<size_t>(v)];
-      bool v_violated = Violates(load_v);
+      bool v_violated = Violates(ctx, v);
       load_v.net -= peer_tasks * e.net_share_per_peer_task * count * model_.WorkerScale(v).net;
-      ctx.num_violating += static_cast<int>(Violates(load_v)) - static_cast<int>(v_violated);
+      ctx.num_violating += static_cast<int>(Violates(ctx, v)) - static_cast<int>(v_violated);
     }
   }
-  ctx.num_violating += static_cast<int>(Violates(load_w)) - static_cast<int>(w_violated);
+  ctx.num_violating += static_cast<int>(Violates(ctx, w)) - static_cast<int>(w_violated);
 }
 
 double CapsSearch::OutboundNet(const Ctx& ctx, OperatorId o, WorkerId v) const {
@@ -366,10 +461,11 @@ int CapsSearch::Fit(const Ctx& ctx, OperatorId o, WorkerId v) const {
   const ResourceVector& d = op_task_demand_[static_cast<size_t>(o)];
   const ResourceVector& scale = model_.WorkerScale(v);
   const ResourceVector& load = ctx.load[static_cast<size_t>(v)];
-  cap_by(limit_.cpu - load.cpu, d.cpu * scale.cpu);
-  cap_by(limit_.io - load.io, d.io * scale.io);
+  const ResourceVector& limit = ctx.limit[static_cast<size_t>(v)];
+  cap_by(limit.cpu - load.cpu, d.cpu * scale.cpu);
+  cap_by(limit.io - load.io, d.io * scale.io);
   if (net_lookahead_) {
-    cap_by(limit_.net - load.net, OutboundNet(ctx, o, v));
+    cap_by(limit.net - load.net, OutboundNet(ctx, o, v));
   }
   return fit;
 }
@@ -383,6 +479,7 @@ std::pair<int, int> CapsSearch::HostRange(const Ctx& ctx, size_t layer, WorkerId
   const ResourceVector& d_s = op_task_demand_[static_cast<size_t>(sender.peer)];
   const ResourceVector& scale = model_.WorkerScale(v);
   const ResourceVector& load = ctx.load[static_cast<size_t>(v)];
+  const ResourceVector& limit = ctx.limit[static_cast<size_t>(v)];
   // The sender's task needs a slot next to the c tasks.
   int lo = 0;
   int hi = std::min(fit, worker_slots_[static_cast<size_t>(v)] -
@@ -398,12 +495,12 @@ std::pair<int, int> CapsSearch::HostRange(const Ctx& ctx, size_t layer, WorkerId
       hi = -1;
     }
   };
-  constrain(d_o.cpu * scale.cpu, limit_.cpu - load.cpu - d_s.cpu * scale.cpu);
-  constrain(d_o.io * scale.io, limit_.io - load.io - d_s.io * scale.io);
+  constrain(d_o.cpu * scale.cpu, limit.cpu - load.cpu - d_s.cpu * scale.cpu);
+  constrain(d_o.io * scale.io, limit.io - load.io - d_s.io * scale.io);
   // The sender's task sends `share` to each of the tasks - c tasks placed elsewhere.
   double share = sender.net_share_per_peer_task * scale.net;
   constrain(OutboundNet(ctx, o, v) - share,
-            limit_.net - load.net - OutboundNet(ctx, sender.peer, v) - share * tasks);
+            limit.net - load.net - OutboundNet(ctx, sender.peer, v) - share * tasks);
   return {lo, hi};
 }
 
@@ -466,7 +563,8 @@ CapsSearch::Cuts CapsSearch::EnterLayer(Ctx& ctx, size_t layer) {
   need[num_workers] = 0;
   for (WorkerId v = num_workers - 1; v >= 0; --v) {
     int fit_v = fit[v] - fit[v + 1];
-    double room = std::max(0.0, limit_.net - ctx.load[static_cast<size_t>(v)].net);
+    double room = std::max(0.0, ctx.limit[static_cast<size_t>(v)].net -
+                                    ctx.load[static_cast<size_t>(v)].net);
     int need_v = 0;
     if (room < tasks * gain[v]) {
       need_v = tasks - static_cast<int>(room / gain[v]);
@@ -509,8 +607,21 @@ CapsSearch::Cuts CapsSearch::EnterLayer(Ctx& ctx, size_t layer) {
   return fits_bind ? Cuts::kFits : Cuts::kNone;
 }
 
+bool CapsSearch::AdoptBounds(Ctx& ctx) const {
+  double util = best_util_.load(std::memory_order_relaxed);
+  double tie_cost = tie_cost_.load(std::memory_order_relaxed);
+  if (util < ctx.bound_util || tie_cost < ctx.bound_tie_cost) {
+    SetBounds(ctx, util, tie_cost);
+  }
+  return ctx.num_violating == 0;
+}
+
 void CapsSearch::PlaceOp(Ctx& ctx, size_t layer, bool backtracked) {
   if (ShouldStop()) {
+    return;
+  }
+  if (branch_and_bound_ && !AdoptBounds(ctx)) {
+    pruned_.fetch_add(1, std::memory_order_relaxed);
     return;
   }
   if (layer == order_.size()) {
@@ -629,14 +740,15 @@ void CapsSearch::InnerSearch(Ctx& ctx, size_t layer, WorkerId w, int remaining,
   // are placed.
   auto breaks_later = [&](int c, LayerPath& next) {
     const ResourceVector& load = ctx.load[static_cast<size_t>(w)];
-    if (gain > 0.0 && load.net + (remaining - c) * gain > limit_.net) {
+    double limit = ctx.limit[static_cast<size_t>(w)].net;
+    if (gain > 0.0 && load.net + (remaining - c) * gain > limit) {
       return true;
     }
     if (!track_receiver || c == 0) {
       return false;
     }
     int receiver_tasks = op_parallelism_[static_cast<size_t>(receiver.peer)];
-    double room = std::max(0.0, limit_.net - load.net);
+    double room = std::max(0.0, limit - load.net);
     double per_remote = c * receiver.net_share_per_peer_task * model_.WorkerScale(w).net;
     if (room >= receiver_tasks * per_remote) {
       return false;
@@ -657,7 +769,7 @@ void CapsSearch::InnerSearch(Ctx& ctx, size_t layer, WorkerId w, int remaining,
       pruned_.fetch_add(1, std::memory_order_relaxed);
     } else if (c < dead_above) {
       ApplyPlacement(ctx, layer, w, c);
-      if (c > 0 && ctx.num_violating > 0) {
+      if (ctx.num_violating > 0) {
         pruned_.fetch_add(1, std::memory_order_relaxed);
         dead_above = c;
       } else if (kCuts == Cuts::kNet && breaks_later(c, next)) {
@@ -705,9 +817,22 @@ void CapsSearch::InnerSearch(Ctx& ctx, size_t layer, WorkerId w, int remaining,
   }
 }
 
+void CapsSearch::LowerBounds(double util, const ResourceVector& cost) {
+  if (util < best_util_.load(std::memory_order_relaxed)) {
+    best_util_.store(util, std::memory_order_relaxed);
+  }
+  // At the floor no plan beats this candidate by more than the tolerance on utilization,
+  // so a plan that beats it ties and wins the BetterCost tie-break: its max cost is at
+  // most this one's. Half the tolerance absorbs the rounding of both utilizations.
+  if (util <= util_floor_ + kPickTolerance / 2 &&
+      cost.Max() < tie_cost_.load(std::memory_order_relaxed)) {
+    tie_cost_.store(cost.Max(), std::memory_order_relaxed);
+  }
+}
+
 void CapsSearch::AtLeaf(Ctx& ctx) {
   leaves_.fetch_add(1, std::memory_order_relaxed);
-  // Cost from the incrementally tracked loads.
+  // Cost and utilization from the incrementally tracked loads.
   ResourceVector max_load;
   for (const auto& l : ctx.load) {
     max_load.cpu = std::max(max_load.cpu, l.cpu);
@@ -718,19 +843,19 @@ void CapsSearch::AtLeaf(Ctx& ctx) {
   for (Resource r : kAllResources) {
     cost[r] = model_.CostOfLoad(r, max_load[r]);
   }
-
-  // The task assignment is only materialized for plans the result actually retains
-  // (new best, pareto member, or collected) — most leaves are dominated and need no
-  // Placement allocation. Tasks of each operator go to workers in worker-index order.
-  Placement plan;
-  bool built = false;
-  auto build_plan = [&] {
-    if (built) {
-      return;
+  double util = 0.0;
+  if (options_.incumbent.has_value()) {
+    for (WorkerId w = 0; w < static_cast<WorkerId>(ctx.num_workers()); ++w) {
+      util = std::max(util, model_.Utilization(w, ctx.load[static_cast<size_t>(w)]));
     }
-    built = true;
+  }
+
+  // The task assignment is only materialized for plans the result actually retains (a new
+  // best, or collected); most leaves need no Placement allocation. Tasks of each operator
+  // go to workers in worker-index order.
+  auto build_plan = [&] {
     const PhysicalGraph& graph = model_.graph();
-    plan = Placement(graph.num_tasks());
+    Placement plan(graph.num_tasks());
     int num_workers = static_cast<int>(ctx.load.size());
     for (OperatorId o = 0; o < graph.logical().num_operators(); ++o) {
       const auto& tasks = graph.TasksOf(o);
@@ -743,36 +868,20 @@ void CapsSearch::AtLeaf(Ctx& ctx) {
       }
       CAPSYS_CHECK(next == tasks.size());
     }
+    return plan;
   };
 
   std::lock_guard<std::mutex> lock(result_mu_);
-  if (!result_.found || BetterCost(cost, result_.best.cost)) {
-    build_plan();
-    result_.best = ScoredPlan{plan, cost};
+  if (!result_.found || BetterPick(util, cost, best_leaf_util_, result_.best.cost)) {
+    result_.best = ScoredPlan{build_plan(), cost};
+    best_leaf_util_ = util;
   }
   result_.found = true;
-  // Maintain the pareto front (skip plans whose cost duplicates an existing entry).
-  bool dominated = false;
-  for (const auto& p : result_.pareto) {
-    if (p.cost.AllLeq(cost)) {
-      dominated = true;
-      break;
-    }
-  }
-  if (!dominated) {
-    result_.pareto.erase(std::remove_if(result_.pareto.begin(), result_.pareto.end(),
-                                        [&cost](const ScoredPlan& p) {
-                                          return cost.Dominates(p.cost);
-                                        }),
-                         result_.pareto.end());
-    if (result_.pareto.size() < 4096) {
-      build_plan();
-      result_.pareto.push_back(ScoredPlan{plan, cost});
-    }
+  if (branch_and_bound_) {
+    LowerBounds(util, cost);
   }
   if (options_.collect_plans && result_.collected.size() < options_.max_collected) {
-    build_plan();
-    result_.collected.push_back(ScoredPlan{plan, cost});
+    result_.collected.push_back(ScoredPlan{build_plan(), cost});
   }
   if (options_.find_first) {
     stop_.store(true);
@@ -802,11 +911,18 @@ SearchResult CapsSearch::Run() {
     hosts.reserve(static_cast<size_t>(cluster.num_workers()));
   }
   root.free_slots = cluster.total_slots();
-  // One full scan seeds the violation count; Apply/UndoPlacement keep it exact after.
-  root.num_violating = 0;
-  for (const auto& l : root.load) {
-    root.num_violating += static_cast<int>(Violates(l));
+  // The incumbent gives the first boxes.
+  std::optional<ScoredPlan> incumbent;
+  double incumbent_util = kInf;
+  if (options_.incumbent.has_value()) {
+    incumbent = ScoredPlan{*options_.incumbent, model_.Cost(*options_.incumbent)};
+    incumbent_util = MaxUtilization(model_, incumbent->placement);
+    if (branch_and_bound_) {
+      LowerBounds(incumbent_util, incumbent->cost);
+    }
   }
+  // One full scan seeds the violation count; Apply/UndoPlacement keep it exact after.
+  SetBounds(root, best_util_.load(), tie_cost_.load());
 
   {
     Span explore("caps.search.explore");
@@ -821,6 +937,12 @@ SearchResult CapsSearch::Run() {
     }
   }
 
+  // The incumbent comes last in the pick order, so it wins only by beating the best leaf.
+  if (incumbent.has_value() &&
+      (!result_.found ||
+       BetterPick(incumbent_util, incumbent->cost, best_leaf_util_, result_.best.cost))) {
+    result_.best = std::move(*incumbent);
+  }
   result_.stats.nodes = nodes_.load();
   result_.stats.leaves = leaves_.load();
   result_.stats.pruned = pruned_.load();

@@ -16,21 +16,32 @@
 // Threshold pruning (§4.4.1): per-worker loads grow monotonically down the tree, so a branch
 // dies as soon as any worker load exceeds L_i_min + alpha_i (L_i_max - L_i_min) (Eq. 10).
 //
-// Lookahead (when some alpha_i < 1): the same monotonicity bounds what a subtree can still
-// hold, so admissible cuts remove subtrees without a satisfying leaf before they are walked:
-// per-worker task fits of the layer's operator, the inbound load a worker is certain to gain
-// from tasks placed after it, a fit check of every later operator, and the traffic to and
-// from operators of later layers. Surviving leaves are visited in the same order, so the
-// find-first plan, the collected plans and the pareto front do not change; only the node and
+// Lookahead (when some load bound is finite): the same monotonicity bounds what a subtree
+// can still hold, so admissible cuts remove subtrees without a satisfying leaf before they
+// are walked: per-worker task fits of the layer's operator, the inbound load a worker is
+// certain to gain from tasks placed after it, a fit check of every later operator, and the
+// traffic to and from operators of later layers. Surviving leaves are visited in the same
+// order, so the find-first plan and the collected plans do not change; only the node and
 // pruned counts do (DESIGN.md §10).
+//
+// Incumbent bound: given an incumbent plan, the search returns the plan with the lowest
+// MaxUtilization, ties within 1e-9 broken by BetterCost, among the incumbent and the
+// satisfying leaves. An exploring search is then a branch and bound on that objective: a
+// plan that can still win keeps every worker within (u* + 1e-9) x its capacity, u* being
+// the lowest utilization seen so far, so that box tightens the Eq. 10 bound of each worker
+// as better plans turn up. Once a candidate reaches a floor no plan's utilization goes
+// below, only the BetterCost tie-break can still pick another plan, and its max cost
+// bounds every load as a threshold would (DESIGN.md §10, "Incumbent bound").
 #ifndef SRC_CAPS_SEARCH_H_
 #define SRC_CAPS_SEARCH_H_
 
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -61,6 +72,11 @@ struct SearchOptions {
   // Worker threads for parallel subtree exploration; 1 = fully deterministic.
   int num_threads = 1;
   double timeout_s = 1e18;
+  // A plan to beat, not a tuning knob. When set, SearchResult::best is the pick among it
+  // and the satisfying leaves by MaxUtilization, ties within 1e-9 broken by BetterCost,
+  // and a search that neither stops at the first plan nor collects plans cuts
+  // every subtree whose plans cannot beat the best candidate so far.
+  std::optional<Placement> incumbent;
 };
 
 struct ScoredPlan {
@@ -79,9 +95,10 @@ struct SearchStats {
 };
 
 struct SearchResult {
-  bool found = false;
-  ScoredPlan best;                    // BetterCost-minimal plan of the pareto front
-  std::vector<ScoredPlan> pareto;     // pareto-optimal plans w.r.t. the cost vector
+  bool found = false;  // some plan satisfies the thresholds
+  // The BetterCost-minimal satisfying plan; with an incumbent, the pick among it and the
+  // satisfying plans (SearchOptions::incumbent), so it is set even when nothing is found.
+  ScoredPlan best;
   std::vector<ScoredPlan> collected;  // all satisfying plans when collect_plans is set
   SearchStats stats;
 };
@@ -146,28 +163,39 @@ class CapsSearch {
   // empty range (first > second) when none can.
   std::pair<int, int> HostRange(const Ctx& ctx, size_t layer, WorkerId v, int fit) const;
   void AtLeaf(Ctx& ctx);
+  // Branch and bound: lowers best_util_ and tie_cost_ for a candidate with utilization
+  // `util` and cost `cost`. Called under result_mu_ or before the search starts.
+  void LowerBounds(double util, const ResourceVector& cost);
   bool ShouldStop();
+  // Sets the context's per-worker bound and limit rows for the lowest candidate
+  // utilization `util` and the tie-break bound `tie_cost` (infinite: Eq. 10 alone) and
+  // recounts its violating workers.
+  void SetBounds(Ctx& ctx, double util, double tie_cost) const;
+  // Branch and bound, at layer entry: adopts the boxes of better candidates found since
+  // the context last looked, by this thread or another. False when a worker already
+  // breaks them, which kills the subtree since loads only grow. Kept out of PlaceOp's
+  // body, which stays small enough for the compiler to keep the recursion fast.
+  bool AdoptBounds(Ctx& ctx) const;
   // Applies / reverts the load deltas of placing `count` tasks of the layer's operator on
   // worker `w`, including resolved cross-worker network contributions. Maintains the
   // incremental search state (per-operator placed totals, per-operator host lists, and the
   // bound-violation count) so feasibility checks touch only the mutated workers.
   void ApplyPlacement(Ctx& ctx, size_t layer, WorkerId w, int count);
   void UndoPlacement(Ctx& ctx, size_t layer, WorkerId w, int count);
-  // True when `load` exceeds the Eq. 10 bound in any dimension.
-  bool Violates(const ResourceVector& load) const;
+  // True when worker `w`'s load exceeds its bound row in any dimension.
+  bool Violates(const Ctx& ctx, WorkerId w) const;
 
   const CostModel& model_;
   SearchOptions options_;
   std::vector<OperatorId> order_;  // outer layers
-  ResourceVector bound_;           // Eq. 10 load bound
-  // Lookahead cuts run when some alpha_i < 1; with every dimension unbounded nothing can be
-  // cut. `net_lookahead_` additionally needs a bounded network dimension.
+  ResourceVector eq10_bound_;      // Eq. 10 load bound
+  // Branch and bound on the pick objective: an incumbent in a search that neither stops at
+  // the first plan nor collects plans.
+  bool branch_and_bound_ = false;
+  // Lookahead cuts run when some load bound is finite; with every dimension unbounded
+  // nothing can be cut. `net_lookahead_` additionally needs a bounded network dimension.
   bool lookahead_ = false;
   bool net_lookahead_ = false;
-  // The bound the cuts test against: bound_ plus a slack far above the rounding of the
-  // incrementally kept loads, so a cut never removes a leaf the threshold check would keep;
-  // infinite in unbounded dimensions.
-  ResourceVector limit_;
   // Slot capacity per worker, captured once at construction. The search assumes specs do
   // not change while it runs; snapshotting makes that explicit instead of re-reading the
   // cluster's Worker records on every inner-search node.
@@ -204,10 +232,21 @@ class CapsSearch {
   std::atomic<uint64_t> leaves_{0};
   std::atomic<uint64_t> pruned_{0};
   std::atomic<bool> timed_out_{false};
+  // Branch and bound: the lowest utilization of a candidate so far (the incumbent's, then
+  // the leaves'), and the lowest max cost of a candidate whose utilization reaches
+  // util_floor_. Contexts adopt both at layer entry, offloaded subtrees included.
+  std::atomic<double> best_util_{std::numeric_limits<double>::infinity()};
+  std::atomic<double> tie_cost_{std::numeric_limits<double>::infinity()};
+  // A utilization no plan goes below (branch and bound only): once a candidate reaches it,
+  // no plan beats that candidate on utilization, only on the BetterCost tie-break.
+  double util_floor_ = 0.0;
   std::chrono::steady_clock::time_point start_;
 
   std::mutex result_mu_;
   SearchResult result_;
+  // Utilization of the best leaf. Without an incumbent every leaf scores 0, which leaves
+  // BetterCost as the whole pick.
+  double best_leaf_util_ = 0.0;
 };
 
 // Convenience: enumerate every distinct placement plan (no thresholds), returning plans

@@ -543,7 +543,7 @@ void PlacementService::RunPlanner(PlanRequest req) {
       std::lock_guard<std::mutex> lock(cache_mu_);
       auto cached = cache_.Lookup(key);
       if (cached.has_value() && cached->placement.num_tasks() == physical.num_tasks()) {
-        planned = PlannedPlacement{cached->placement, cached->plan_cost, cached->alpha};
+        planned = PlannedPlacement{cached->placement, cached->plan_cost, cached->alpha, {}};
       }
     }
     const bool hit = planned.has_value();

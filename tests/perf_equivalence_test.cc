@@ -3,8 +3,8 @@
 // The incremental search state (per-operator placed totals, host lists, bound-violation
 // count, suffix slot capacities) and the simulator's arena-based tick are pure
 // restructurings: they must not change a single bit of any result. These tests pin
-// hexfloat goldens captured from the pre-refactor implementation — search stats, best and
-// pareto-front costs on the three NEXMark queries (including the exact orbit counts
+// hexfloat goldens captured from the pre-refactor implementation — search stats, best costs
+// and the pareto front of the satisfying plans' costs on the three NEXMark queries (including the exact orbit counts
 // 80/665/950), and full QuerySummary values — plus multi-thread-vs-single-thread
 // determinism for both subsystems.
 #include <gtest/gtest.h>
@@ -35,17 +35,29 @@ struct Fixture {
   CostModel model;
 };
 
+// Collects the satisfying plans, which changes no visit, node or pruned count.
 SearchResult RunSearch(const Fixture& f, ResourceVector alpha, int num_threads = 1) {
   SearchOptions options;
   options.alpha = alpha;
   options.num_threads = num_threads;
+  options.collect_plans = true;
   CapsSearch search(f.model, options);
   return search.Run();
 }
 
+// The pareto front of the collected plans' cost vectors, kept as the search kept it before
+// the incumbent bound replaced it: a plan joins unless some member is <= it in every
+// dimension (so an equal cost joins once), and evicts the members it dominates.
 std::vector<ResourceVector> SortedParetoCosts(const SearchResult& r) {
   std::vector<ResourceVector> pf;
-  for (const auto& p : r.pareto) {
+  for (const auto& p : r.collected) {
+    if (std::any_of(pf.begin(), pf.end(),
+                    [&p](const ResourceVector& c) { return c.AllLeq(p.cost); })) {
+      continue;
+    }
+    pf.erase(std::remove_if(pf.begin(), pf.end(),
+                            [&p](const ResourceVector& c) { return p.cost.Dominates(c); }),
+             pf.end());
     pf.push_back(p.cost);
   }
   std::sort(pf.begin(), pf.end(), [](const ResourceVector& a, const ResourceVector& b) {

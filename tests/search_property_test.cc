@@ -1,14 +1,16 @@
 // Randomized property tests for the CAPS search: enumeration completeness/uniqueness vs
-// brute force, pruning soundness AND completeness, threshold monotonicity, pareto-front
-// correctness, and lookahead admissibility and visit order, across randomly generated
-// instances.
+// brute force, pruning soundness AND completeness, threshold monotonicity, optimality of
+// the best plan and of the incumbent-bound pick, and lookahead admissibility and visit
+// order, across randomly generated instances.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <map>
 #include <set>
 
 #include "src/caps/cost_model.h"
+#include "src/caps/greedy.h"
 #include "src/caps/search.h"
 #include "src/common/rng.h"
 #include "src/dataflow/rates.h"
@@ -24,8 +26,9 @@ struct Instance {
   std::vector<ResourceVector> demands;
 };
 
-// Generates a random valid instance whose brute-force space (W^T) stays tractable.
-Instance RandomInstance(uint64_t seed) {
+// Generates a random valid instance whose brute-force space (W^T) stays tractable. A
+// heterogeneous instance gives each worker the capacities of a random instance type.
+Instance RandomInstance(uint64_t seed, bool heterogeneous = false) {
   Rng rng(seed);
   Instance inst;
   int num_ops = static_cast<int>(rng.UniformInt(2, 4));
@@ -54,6 +57,23 @@ Instance RandomInstance(uint64_t seed) {
   inst.cluster = Cluster(workers, spec);
   inst.physical = PhysicalGraph::Expand(inst.graph);
   inst.demands = TaskDemands(inst.physical, PropagateRates(inst.graph, rng.Uniform(100, 5000)));
+  if (heterogeneous) {
+    std::vector<WorkerSpec> specs;
+    for (int w = 0; w < workers; ++w) {
+      switch (rng.UniformInt(0, 2)) {
+        case 0:
+          specs.push_back(WorkerSpec::R5dXlarge(slots));
+          break;
+        case 1:
+          specs.push_back(WorkerSpec::M5d2xlarge(slots));
+          break;
+        default:
+          specs.push_back(WorkerSpec::C5d4xlarge(slots));
+          break;
+      }
+    }
+    inst.cluster = Cluster(std::move(specs));
+  }
   return inst;
 }
 
@@ -151,34 +171,12 @@ TEST_P(RandomInstanceSweep, LeafCountMonotoneInAlpha) {
   }
 }
 
-TEST_P(RandomInstanceSweep, ParetoFrontMatchesFullSpace) {
+TEST_P(RandomInstanceSweep, BestMatchesBruteForceOptimum) {
   Instance inst = RandomInstance(static_cast<uint64_t>(GetParam()) * 53 + 11);
   CostModel model(inst.physical, inst.cluster, inst.demands);
   auto reference = BruteForcePlans(inst, model);
   SearchResult r = CapsSearch(model, SearchOptions{}).Run();
   ASSERT_TRUE(r.found);
-  // No reference plan may *strictly* dominate any pareto member (epsilon-aware: the search
-  // tracks costs incrementally, so recomputed reference costs differ by float rounding).
-  auto strictly_dominates = [](const ResourceVector& a, const ResourceVector& b) {
-    bool all_leq = true;
-    bool some_less = false;
-    for (Resource res : kAllResources) {
-      if (a[res] > b[res] + 1e-9) {
-        all_leq = false;
-      }
-      if (a[res] < b[res] - 1e-6) {
-        some_less = true;
-      }
-    }
-    return all_leq && some_less;
-  };
-  for (const auto& member : r.pareto) {
-    for (const auto& [key, cost] : reference) {
-      EXPECT_FALSE(strictly_dominates(cost, member.cost))
-          << "pareto member " << member.cost.ToString() << " dominated by "
-          << cost.ToString();
-    }
-  }
   // The best plan's scalarized cost equals the brute-force optimum.
   double best = 1e300;
   for (const auto& [key, cost] : reference) {
@@ -287,7 +285,115 @@ TEST_P(RandomInstanceSweep, LookaheadKeepsPlansInOrder) {
   }
 }
 
+// The incumbent-bound search picks, among the incumbent and the plans within `alpha`, the
+// plan with the lowest MaxUtilization, ties within 1e-9 going to the lower max cost and
+// then the lower cost sum. BetterCost compares max costs exactly, and the search keeps
+// loads incrementally, so their rounding, which depends on the visit order, decides
+// between max costs within a few ulps; the pick must then match one of the plans so tied.
+void ExpectPickIsOptimal(const CostModel& model, const ResourceVector& alpha,
+                         const Placement& incumbent, const SearchOptions& options) {
+  std::vector<ScoredPlan> candidates{ScoredPlan{incumbent, model.Cost(incumbent)}};
+  for (auto& p : EnumerateAllPlans(model)) {
+    // A threshold of 1 leaves its dimension unbounded; costs can exceed 1 by rounding.
+    if (std::all_of(kAllResources.begin(), kAllResources.end(),
+                    [&](Resource r) { return alpha[r] >= 1.0 || p.cost[r] <= alpha[r]; })) {
+      candidates.push_back(std::move(p));
+    }
+  }
+  // Keeps the candidates within 1e-9 of the least `score` and returns that least score.
+  auto narrow = [&candidates](auto score) {
+    double least = 1e300;
+    for (const auto& c : candidates) {
+      least = std::min(least, score(c));
+    }
+    std::erase_if(candidates, [&](const ScoredPlan& c) { return score(c) > least + 1e-9; });
+    return least;
+  };
+  double util = narrow([&](const ScoredPlan& c) { return MaxUtilization(model, c.placement); });
+  double max = narrow([](const ScoredPlan& c) { return c.cost.Max(); });
+  SearchOptions with_incumbent = options;
+  with_incumbent.alpha = alpha;
+  with_incumbent.incumbent = incumbent;
+  SearchResult r = CapsSearch(model, with_incumbent).Run();
+  ASSERT_EQ(r.best.placement.Validate(model.graph(), model.cluster()), "");
+  EXPECT_NEAR(MaxUtilization(model, r.best.placement), util, 1e-9);
+  EXPECT_NEAR(r.best.cost.Max(), max, 1e-9);
+  EXPECT_TRUE(std::any_of(candidates.begin(), candidates.end(), [&](const ScoredPlan& c) {
+    return std::abs(c.cost.Sum() - r.best.cost.Sum()) <= 1e-9;
+  })) << "cost " << r.best.cost.ToString() << " matches no tied plan";
+}
+
+// The pick is optimal at 1 and 4 threads, with the greedy incumbent PlanPlacement passes
+// and with the plan of the highest utilization, which leaves the bounds to tighten over
+// many improving leaves, as does turning value ordering off.
+void ExpectIncumbentPickIsOptimal(const CostModel& model, const ResourceVector& alpha) {
+  std::vector<ScoredPlan> plans = EnumerateAllPlans(model);
+  auto worst = std::max_element(plans.begin(), plans.end(), [&](const auto& a, const auto& b) {
+    return MaxUtilization(model, a.placement) < MaxUtilization(model, b.placement);
+  });
+  for (const Placement& incumbent : {GreedyBalancedPlacement(model), worst->placement}) {
+    for (bool value_ordering : {true, false}) {
+      for (int threads : {1, 4}) {
+        SCOPED_TRACE("alpha " + alpha.ToString() + ", " + std::to_string(threads) +
+                     " threads, value ordering " + (value_ordering ? "on" : "off") +
+                     ", incumbent utilization " +
+                     std::to_string(MaxUtilization(model, incumbent)));
+        SearchOptions options;
+        options.value_ordering = value_ordering;
+        options.num_threads = threads;
+        ExpectPickIsOptimal(model, alpha, incumbent, options);
+      }
+    }
+  }
+}
+
+TEST_P(RandomInstanceSweep, IncumbentPickIsOptimal) {
+  Rng rng(static_cast<uint64_t>(GetParam()) + 29);
+  for (bool heterogeneous : {false, true}) {
+    Instance inst = RandomInstance(static_cast<uint64_t>(GetParam()) * 61 + 17, heterogeneous);
+    for (bool normalize : {false, true}) {
+      if (normalize && !heterogeneous) {
+        continue;
+      }
+      SCOPED_TRACE(std::string(heterogeneous ? "heterogeneous" : "homogeneous") +
+                   (normalize ? ", normalized" : ", absolute"));
+      CostModelOptions options;
+      options.normalize_by_capacity = normalize;
+      CostModel model(inst.physical, inst.cluster, inst.demands, options);
+      ExpectIncumbentPickIsOptimal(model, ResourceVector{1.0, 1.0, 1.0});
+      ExpectIncumbentPickIsOptimal(model, RandomAlpha(EnumerateAllPlans(model), rng));
+    }
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(Seeds, RandomInstanceSweep, ::testing::Range(0, 12));
+
+// The NEXMark queries that fit four workers of four slots, on the homogeneous cluster and on
+// mixed hardware under both models, without thresholds and with random ones.
+TEST(IncumbentPickTest, NexmarkQueries) {
+  Rng rng(4242);
+  Cluster homogeneous(4, WorkerSpec::R5dXlarge(4));
+  Cluster mixed({WorkerSpec::C5d4xlarge(4), WorkerSpec::R5dXlarge(4), WorkerSpec::M5d2xlarge(4),
+                 WorkerSpec::R5dXlarge(4)});
+  for (const QuerySpec& q : BuildAllQueries()) {
+    if (q.graph.total_parallelism() > homogeneous.total_slots()) {
+      continue;
+    }
+    PhysicalGraph physical = PhysicalGraph::Expand(q.graph);
+    auto demands = TaskDemands(physical, PropagateRates(q.graph, q.source_rates));
+    for (const Cluster* cluster : {&homogeneous, &mixed}) {
+      for (bool normalize : {false, true}) {
+        SCOPED_TRACE(q.graph.name() + (cluster == &mixed ? " mixed" : " homogeneous") +
+                     (normalize ? " normalized" : " absolute"));
+        CostModelOptions options;
+        options.normalize_by_capacity = normalize;
+        CostModel model(physical, *cluster, demands, options);
+        ExpectIncumbentPickIsOptimal(model, ResourceVector{1.0, 1.0, 1.0});
+        ExpectIncumbentPickIsOptimal(model, RandomAlpha(EnumerateAllPlans(model), rng));
+      }
+    }
+  }
+}
 
 // The NEXMark queries that fit the 4x4 cluster (Q2 and Q3 have 665 and 950 plans), with
 // random thresholds and thresholds on a spread of plans.

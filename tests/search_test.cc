@@ -255,26 +255,9 @@ TEST(CapsSearchTest, ParallelSearchFindsSameLeafCount) {
   SearchResult b = CapsSearch(model, par).Run();
   EXPECT_EQ(a.stats.leaves, b.stats.leaves);
   ASSERT_TRUE(b.found);
-  // The parallel search may pick a different pareto-optimal plan, but its scalarized cost
+  // The parallel search may pick a different plan of equal scalarized cost, but that cost
   // must match the sequential optimum.
   EXPECT_NEAR(a.best.cost.Max(), b.best.cost.Max(), 1e-9);
-}
-
-TEST(CapsSearchTest, ParetoFrontIsMutuallyNonDominated) {
-  QuerySpec q = BuildQ1Sliding();
-  PhysicalGraph graph = PhysicalGraph::Expand(q.graph);
-  Cluster cluster(4, WorkerSpec::R5dXlarge(4));
-  auto rates = PropagateRates(q.graph, q.source_rates);
-  CostModel model(graph, cluster, TaskDemands(graph, rates));
-  SearchResult r = CapsSearch(model, SearchOptions{}).Run();
-  ASSERT_TRUE(r.found);
-  for (size_t i = 0; i < r.pareto.size(); ++i) {
-    for (size_t j = 0; j < r.pareto.size(); ++j) {
-      if (i != j) {
-        EXPECT_FALSE(r.pareto[i].cost.Dominates(r.pareto[j].cost));
-      }
-    }
-  }
 }
 
 TEST(CapsSearchTest, TimeoutIsHonored) {
@@ -304,6 +287,35 @@ TEST(CapsSearchTest, SearchableRejectsForwardEdgeOutOfParallelOperator) {
   EXPECT_FALSE(CapsSearchable(fwd));
 }
 
+// MaxUtilization divides the absolute model's loads by the capacities, and reads the
+// normalized model's loads, which are already utilizations, as they are: one plan scores
+// the same under both models.
+TEST(MaxUtilizationTest, SameUnderAbsoluteAndNormalizedModels) {
+  QuerySpec q = BuildQ3Inf();
+  PhysicalGraph graph = PhysicalGraph::Expand(q.graph);
+  Cluster cluster({WorkerSpec::C5d4xlarge(6), WorkerSpec::M5d2xlarge(5),
+                   WorkerSpec::R5dXlarge(4)});
+  auto demands = TaskDemands(graph, PropagateRates(q.graph, q.source_rates));
+  CostModel absolute(graph, cluster, demands);
+  CostModelOptions normalize;
+  normalize.normalize_by_capacity = true;
+  CostModel normalized(graph, cluster, demands, normalize);
+  Placement plan = GreedyBalancedPlacement(absolute);
+  double util = MaxUtilization(absolute, plan);
+  EXPECT_GT(util, 0.0);
+  EXPECT_NEAR(MaxUtilization(normalized, plan), util, 1e-12);
+  // By hand: the largest load share of any worker's capacity in any dimension.
+  double expected = 0.0;
+  auto loads = absolute.WorkerLoads(plan);
+  for (WorkerId w = 0; w < cluster.num_workers(); ++w) {
+    const WorkerSpec& spec = cluster.worker(w).spec;
+    const ResourceVector& l = loads[static_cast<size_t>(w)];
+    expected = std::max({expected, l.cpu / spec.cpu_capacity, l.io / spec.io_bandwidth_bps,
+                         l.net / spec.net_bandwidth_bps});
+  }
+  EXPECT_EQ(util, expected);
+}
+
 TEST(PlanPlacementTest, InfeasibleAlphaReturnsGreedyPlan) {
   PhysicalGraph graph = PhysicalGraph::Expand(ChainGraph({1, 3, 1}));
   Cluster cluster(2, WorkerSpec::R5dXlarge(4));
@@ -328,14 +340,56 @@ TEST(PlanPlacementTest, PicksLowestMaxUtilizationCandidate) {
   PlannedPlacement planned = PlanPlacement(model, open, AutoTuneOptions{}, 1, 60.0, 1000);
   EXPECT_EQ(planned.placement.Validate(graph, cluster), "");
   EXPECT_EQ(planned.cost, model.Cost(planned.placement));
-  // Candidates: the full pareto front plus the greedy incumbent.
-  SearchResult r = CapsSearch(model, SearchOptions{}).Run();
-  ASSERT_TRUE(r.found);
+  // Candidates: every plan plus the greedy incumbent.
   double best = MaxUtilization(model, GreedyBalancedPlacement(model));
-  for (const ScoredPlan& p : r.pareto) {
+  for (const ScoredPlan& p : EnumerateAllPlans(model)) {
     best = std::min(best, MaxUtilization(model, p.placement));
   }
   EXPECT_NEAR(MaxUtilization(model, planned.placement), best, 1e-9);
+  EXPECT_FALSE(planned.search.timed_out);
+}
+
+// The NEXMark queries at the widest shapes the repository benchmark's service workload
+// submits as fresh shapes (every operator but the sink one wider than its default), on
+// residual clusters of that workload's 6 c5d.4xlarge workers with uneven free slots. The
+// thresholds are auto-tuned with budgets no probe reaches, so they do not depend on the
+// clock either. Each final search ends well inside the service's 1 s budget, so the plan is
+// the one a 600 s budget gives, and a 4-thread search picks a plan of the same utilization
+// and max cost. (BetterCost compares max costs exactly, so their rounding, which depends on
+// the visit order, can decide between plans tied up to a few ulps and leave different
+// cost sums.)
+TEST(PlanPlacementTest, ServiceShapesDoNotDependOnTheWallClock) {
+  const AutoTuneOptions tune{.timeout_s = 600.0, .probe_timeout_s = 60.0};
+  const std::vector<std::vector<int>> free_slots = {{13, 4, 9, 16, 2, 7}, {4, 16, 12, 9, 16, 3}};
+  for (const QuerySpec& q : BuildAllQueries()) {
+    LogicalGraph g = q.graph;
+    std::vector<int> widths;
+    for (const auto& op : g.operators()) {
+      widths.push_back(op.kind == OperatorKind::kSink ? op.parallelism : op.parallelism + 1);
+    }
+    g.SetParallelism(widths);
+    PhysicalGraph graph = PhysicalGraph::Expand(g);
+    auto demands = TaskDemands(graph, PropagateRates(g, q.source_rates));
+    for (const auto& free : free_slots) {
+      std::vector<WorkerSpec> specs;
+      for (int slots : free) {
+        specs.push_back(WorkerSpec::C5d4xlarge(slots));
+      }
+      Cluster residual(specs);
+      CostModel model(graph, residual, demands);
+      SCOPED_TRACE(g.name() + " on " + std::to_string(residual.total_slots()) + " slots");
+      PlannedPlacement budget = PlanPlacement(model, std::nullopt, tune, 1, 1.0, 32);
+      PlannedPlacement unbounded = PlanPlacement(model, budget.alpha, tune, 1, 600.0, 32);
+      EXPECT_FALSE(budget.search.timed_out);
+      EXPECT_FALSE(unbounded.search.timed_out);
+      EXPECT_TRUE(budget.placement == unbounded.placement);
+      EXPECT_EQ(budget.cost, unbounded.cost);
+      PlannedPlacement threaded = PlanPlacement(model, budget.alpha, tune, 4, 600.0, 32);
+      EXPECT_NEAR(MaxUtilization(model, threaded.placement),
+                  MaxUtilization(model, budget.placement), 1e-9);
+      EXPECT_NEAR(threaded.cost.Max(), budget.cost.Max(), 1e-9);
+    }
+  }
 }
 
 TEST(PlanPlacementTest, AutoTunesWhenNoAlphaIsGiven) {
