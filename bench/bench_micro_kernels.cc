@@ -5,6 +5,7 @@
 #include <benchmark/benchmark.h>
 
 #include <chrono>
+#include <cstdio>
 
 #include "bench/perf_json.h"
 #include "src/caps/cost_model.h"
@@ -91,17 +92,48 @@ void BM_ExhaustiveEnumeration(benchmark::State& state) {
 }
 BENCHMARK(BM_ExhaustiveEnumeration);
 
-void BM_SimulatorTick(benchmark::State& state) {
+// Q3 placed on the fixture's four workers and simulated on a cluster with a fifth worker
+// that hosts no task. Toggling the idle worker's checkpoint I/O changes a worker input every
+// tick, which forces the full contention solve without changing any metric; plain Step()
+// calls replay the warmed fixed point.
+struct SimFixture {
+  static constexpr WorkerId kIdleWorker = 4;
   Q3Fixture f;
-  FluidSimulator sim(f.graph, f.cluster, GreedyBalancedPlacement(f.model));
-  sim.SetAllSourceRates(f.q.TotalTargetRate());
-  sim.RunFor(5.0);  // warm
-  for (auto _ : state) {
+  FluidSimulator sim{f.graph, Cluster(5, WorkerSpec::R5dXlarge(4)),
+                     GreedyBalancedPlacement(f.model)};
+  bool idle_io = false;
+
+  SimFixture() {
+    sim.SetAllSourceRates(f.q.TotalTargetRate());
+    sim.RunFor(5.0);  // warm
+  }
+  void SolvedStep() {
+    idle_io = !idle_io;
+    sim.SetWorkerCheckpointIoBps(kIdleWorker, idle_io ? 1e6 : 0.0);
     sim.Step();
   }
-  state.SetItemsProcessed(state.iterations() * f.graph.num_tasks());
+  uint64_t ReplayedTicks() const {
+    return sim.metrics().FindCounter("sim.0.replayed_ticks")->Value();
+  }
+};
+
+void BM_SimulatorTick(benchmark::State& state) {
+  SimFixture s;
+  for (auto _ : state) {
+    s.SolvedStep();
+  }
+  state.SetItemsProcessed(state.iterations() * s.f.graph.num_tasks());
 }
 BENCHMARK(BM_SimulatorTick);
+
+void BM_SimulatorReplayTick(benchmark::State& state) {
+  SimFixture s;
+  for (auto _ : state) {
+    s.sim.Step();
+  }
+  state.SetItemsProcessed(state.iterations() * s.f.graph.num_tasks());
+}
+BENCHMARK(BM_SimulatorReplayTick);
 
 void BM_StateStorePut(benchmark::State& state) {
   StateStore store;
@@ -160,13 +192,23 @@ double BestOfNs(F&& fn, int iters, int reps) {
 int RunPerfJson() {
   std::vector<std::pair<std::string, double>> entries;
 
-  {  // One warmed simulator tick on Q3-inf (4x4 cluster) — the steady-state hot loop.
-    Q3Fixture f;
-    FluidSimulator sim(f.graph, f.cluster, GreedyBalancedPlacement(f.model));
-    sim.SetAllSourceRates(f.q.TotalTargetRate());
-    sim.RunFor(5.0);
-    BestOfNs([&] { sim.Step(); }, 20000, 1);  // warm
-    entries.emplace_back("sim_tick_ns", BestOfNs([&] { sim.Step(); }, 100000, 5));
+  {  // One warmed simulator tick on Q3-inf (4x4 cluster), solved and replayed.
+    SimFixture s;
+    BestOfNs([&] { s.SolvedStep(); }, 20000, 1);  // warm
+    uint64_t replayed = s.ReplayedTicks();
+    entries.emplace_back("sim_tick_ns", BestOfNs([&] { s.SolvedStep(); }, 100000, 5));
+    if (s.ReplayedTicks() != replayed) {
+      std::fprintf(stderr, "sim_tick_ns: %llu timed ticks replayed instead of solving\n",
+                   static_cast<unsigned long long>(s.ReplayedTicks() - replayed));
+      return 1;
+    }
+    s.sim.Step();  // back to the fixed point
+    replayed = s.ReplayedTicks();
+    entries.emplace_back("sim_replay_tick_ns", BestOfNs([&] { s.sim.Step(); }, 100000, 5));
+    if (s.ReplayedTicks() != replayed + 500000) {
+      std::fprintf(stderr, "sim_replay_tick_ns: not every timed tick replayed\n");
+      return 1;
+    }
   }
 
   {  // The per-worker contention solve in isolation (16 co-located tasks, arena variant).

@@ -117,8 +117,7 @@ ChaosRun RunChaosExperiment(const QuerySpec& query, const Cluster& cluster,
     EventLog::Global().set_now(now);
     {
       double local = now - global_offset;
-      cum_records += sim->Summarize(std::max(0.0, local - options.control_interval_s), local)
-                         .throughput *
+      cum_records += sim->Throughput(std::max(0.0, local - options.control_interval_s), local) *
                      options.control_interval_s;
     }
     if (coordinator != nullptr) {
@@ -150,7 +149,7 @@ ChaosRun RunChaosExperiment(const QuerySpec& query, const Cluster& cluster,
     if (now + 1e-9 >= next_sample) {
       double local = now - global_offset;
       double throughput =
-          sim->Summarize(std::max(0.0, local - options.sample_interval_s), local).throughput;
+          sim->Throughput(std::max(0.0, local - options.sample_interval_s), local);
       run.timeline.push_back(TimelinePoint{.time_s = now,
                                            .target_rate = achievable,
                                            .throughput = throughput,

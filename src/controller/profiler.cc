@@ -49,7 +49,7 @@ std::vector<MeasuredCost> ProfileOperators(const LogicalGraph& graph,
     from = sim->time_s();
     sim->RunFor(options.measure_s);
     to = sim->time_s();
-    double emitted = sim->Summarize(from, to).throughput;
+    double emitted = sim->Throughput(from, to);
     if (requested <= 0.0 || emitted >= 0.97 * requested) {
       break;
     }

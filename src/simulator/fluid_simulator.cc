@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 
 #include "src/common/logging.h"
 #include "src/common/str.h"
@@ -12,6 +13,31 @@ namespace capsys {
 namespace {
 
 constexpr double kEps = 1e-12;
+
+enum class Scope : uint8_t { kTask, kOperator, kWorker, kQuery };
+
+// Scope and metric name of each FluidSimulator::Row, in Row order.
+struct RowSpec {
+  Scope scope;
+  const char* metric;
+};
+constexpr RowSpec kRowSpecs[] = {
+    {Scope::kTask, "true_rate"},      {Scope::kTask, "observed_rate"},
+    {Scope::kOperator, "emit_rate"},  {Scope::kOperator, "backpressure"},
+    {Scope::kOperator, "in_rate"},    {Scope::kOperator, "out_rate"},
+    {Scope::kOperator, "cpu_used"},   {Scope::kOperator, "io_bps"},
+    {Scope::kOperator, "net_bps"},    {Scope::kWorker, "cpu_util"},
+    {Scope::kWorker, "io_util"},      {Scope::kWorker, "net_util"},
+    {Scope::kWorker, "cpu_used"},     {Scope::kWorker, "io_bps"},
+    {Scope::kWorker, "net_bps"},      {Scope::kQuery, "throughput"},
+    {Scope::kQuery, "backpressure"},  {Scope::kQuery, "latency"},
+    {Scope::kQuery, "sink_rate"},
+};
+
+bool SameBytes(const std::vector<double>& a, const std::vector<double>& b) {
+  return a.size() == b.size() &&
+         (a.empty() || std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0);
+}
 
 }  // namespace
 
@@ -40,32 +66,37 @@ FluidSimulator::FluidSimulator(const PhysicalGraph& graph, const Cluster& cluste
   failed_.assign(static_cast<size_t>(cluster_.num_workers()), false);
   degrade_.assign(static_cast<size_t>(cluster_.num_workers()), 1.0);
   checkpoint_io_bps_.assign(static_cast<size_t>(cluster_.num_workers()), 0.0);
-  task_true_rate_.resize(n);
-  task_observed_rate_.resize(n);
-  op_emit_rate_.resize(static_cast<size_t>(graph_.num_operators()));
-  op_backpressure_.resize(static_cast<size_t>(graph_.num_operators()));
-  op_in_rate_.resize(static_cast<size_t>(graph_.num_operators()));
-  op_out_rate_.resize(static_cast<size_t>(graph_.num_operators()));
-  op_in_sum_.assign(static_cast<size_t>(graph_.num_operators()), 0.0);
-  op_out_sum_.assign(static_cast<size_t>(graph_.num_operators()), 0.0);
-  op_emit_sum_.assign(static_cast<size_t>(graph_.num_operators()), 0.0);
-  op_bp_sum_.assign(static_cast<size_t>(graph_.num_operators()), 0.0);
   op_source_tasks_.assign(static_cast<size_t>(graph_.num_operators()), 0);
-  op_cpu_used_.resize(static_cast<size_t>(graph_.num_operators()));
-  op_io_bps_.resize(static_cast<size_t>(graph_.num_operators()));
-  op_net_bps_.resize(static_cast<size_t>(graph_.num_operators()));
   for (const auto& t : graph_.tasks()) {
     if (is_source_[static_cast<size_t>(t.id)]) {
       ++op_source_tasks_[static_cast<size_t>(t.op)];
     }
   }
-  size_t w = static_cast<size_t>(cluster_.num_workers());
-  worker_cpu_util_.resize(w);
-  worker_io_util_.resize(w);
-  worker_net_util_.resize(w);
-  worker_cpu_used_.resize(w);
-  worker_io_bps_.resize(w);
-  worker_net_bps_.resize(w);
+  static_assert(std::size(kRowSpecs) == kNumRows);
+  for (int r = 0; r < kNumRows; ++r) {
+    size_t width = 1;
+    switch (kRowSpecs[r].scope) {
+      case Scope::kTask:
+        width = n;
+        break;
+      case Scope::kOperator:
+        width = static_cast<size_t>(graph_.num_operators());
+        break;
+      case Scope::kWorker:
+        width = static_cast<size_t>(cluster_.num_workers());
+        break;
+      case Scope::kQuery:
+        break;
+    }
+    row_base_[r + 1] = row_base_[r] + width;
+  }
+  accums_.resize(row_base_[kNumRows]);
+  tick_.assign(row_base_[kNumRows], 0.0);
+  replayed_ticks_ = &metrics_.GetCounter("sim.0.replayed_ticks");
+  queue_at_tick_start_.assign(n, 0.0);
+  failed_snapshot_ = failed_;
+  degrade_snapshot_ = degrade_;
+  checkpoint_io_snapshot_ = checkpoint_io_bps_;
   if (config_.num_threads > 1) {
     pool_ = std::make_unique<ThreadPool>(config_.num_threads);
   }
@@ -151,9 +182,7 @@ void FluidSimulator::RebuildStatics() {
   emit_factor_.assign(n, 1.0);
   enqueue_.assign(n, 0.0);
   processed_rate_.assign(n, 0.0);
-  op_cpu_scratch_.assign(op_cpu_used_.size(), 0.0);
-  op_io_scratch_.assign(op_cpu_used_.size(), 0.0);
-  op_net_scratch_.assign(op_cpu_used_.size(), 0.0);
+  replaying_ = false;
 }
 
 void FluidSimulator::FailWorker(WorkerId w) {
@@ -201,8 +230,37 @@ void FluidSimulator::SetAllSourceRates(double records_per_s) {
 }
 
 void FluidSimulator::Step() {
+  if (replaying_ && InputsMatchReplaySnapshot()) {
+    // This tick starts from the queues and inputs of the solved fixed-point tick that
+    // filled tick_, so it would compute the same doubles: re-add them.
+    replayed_ticks_->Add();
+  } else {
+    replaying_ = SolveTick();
+    if (replaying_) {
+      std::copy(failed_.begin(), failed_.end(), failed_snapshot_.begin());
+      std::copy(degrade_.begin(), degrade_.end(), degrade_snapshot_.begin());
+      std::copy(checkpoint_io_bps_.begin(), checkpoint_io_bps_.end(),
+                checkpoint_io_snapshot_.begin());
+    }
+  }
+  for (size_t k = 0; k < accums_.size(); ++k) {
+    accums_[k].Add(tick_[k]);
+  }
+  time_s_ += config_.tick_s;
+  if (time_s_ - last_flush_s_ >= config_.metrics_interval_s - kEps) {
+    FlushMetrics();
+  }
+}
+
+bool FluidSimulator::InputsMatchReplaySnapshot() const {
+  return failed_ == failed_snapshot_ && SameBytes(degrade_, degrade_snapshot_) &&
+         SameBytes(checkpoint_io_bps_, checkpoint_io_snapshot_);
+}
+
+bool FluidSimulator::SolveTick() {
   const double dt = config_.tick_s;
   const size_t n = static_cast<size_t>(graph_.num_tasks());
+  std::copy(queue_.begin(), queue_.end(), queue_at_tick_start_.begin());
 
   // --- 1. Desired processing rates -------------------------------------------------------
   for (size_t i = 0; i < n; ++i) {
@@ -303,6 +361,17 @@ void FluidSimulator::Step() {
 
   // --- 5. Apply transfers -----------------------------------------------------------------
   enqueue_.assign(n, 0.0);
+  double* task_true = TickRow(kTaskTrueRate);
+  double* task_observed = TickRow(kTaskObservedRate);
+  double* op_emit = TickRow(kOpEmitRate);
+  double* op_bp = TickRow(kOpBackpressure);
+  double* op_in = TickRow(kOpInRate);
+  double* op_out = TickRow(kOpOutRate);
+  double* op_cpu = TickRow(kOpCpuUsed);
+  double* op_io = TickRow(kOpIoBps);
+  double* op_net = TickRow(kOpNetBps);
+  // The operator rows, kOpEmitRate through kOpNetBps, are sums over each operator's tasks.
+  std::fill(op_emit, TickRow(kWorkerCpuUtil), 0.0);
   double source_emitted = 0.0;
   double sink_arrivals = 0.0;
   for (size_t i = 0; i < n; ++i) {
@@ -328,27 +397,18 @@ void FluidSimulator::Step() {
     if (downs.empty() && !is_source_[i]) {
       sink_arrivals += processed;  // records leaving the pipeline at sinks
     }
-    // Per-task metric accumulation.
-    task_true_rate_[i].Add(std::min(true_rate_[i], 1e15));
-    task_observed_rate_[i].Add(processed / dt);
-    // Per-operator aggregates (summed over the operator's tasks per tick).
+    task_true[i] = std::min(true_rate_[i], 1e15);
+    task_observed[i] = processed / dt;
     if (is_source_[i]) {
-      op_emit_sum_[o] += processed / dt;
-      op_bp_sum_[o] += 1.0 - emit_factor_[i];
+      op_emit[o] += processed / dt;  // total records/s emitted by the operator
+      op_bp[o] += 1.0 - emit_factor_[i];
     }
-    op_in_sum_[o] += processed / dt;
-    op_out_sum_[o] += processed * task_selectivity_[i] / dt;
+    op_in[o] += processed / dt;
+    op_out[o] += processed * task_selectivity_[i] / dt;
   }
-  for (size_t o = 0; o < op_in_rate_.size(); ++o) {
-    op_in_rate_[o].Add(op_in_sum_[o]);
-    op_out_rate_[o].Add(op_out_sum_[o]);
-    op_in_sum_[o] = 0.0;
-    op_out_sum_[o] = 0.0;
+  for (size_t o = 0; o < op_source_tasks_.size(); ++o) {
     if (op_source_tasks_[o] > 0) {
-      op_emit_rate_[o].Add(op_emit_sum_[o]);  // total records/s emitted by the operator
-      op_backpressure_[o].Add(op_bp_sum_[o] / op_source_tasks_[o]);  // mean blocked share
-      op_emit_sum_[o] = 0.0;
-      op_bp_sum_[o] = 0.0;
+      op_bp[o] /= op_source_tasks_[o];  // mean blocked share
     }
   }
   for (size_t i = 0; i < n; ++i) {
@@ -356,20 +416,18 @@ void FluidSimulator::Step() {
   }
 
   // --- 5b. Resource usage from the work actually performed ---------------------------------
-  op_cpu_scratch_.assign(op_cpu_used_.size(), 0.0);
-  op_io_scratch_.assign(op_cpu_used_.size(), 0.0);
-  op_net_scratch_.assign(op_cpu_used_.size(), 0.0);
   for (size_t i = 0; i < n; ++i) {
     size_t o = static_cast<size_t>(task_op_[i]);
-    op_cpu_scratch_[o] += processed_rate_[i] * eff_cpu_cost_[i];
-    op_io_scratch_[o] += processed_rate_[i] * task_io_cost_[i];
-    op_net_scratch_[o] += processed_rate_[i] * task_out_cost_[i];  // full bytes (observable)
+    op_cpu[o] += processed_rate_[i] * eff_cpu_cost_[i];
+    op_io[o] += processed_rate_[i] * task_io_cost_[i];
+    op_net[o] += processed_rate_[i] * task_out_cost_[i];  // full bytes (observable)
   }
-  for (size_t o = 0; o < op_cpu_scratch_.size(); ++o) {
-    op_cpu_used_[o].Add(op_cpu_scratch_[o]);
-    op_io_bps_[o].Add(op_io_scratch_[o]);
-    op_net_bps_[o].Add(op_net_scratch_[o]);
-  }
+  double* worker_cpu_util = TickRow(kWorkerCpuUtil);
+  double* worker_io_util = TickRow(kWorkerIoUtil);
+  double* worker_net_util = TickRow(kWorkerNetUtil);
+  double* worker_cpu_used = TickRow(kWorkerCpuUsed);
+  double* worker_io_bps = TickRow(kWorkerIoBps);
+  double* worker_net_bps = TickRow(kWorkerNetBps);
   for (WorkerId w = 0; w < num_workers; ++w) {
     const auto& spec = cluster_.worker(w).spec;
     double cpu_used = 0.0;
@@ -380,15 +438,14 @@ void FluidSimulator::Step() {
       io_used += processed_rate_[i] * task_io_cost_[i];
       net_used += processed_rate_[i] * task_net_cost_[i];
     }
-    double io_bw = eff_io_bw_[static_cast<size_t>(w)];
-    worker_cpu_util_[static_cast<size_t>(w)].Add(
-        spec.cpu_capacity > 0 ? cpu_used / spec.cpu_capacity : 0.0);
-    worker_io_util_[static_cast<size_t>(w)].Add(io_bw > 0 ? io_used / io_bw : 0.0);
-    worker_net_util_[static_cast<size_t>(w)].Add(
-        spec.net_bandwidth_bps > 0 ? net_used / spec.net_bandwidth_bps : 0.0);
-    worker_cpu_used_[static_cast<size_t>(w)].Add(cpu_used);
-    worker_io_bps_[static_cast<size_t>(w)].Add(io_used);
-    worker_net_bps_[static_cast<size_t>(w)].Add(net_used);
+    size_t wi = static_cast<size_t>(w);
+    double io_bw = eff_io_bw_[wi];
+    worker_cpu_util[wi] = spec.cpu_capacity > 0 ? cpu_used / spec.cpu_capacity : 0.0;
+    worker_io_util[wi] = io_bw > 0 ? io_used / io_bw : 0.0;
+    worker_net_util[wi] = spec.net_bandwidth_bps > 0 ? net_used / spec.net_bandwidth_bps : 0.0;
+    worker_cpu_used[wi] = cpu_used;
+    worker_io_bps[wi] = io_used;
+    worker_net_bps[wi] = net_used;
   }
 
   // --- 6. Query-level accumulators ---------------------------------------------------------
@@ -397,30 +454,29 @@ void FluidSimulator::Step() {
     in_flight += queue_[i];
   }
   double emit_rate = source_emitted / dt;
-  total_throughput_.Add(emit_rate);
+  *TickRow(kQueryThroughput) = emit_rate;
   double bp = 0.0;
   for (size_t i = 0; i < n; ++i) {
     if (is_source_[i]) {
       bp += 1.0 - emit_factor_[i];
     }
   }
-  total_backpressure_.Add(num_source_tasks_ > 0 ? bp / num_source_tasks_ : 0.0);
-  latency_.Add(in_flight /
-               std::max(emit_rate, std::max(total_target_rate_ * 0.01, 1.0)));
-  sink_rate_.Add(sink_arrivals / dt);
-
-  time_s_ += dt;
-  if (time_s_ - last_flush_s_ >= config_.metrics_interval_s - kEps) {
-    FlushMetrics();
-  }
+  *TickRow(kQueryBackpressure) = num_source_tasks_ > 0 ? bp / num_source_tasks_ : 0.0;
+  *TickRow(kQueryLatency) =
+      in_flight / std::max(emit_rate, std::max(total_target_rate_ * 0.01, 1.0));
+  *TickRow(kQuerySinkRate) = sink_arrivals / dt;
+  return SameBytes(queue_, queue_at_tick_start_);
 }
 
 void FluidSimulator::FlushMetrics() {
-  if (total_throughput_.count == 0) {
+  if (accums_[row_base_[kQueryThroughput]].count == 0) {
     return;  // nothing accumulated since the last flush (e.g. double flush)
   }
+  if (series_.empty()) {
+    ResolveSeries();
+  }
   last_flush_s_ = time_s_;
-  metrics_.GetCounter("sim.0.flushes").Add();
+  flushes_->Add();
   if (pending_dropouts_ > 0) {
     metrics_.GetCounter("sim.0.metric_dropouts").Add(pending_dropouts_);
     pending_dropouts_ = 0;
@@ -428,9 +484,8 @@ void FluidSimulator::FlushMetrics() {
   // Backpressure episode tracking: one onset event when the mean source backpressure
   // crosses the threshold, one cleared event when it drops back below.
   {
-    double bp = total_backpressure_.count > 0 ? total_backpressure_.sum /
-                                                    total_backpressure_.count
-                                              : 0.0;
+    const Accum& acc = accums_[row_base_[kQueryBackpressure]];
+    double bp = acc.sum / acc.count;
     bool above = bp >= config_.backpressure_onset_threshold;
     if (above && !backpressure_episode_) {
       EmitBackpressureOnset(telemetry_offset_s_ + time_s_, bp);
@@ -439,48 +494,53 @@ void FluidSimulator::FlushMetrics() {
     }
     backpressure_episode_ = above;
   }
-  for (size_t i = 0; i < task_true_rate_.size(); ++i) {
-    metrics_.Record(TaskMetric(static_cast<int>(i), "true_rate"), time_s_,
-                    task_true_rate_[i].MeanAndReset());
-    metrics_.Record(TaskMetric(static_cast<int>(i), "observed_rate"), time_s_,
-                    task_observed_rate_[i].MeanAndReset());
-  }
-  for (size_t o = 0; o < op_emit_rate_.size(); ++o) {
-    if (op_emit_rate_[o].count > 0) {
-      metrics_.Record(OperatorMetric(static_cast<int>(o), "emit_rate"), time_s_,
-                      op_emit_rate_[o].MeanAndReset());
-      metrics_.Record(OperatorMetric(static_cast<int>(o), "backpressure"), time_s_,
-                      op_backpressure_[o].MeanAndReset());
+  for (size_t k = 0; k < accums_.size(); ++k) {
+    double mean = accums_[k].MeanAndReset();
+    if (series_[k] != nullptr) {
+      series_[k]->Record(time_s_, mean);
     }
-    metrics_.Record(OperatorMetric(static_cast<int>(o), "in_rate"), time_s_,
-                    op_in_rate_[o].MeanAndReset());
-    metrics_.Record(OperatorMetric(static_cast<int>(o), "out_rate"), time_s_,
-                    op_out_rate_[o].MeanAndReset());
-    metrics_.Record(OperatorMetric(static_cast<int>(o), "cpu_used"), time_s_,
-                    op_cpu_used_[o].MeanAndReset());
-    metrics_.Record(OperatorMetric(static_cast<int>(o), "io_bps"), time_s_,
-                    op_io_bps_[o].MeanAndReset());
-    metrics_.Record(OperatorMetric(static_cast<int>(o), "net_bps"), time_s_,
-                    op_net_bps_[o].MeanAndReset());
   }
-  for (size_t w = 0; w < worker_cpu_util_.size(); ++w) {
-    metrics_.Record(WorkerMetric(static_cast<int>(w), "cpu_util"), time_s_,
-                    worker_cpu_util_[w].MeanAndReset());
-    metrics_.Record(WorkerMetric(static_cast<int>(w), "io_util"), time_s_,
-                    worker_io_util_[w].MeanAndReset());
-    metrics_.Record(WorkerMetric(static_cast<int>(w), "net_util"), time_s_,
-                    worker_net_util_[w].MeanAndReset());
-    metrics_.Record(WorkerMetric(static_cast<int>(w), "cpu_used"), time_s_,
-                    worker_cpu_used_[w].MeanAndReset());
-    metrics_.Record(WorkerMetric(static_cast<int>(w), "io_bps"), time_s_,
-                    worker_io_bps_[w].MeanAndReset());
-    metrics_.Record(WorkerMetric(static_cast<int>(w), "net_bps"), time_s_,
-                    worker_net_bps_[w].MeanAndReset());
+}
+
+void FluidSimulator::ResolveSeries() {
+  series_.assign(accums_.size(), nullptr);
+  for (int r = 0; r < kNumRows; ++r) {
+    for (size_t k = 0; k < row_base_[r + 1] - row_base_[r]; ++k) {
+      if ((r == kOpEmitRate || r == kOpBackpressure) && op_source_tasks_[k] == 0) {
+        continue;
+      }
+      series_[row_base_[r] + k] = &metrics_.Series(SeriesName(static_cast<Row>(r), k));
+    }
   }
-  metrics_.Record("query.throughput", time_s_, total_throughput_.MeanAndReset());
-  metrics_.Record("query.backpressure", time_s_, total_backpressure_.MeanAndReset());
-  metrics_.Record("query.latency", time_s_, latency_.MeanAndReset());
-  metrics_.Record("query.sink_rate", time_s_, sink_rate_.MeanAndReset());
+  flushes_ = &metrics_.GetCounter("sim.0.flushes");
+}
+
+std::string FluidSimulator::SeriesName(Row r, size_t k) const {
+  const RowSpec& spec = kRowSpecs[r];
+  int id = static_cast<int>(k);
+  switch (spec.scope) {
+    case Scope::kTask:
+      return TaskMetric(id, spec.metric);
+    case Scope::kOperator:
+      return OperatorMetric(id, spec.metric);
+    case Scope::kWorker:
+      return WorkerMetric(id, spec.metric);
+    case Scope::kQuery:
+      break;
+  }
+  return std::string("query.") + spec.metric;
+}
+
+const TimeSeries* FluidSimulator::SeriesOf(Row r, size_t k) const {
+  if (series_.empty() || k >= row_base_[r + 1] - row_base_[r]) {
+    return nullptr;
+  }
+  return series_[row_base_[r] + k];
+}
+
+double FluidSimulator::WindowMean(Row r, size_t k, double from_s, double to_s) const {
+  const TimeSeries* ts = SeriesOf(r, k);
+  return ts != nullptr ? ts->MeanOver(from_s, to_s) : 0.0;
 }
 
 void FluidSimulator::RunFor(double seconds) {
@@ -491,9 +551,16 @@ void FluidSimulator::RunFor(double seconds) {
     span.AddAttr("ticks", steps);
     span.AddAttr("sim_time_s", time_s_);
   }
-  metrics_.GetCounter("sim.0.ticks").Add(static_cast<uint64_t>(std::max(steps, 0)));
+  if (ticks_ == nullptr) {
+    ticks_ = &metrics_.GetCounter("sim.0.ticks");
+  }
+  ticks_->Add(static_cast<uint64_t>(std::max(steps, 0)));
+  uint64_t replayed_before = replayed_ticks_->Value();
   for (int i = 0; i < steps; ++i) {
     Step();
+  }
+  if (span.active()) {
+    span.AddAttr("replayed", replayed_ticks_->Value() - replayed_before);
   }
 }
 
@@ -507,36 +574,25 @@ QuerySummary FluidSimulator::RunMeasured(double warmup_s, double measure_s) {
 
 QuerySummary FluidSimulator::Summarize(double from_s, double to_s) const {
   QuerySummary s;
-  const TimeSeries* th = metrics_.Find("query.throughput");
-  const TimeSeries* bp = metrics_.Find("query.backpressure");
-  const TimeSeries* lat = metrics_.Find("query.latency");
-  const TimeSeries* sink = metrics_.Find("query.sink_rate");
-  if (th != nullptr) {
-    s.throughput = th->MeanOver(from_s, to_s);
-  }
-  if (bp != nullptr) {
-    s.backpressure = bp->MeanOver(from_s, to_s);
-  }
-  if (lat != nullptr) {
-    s.latency_s = lat->MeanOver(from_s, to_s);
-  }
-  if (sink != nullptr) {
-    s.sink_rate = sink->MeanOver(from_s, to_s);
-  }
-  for (WorkerId w = 0; w < cluster_.num_workers(); ++w) {
-    ResourceVector util;
-    util.cpu = metrics_.MeanSinceOr(WorkerMetric(w, "cpu_util"), from_s, 0.0);
-    util.io = metrics_.MeanSinceOr(WorkerMetric(w, "io_util"), from_s, 0.0);
-    util.net = metrics_.MeanSinceOr(WorkerMetric(w, "net_util"), from_s, 0.0);
-    s.max_worker_utilization.cpu = std::max(s.max_worker_utilization.cpu, util.cpu);
-    s.max_worker_utilization.io = std::max(s.max_worker_utilization.io, util.io);
-    s.max_worker_utilization.net = std::max(s.max_worker_utilization.net, util.net);
+  s.throughput = Throughput(from_s, to_s);
+  s.backpressure = WindowMean(kQueryBackpressure, 0, from_s, to_s);
+  s.latency_s = WindowMean(kQueryLatency, 0, from_s, to_s);
+  s.sink_rate = WindowMean(kQuerySinkRate, 0, from_s, to_s);
+  for (size_t w = 0; w < static_cast<size_t>(cluster_.num_workers()); ++w) {
+    ResourceVector& max_util = s.max_worker_utilization;
+    max_util.cpu = std::max(max_util.cpu, WindowMean(kWorkerCpuUtil, w, from_s, to_s));
+    max_util.io = std::max(max_util.io, WindowMean(kWorkerIoUtil, w, from_s, to_s));
+    max_util.net = std::max(max_util.net, WindowMean(kWorkerNetUtil, w, from_s, to_s));
   }
   return s;
 }
 
-double FluidSimulator::CorruptedMean(const std::string& name, const TimeSeries* ts,
-                                     double from_s, double to_s) const {
+double FluidSimulator::Throughput(double from_s, double to_s) const {
+  return WindowMean(kQueryThroughput, 0, from_s, to_s);
+}
+
+double FluidSimulator::CorruptedMean(Row r, size_t k, double from_s, double to_s) const {
+  const TimeSeries* ts = SeriesOf(r, k);
   if (ts == nullptr) {
     return 0.0;
   }
@@ -548,13 +604,13 @@ double FluidSimulator::CorruptedMean(const std::string& name, const TimeSeries* 
   double event_t = telemetry_offset_s_ + time_s_;
   double shift = corruption_.staleness_s;
   if (shift > 0.0) {
-    EmitMetricStale(event_t, name, shift);
+    EmitMetricStale(event_t, SeriesName(r, k), shift);
   }
   if (corruption_.dropout_p > 0.0 && corruption_rng_.Bernoulli(corruption_.dropout_p)) {
     // The fresh window was lost; the read falls back to the previous flush interval.
     shift += config_.metrics_interval_s;
     ++pending_dropouts_;  // registry counter updated at the next flush (this path is const)
-    EmitMetricDropout(event_t, name, shift);
+    EmitMetricDropout(event_t, SeriesName(r, k), shift);
   }
   double v = ts->MeanOver(from_s - shift, to_s - shift);
   if (corruption_.noise_frac > 0.0) {
@@ -564,33 +620,27 @@ double FluidSimulator::CorruptedMean(const std::string& name, const TimeSeries* 
 }
 
 double FluidSimulator::OperatorEmitRate(OperatorId op, double from_s, double to_s) const {
-  std::string name = OperatorMetric(op, "emit_rate");
-  return CorruptedMean(name, metrics_.Find(name), from_s, to_s);
+  return CorruptedMean(kOpEmitRate, static_cast<size_t>(op), from_s, to_s);
 }
 
 double FluidSimulator::OperatorBackpressure(OperatorId op, double from_s, double to_s) const {
-  std::string name = OperatorMetric(op, "backpressure");
-  return CorruptedMean(name, metrics_.Find(name), from_s, to_s);
+  return CorruptedMean(kOpBackpressure, static_cast<size_t>(op), from_s, to_s);
 }
 
 double FluidSimulator::OperatorInputRate(OperatorId op, double from_s, double to_s) const {
-  std::string name = OperatorMetric(op, "in_rate");
-  return CorruptedMean(name, metrics_.Find(name), from_s, to_s);
+  return CorruptedMean(kOpInRate, static_cast<size_t>(op), from_s, to_s);
 }
 
 double FluidSimulator::OperatorOutputRate(OperatorId op, double from_s, double to_s) const {
-  std::string name = OperatorMetric(op, "out_rate");
-  return CorruptedMean(name, metrics_.Find(name), from_s, to_s);
+  return CorruptedMean(kOpOutRate, static_cast<size_t>(op), from_s, to_s);
 }
 
 double FluidSimulator::OperatorTrueRatePerTask(OperatorId op, double from_s, double to_s) const {
   double sum = 0.0;
   int n = 0;
   for (TaskId t : graph_.TasksOf(op)) {
-    std::string name = TaskMetric(t, "true_rate");
-    const TimeSeries* ts = metrics_.Find(name);
-    if (ts != nullptr) {
-      sum += CorruptedMean(name, ts, from_s, to_s);
+    if (SeriesOf(kTaskTrueRate, static_cast<size_t>(t)) != nullptr) {
+      sum += CorruptedMean(kTaskTrueRate, static_cast<size_t>(t), from_s, to_s);
       ++n;
     }
   }

@@ -109,7 +109,10 @@ class FluidSimulator {
   void ClearMetricCorruption() { corruption_ = MetricCorruption{}; }
   const MetricCorruption& metric_corruption() const { return corruption_; }
 
-  // Advances the simulation.
+  // Advances the simulation by one tick. A tick that starts from the queues and worker
+  // inputs of the last solved tick, when that tick ended where it started, replays its
+  // metric values instead of solving again; the result is bit-identical (counted in
+  // sim.0.replayed_ticks).
   void Step();
   void RunFor(double seconds);
 
@@ -124,6 +127,8 @@ class FluidSimulator {
 
   // Summarizes the window [from_s, to_s] from recorded metrics.
   QuerySummary Summarize(double from_s, double to_s) const;
+  // Exactly Summarize(from_s, to_s).throughput, without reading the other series.
+  double Throughput(double from_s, double to_s) const;
 
   // Mean emitted records/s of one operator's tasks over [from_s, to_s]. For source
   // operators this is the per-query throughput used by the multi-tenant experiment.
@@ -149,11 +154,6 @@ class FluidSimulator {
  private:
   void RebuildStatics();
   void FlushMetrics();
-  // Applies the active metric corruption to a controller-facing windowed read of the named
-  // series, emitting MetricDropout/MetricStale events so chaos runs can audit what the
-  // controller actually saw.
-  double CorruptedMean(const std::string& name, const TimeSeries* ts, double from_s,
-                       double to_s) const;
 
   PhysicalGraph graph_;
   Cluster cluster_;
@@ -190,6 +190,7 @@ class FluidSimulator {
   std::vector<double> source_task_rate_;  // per-task target rate; 0 for non-source tasks
   double total_target_rate_ = 0.0;        // sum of source_rates_
   int num_source_tasks_ = 0;
+  std::vector<int> op_source_tasks_;  // number of source tasks per op (0 for non-sources)
 
   // Per-worker solver arenas: loads_ carries the static TaskLoad fields (only desired_rate
   // changes per tick); alloc_/scratch_ are reused by SolveWorkerInPlace. Together with the
@@ -211,11 +212,33 @@ class FluidSimulator {
   std::vector<double> emit_factor_;
   std::vector<double> enqueue_;
   std::vector<double> processed_rate_;
-  std::vector<double> op_cpu_scratch_;
-  std::vector<double> op_io_scratch_;
-  std::vector<double> op_net_scratch_;
 
-  // Metric accumulators between flushes.
+  // Metric accumulators between flushes, in one flat table of rows. A row holds one
+  // accumulator per task, operator or worker, or a single query-level one; row r starts at
+  // row_base_[r]. Every accumulator gets exactly one Add per tick, which is what lets a
+  // fixed-point tick be replayed bit for bit (see Step).
+  enum Row : uint8_t {
+    kTaskTrueRate,
+    kTaskObservedRate,
+    kOpEmitRate,  // series only for source operators, like kOpBackpressure
+    kOpBackpressure,
+    kOpInRate,   // records/s processed by the operator's tasks
+    kOpOutRate,  // records/s emitted by the operator's tasks
+    kOpCpuUsed,  // per-operator resource usage (CPU-seconds/s, bytes/s): online profiling
+    kOpIoBps,
+    kOpNetBps,
+    kWorkerCpuUtil,
+    kWorkerIoUtil,
+    kWorkerNetUtil,
+    kWorkerCpuUsed,  // absolute usage, what the cost profiler normalizes by rate
+    kWorkerIoBps,
+    kWorkerNetBps,
+    kQueryThroughput,
+    kQueryBackpressure,
+    kQueryLatency,
+    kQuerySinkRate,
+    kNumRows,
+  };
   struct Accum {
     double sum = 0.0;
     double count = 0.0;
@@ -230,32 +253,40 @@ class FluidSimulator {
       return m;
     }
   };
-  std::vector<Accum> task_true_rate_;
-  std::vector<Accum> task_observed_rate_;
-  std::vector<Accum> op_emit_rate_;
-  std::vector<Accum> op_backpressure_;
-  std::vector<Accum> op_in_rate_;   // records/s processed by the operator's tasks
-  std::vector<Accum> op_out_rate_;  // records/s emitted by the operator's tasks
-  std::vector<double> op_in_sum_;    // per-tick scratch
-  std::vector<double> op_out_sum_;   // per-tick scratch
-  std::vector<double> op_emit_sum_;  // per-tick scratch (source ops)
-  std::vector<double> op_bp_sum_;    // per-tick scratch (source ops)
-  // Per-operator resource usage (CPU-seconds/s, bytes/s) — enables online cost profiling.
-  std::vector<Accum> op_cpu_used_;
-  std::vector<Accum> op_io_bps_;
-  std::vector<Accum> op_net_bps_;
-  std::vector<int> op_source_tasks_;  // number of source tasks per op (0 for non-sources)
-  std::vector<Accum> worker_cpu_util_;
-  std::vector<Accum> worker_io_util_;
-  std::vector<Accum> worker_net_util_;
-  // Absolute usage (CPU-seconds/s, bytes/s) — what the cost profiler normalizes by rate.
-  std::vector<Accum> worker_cpu_used_;
-  std::vector<Accum> worker_io_bps_;
-  std::vector<Accum> worker_net_bps_;
-  Accum total_throughput_;
-  Accum total_backpressure_;
-  Accum latency_;
-  Accum sink_rate_;
+  // This tick's value of row `r` for every entity, written by a solved tick.
+  double* TickRow(Row r) { return tick_.data() + row_base_[r]; }
+  std::string SeriesName(Row r, size_t k) const;
+  // The series of entity `k` in row `r`; nullptr before the first flush, for an entity the
+  // row has no series for, and for an out-of-range `k`.
+  const TimeSeries* SeriesOf(Row r, size_t k) const;
+  double WindowMean(Row r, size_t k, double from_s, double to_s) const;
+  // Creates every series and the flush counter at the first flush, as a name-keyed flush
+  // would, and keeps their handles so later flushes skip name formatting and map lookups.
+  void ResolveSeries();
+  // One tick with the full contention solve; fills tick_ and returns true when the tick
+  // ended with queue_ byte-identical to how it started (a fixed point).
+  bool SolveTick();
+  bool InputsMatchReplaySnapshot() const;
+  // Applies the active metric corruption to a controller-facing windowed read of one
+  // series, emitting MetricDropout/MetricStale events so chaos runs can audit what the
+  // controller actually saw.
+  double CorruptedMean(Row r, size_t k, double from_s, double to_s) const;
+
+  size_t row_base_[kNumRows + 1] = {};
+  std::vector<Accum> accums_;
+  std::vector<double> tick_;          // one value per accumulator, from the last solved tick
+  std::vector<TimeSeries*> series_;   // parallel to accums_; empty until the first flush
+  Counter* flushes_ = nullptr;        // sim.0.flushes, resolved at the first flush
+  Counter* ticks_ = nullptr;          // sim.0.ticks, resolved at the first RunFor
+  Counter* replayed_ticks_ = nullptr;  // sim.0.replayed_ticks
+
+  // Steady-state replay: after a solved tick that ended where it started, later ticks
+  // re-add tick_ until RebuildStatics runs or a worker input differs from its snapshot.
+  bool replaying_ = false;
+  std::vector<double> queue_at_tick_start_;
+  std::vector<bool> failed_snapshot_;
+  std::vector<double> degrade_snapshot_;
+  std::vector<double> checkpoint_io_snapshot_;
   double last_flush_s_ = 0.0;
   double telemetry_offset_s_ = 0.0;
   bool backpressure_episode_ = false;  // currently above the onset threshold

@@ -1,11 +1,18 @@
 // Tests for the fluid simulator: steady-state throughput, backpressure emergence,
-// conservation, metrics, and rate changes.
+// conservation, metrics, rate changes, and bit-exact replay of fixed-point ticks.
 #include <gtest/gtest.h>
+
+#include <bit>
+#include <cstdint>
+#include <map>
+#include <string>
+#include <vector>
 
 #include "src/caps/cost_model.h"
 #include "src/caps/greedy.h"
 #include "src/dataflow/rates.h"
 #include "src/nexmark/queries.h"
+#include "src/obs/events.h"
 #include "src/simulator/fluid_simulator.h"
 
 namespace capsys {
@@ -228,6 +235,188 @@ TEST(FluidSimulatorTest, SummarizeWindowsAreDisjoint) {
   sim.RunFor(30);
   EXPECT_NEAR(sim.Summarize(5, 30).throughput, 2000.0, 100.0);
   EXPECT_NEAR(sim.Summarize(40, 60).throughput, 6000.0, 150.0);
+}
+
+// A window that ends before a fault reports that window's utilization, not utilization up
+// to the present: the failing run must match a run that stopped at the window's end.
+TEST(FluidSimulatorTest, SummarizeUtilizationEndsAtWindowEnd) {
+  QuerySpec q = BuildQ1Sliding();
+  Cluster cluster(4, WorkerSpec::R5dXlarge(4));
+  PhysicalGraph graph = PhysicalGraph::Expand(q.graph);
+  Placement plan = BalancedPlacement(q, graph, cluster);
+  FluidSimulator failing(graph, cluster, plan);
+  FluidSimulator healthy(graph, cluster, plan);
+  for (auto* sim : {&failing, &healthy}) {
+    sim->SetAllSourceRates(12000.0);
+    sim->RunFor(30);
+  }
+  failing.FailWorker(plan.WorkerOf(0));
+  failing.RunFor(30);
+  QuerySummary before = failing.Summarize(5, 30);
+  QuerySummary expected = healthy.Summarize(5, 30);
+  EXPECT_GT(expected.max_worker_utilization.cpu, 0.0);
+  EXPECT_EQ(before.max_worker_utilization.cpu, expected.max_worker_utilization.cpu);
+  EXPECT_EQ(before.max_worker_utilization.io, expected.max_worker_utilization.io);
+  EXPECT_EQ(before.max_worker_utilization.net, expected.max_worker_utilization.net);
+}
+
+// --- Steady-state replay ------------------------------------------------------------------
+
+constexpr WorkerId kIdleWorker = 4;
+constexpr int kScriptTicks = 900;
+
+// Q1 placed on workers 0-3 of a five-worker cluster, so worker 4 hosts no task.
+struct IdleWorkerFixture {
+  QuerySpec q = BuildQ1Sliding();
+  Cluster cluster{5, WorkerSpec::R5dXlarge(4)};
+  PhysicalGraph graph = PhysicalGraph::Expand(q.graph);
+  Placement plan = BalancedPlacement(q, graph, Cluster(4, WorkerSpec::R5dXlarge(4)));
+};
+
+// Toggling the checkpoint I/O of a worker that hosts no task changes a worker input every
+// tick, so no tick replays, while every metric stays what it would be without the toggle.
+void ForceFullSolve(FluidSimulator& sim, int tick) {
+  sim.SetWorkerCheckpointIoBps(kIdleWorker, tick % 2 == 0 ? 1e6 : 0.0);
+}
+
+// Scripted inputs through the public setters, applied before tick `tick`.
+void ApplyScript(FluidSimulator& sim, int tick) {
+  OperatorId source = sim.graph().logical().SourceIds().front();
+  switch (tick) {
+    case 0:
+      sim.SetAllSourceRates(8000.0);
+      break;
+    case 150:
+      sim.SetSourceRate(source, 12000.0);
+      break;
+    case 300:
+      sim.FailWorker(1);
+      break;
+    case 380:
+      sim.RestoreWorker(1);
+      break;
+    case 450:
+      sim.DegradeWorker(2, 0.5);
+      break;
+    case 530:
+      sim.DegradeWorker(2, 1.0);
+      break;
+    case 600:
+      sim.SetWorkerCheckpointIoBps(0, 1.5e8);
+      break;
+    case 680:
+      sim.ClearCheckpointIo();
+      break;
+    case 720:
+      sim.SetMetricCorruption({.dropout_p = 0.3, .staleness_s = 1.0, .noise_frac = 0.05}, 11);
+      break;
+    default:
+      break;
+  }
+}
+
+uint64_t Bits(double v) { return std::bit_cast<uint64_t>(v); }
+
+struct ScriptedRun {
+  std::map<std::string, std::vector<uint64_t>> series;  // time and value bits, interleaved
+  std::map<std::string, uint64_t> counters;             // all but sim.0.replayed_ticks
+  std::vector<uint64_t> reads;                          // controller-facing Operator* reads
+  std::string events;
+  uint64_t replayed_ticks = 0;
+};
+
+ScriptedRun RunScript(int num_threads, bool force_full_solve) {
+  IdleWorkerFixture f;
+  SimConfig cfg;
+  cfg.num_threads = num_threads;
+  cfg.metrics_interval_s = 1.0;
+  FluidSimulator sim(f.graph, f.cluster, f.plan, cfg);
+  EventLog::Global().Reset();
+  EventLog::Global().Enable();
+  ScriptedRun run;
+  for (int tick = 0; tick < kScriptTicks; ++tick) {
+    ApplyScript(sim, tick);
+    if (force_full_solve) {
+      ForceFullSolve(sim, tick);
+    }
+    sim.RunFor(cfg.tick_s);
+    if (tick % 40 == 39) {
+      double t = sim.time_s();
+      for (OperatorId op = 0; op < f.graph.num_operators(); ++op) {
+        run.reads.push_back(Bits(sim.OperatorEmitRate(op, t - 4, t)));
+        run.reads.push_back(Bits(sim.OperatorBackpressure(op, t - 4, t)));
+        run.reads.push_back(Bits(sim.OperatorInputRate(op, t - 4, t)));
+        run.reads.push_back(Bits(sim.OperatorOutputRate(op, t - 4, t)));
+        run.reads.push_back(Bits(sim.OperatorTrueRatePerTask(op, t - 4, t)));
+      }
+    }
+  }
+  run.events = EventLog::Global().ToJsonLines();
+  EventLog::Global().Disable();
+  EventLog::Global().Reset();
+  for (const std::string& name : sim.metrics().Names()) {
+    std::vector<uint64_t>& bits = run.series[name];
+    for (const TimeSeries::Point& p : sim.metrics().Find(name)->points()) {
+      bits.push_back(Bits(p.time_s));
+      bits.push_back(Bits(p.value));
+    }
+  }
+  for (const std::string& name : sim.metrics().CounterNames()) {
+    uint64_t value = sim.metrics().FindCounter(name)->Value();
+    if (name == "sim.0.replayed_ticks") {
+      run.replayed_ticks = value;
+    } else {
+      run.counters[name] = value;
+    }
+  }
+  return run;
+}
+
+class ReplayEquivalenceTest : public ::testing::TestWithParam<int> {};
+
+// Replaying fixed-point ticks must reproduce a run that solves every tick, bit for bit:
+// every series, every counter, every controller-facing read and every event.
+TEST_P(ReplayEquivalenceTest, MatchesFullSolveOnEveryTick) {
+  IdleWorkerFixture f;
+  for (TaskId t = 0; t < f.graph.num_tasks(); ++t) {
+    ASSERT_NE(f.plan.WorkerOf(t), kIdleWorker);
+  }
+  ScriptedRun replayed = RunScript(GetParam(), /*force_full_solve=*/false);
+  ScriptedRun solved = RunScript(GetParam(), /*force_full_solve=*/true);
+  EXPECT_GT(replayed.replayed_ticks, 0u);
+  EXPECT_EQ(solved.replayed_ticks, 0u);
+  EXPECT_FALSE(replayed.series.empty());
+  EXPECT_EQ(replayed.series, solved.series);
+  EXPECT_EQ(replayed.counters, solved.counters);
+  EXPECT_EQ(replayed.reads, solved.reads);
+  EXPECT_FALSE(replayed.events.empty());
+  EXPECT_EQ(replayed.events, solved.events);
+}
+
+INSTANTIATE_TEST_SUITE_P(Threads, ReplayEquivalenceTest, ::testing::Values(1, 4));
+
+// A driver re-applies the in-flight checkpoint I/O every control interval by clearing it
+// and setting it again. An unchanged value must not end a replay.
+TEST(FluidSimulatorTest, ReappliedCheckpointIoKeepsReplaying) {
+  IdleWorkerFixture f;
+  FluidSimulator sim(f.graph, f.cluster, f.plan);
+  sim.SetAllSourceRates(8000.0);
+  sim.SetWorkerCheckpointIoBps(0, 1.5e8);
+  sim.RunFor(30);
+  const Counter* replayed = sim.metrics().FindCounter("sim.0.replayed_ticks");
+  ASSERT_NE(replayed, nullptr);
+  uint64_t before = replayed->Value();
+  sim.Step();
+  ASSERT_EQ(replayed->Value(), before + 1) << "the run did not reach a fixed point";
+  for (int i = 0; i < 50; ++i) {
+    sim.ClearCheckpointIo();
+    sim.SetWorkerCheckpointIoBps(0, 1.5e8);
+    sim.Step();
+  }
+  EXPECT_EQ(replayed->Value(), before + 51);
+  sim.SetWorkerCheckpointIoBps(0, 1e8);  // a changed value ends it
+  sim.Step();
+  EXPECT_EQ(replayed->Value(), before + 51);
 }
 
 TEST(MetricsTest, TimeSeriesMeanOverWindow) {

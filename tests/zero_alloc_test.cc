@@ -3,7 +3,9 @@
 // The global operator new/new[] are replaced with counting versions. After a warmup that
 // grows every arena to its final size, a window of Step() calls must not allocate at all —
 // this is the enforcement half of the "arena-based simulator ticks" refactor, so an
-// accidental per-tick std::vector cannot creep back in unnoticed.
+// accidental per-tick std::vector cannot creep back in unnoticed. Both tick paths are
+// checked: a window forced through the contention solve and a window of replayed
+// fixed-point ticks.
 //
 // Not registered in the sanitizer CI jobs: ASan/TSan interpose their own allocators.
 #include <gtest/gtest.h>
@@ -46,47 +48,66 @@ void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 namespace capsys {
 namespace {
 
-uint64_t CountAllocsDuringSteps(FluidSimulator& sim, int steps) {
+// Worker 4 of the five-worker cluster hosts no task: the placement is computed for
+// workers 0-3.
+constexpr WorkerId kIdleWorker = 4;
+
+// Counts heap allocations over `steps` ticks. With `force_full_solve` the checkpoint I/O
+// of the idle worker toggles every tick, a worker-input change that makes every tick run
+// the contention solve instead of replaying a fixed point.
+uint64_t CountAllocsDuringSteps(FluidSimulator& sim, int steps, bool force_full_solve) {
   g_allocs.store(0);
   g_counting.store(true);
   for (int i = 0; i < steps; ++i) {
+    if (force_full_solve) {
+      sim.SetWorkerCheckpointIoBps(kIdleWorker, i % 2 == 0 ? 1e6 : 0.0);
+    }
     sim.Step();
   }
   g_counting.store(false);
   return g_allocs.load();
 }
 
-TEST(ZeroAllocTest, SteadyStateStepDoesNotAllocate) {
-  QuerySpec q = BuildQ3Inf();
+uint64_t ReplayedTicks(const FluidSimulator& sim) {
+  return sim.metrics().FindCounter("sim.0.replayed_ticks")->Value();
+}
+
+// Warms a simulator of `q` until its queues fill and every scratch vector and solver
+// arena reaches its final size, then checks a solved window and a replayed window.
+void ExpectBothTickPathsAllocationFree(const QuerySpec& q) {
   PhysicalGraph graph = PhysicalGraph::Expand(q.graph);
-  Cluster cluster(4, WorkerSpec::R5dXlarge(4));
-  CostModel model(graph, cluster, TaskDemands(graph, PropagateRates(q.graph, q.source_rates)));
+  Cluster placed_on(4, WorkerSpec::R5dXlarge(4));
+  CostModel model(graph, placed_on,
+                  TaskDemands(graph, PropagateRates(q.graph, q.source_rates)));
   SimConfig cfg;
   cfg.metrics_interval_s = 1e18;  // flushing allocates metric records; keep it out of scope
-  FluidSimulator sim(graph, cluster, GreedyBalancedPlacement(model), cfg);
+  FluidSimulator sim(graph, Cluster(5, WorkerSpec::R5dXlarge(4)),
+                     GreedyBalancedPlacement(model), cfg);
   sim.SetAllSourceRates(q.TotalTargetRate());
-  // Warm: queues fill, every scratch vector and solver arena reaches its final size.
   for (int i = 0; i < 1000; ++i) {
     sim.Step();
   }
-  EXPECT_EQ(CountAllocsDuringSteps(sim, 1000), 0u);
+
+  uint64_t replayed = ReplayedTicks(sim);
+  EXPECT_EQ(CountAllocsDuringSteps(sim, 1000, /*force_full_solve=*/true), 0u);
+  EXPECT_EQ(ReplayedTicks(sim), replayed) << "a forced tick replayed";
+
+  for (int i = 0; i < 10; ++i) {
+    sim.Step();  // back to a fixed point
+  }
+  replayed = ReplayedTicks(sim);
+  EXPECT_EQ(CountAllocsDuringSteps(sim, 1000, /*force_full_solve=*/false), 0u);
+  EXPECT_EQ(ReplayedTicks(sim), replayed + 1000) << "a steady tick ran the full solve";
+}
+
+TEST(ZeroAllocTest, SteadyStateStepDoesNotAllocate) {
+  ExpectBothTickPathsAllocationFree(BuildQ3Inf());
 }
 
 // Backpressure (full queues, emit throttling) exercises the remaining tick branches; they
 // must be allocation-free too. Q2's rates saturate the cluster.
 TEST(ZeroAllocTest, BackpressuredStepDoesNotAllocate) {
-  QuerySpec q = BuildQ2Join();
-  PhysicalGraph graph = PhysicalGraph::Expand(q.graph);
-  Cluster cluster(4, WorkerSpec::R5dXlarge(4));
-  CostModel model(graph, cluster, TaskDemands(graph, PropagateRates(q.graph, q.source_rates)));
-  SimConfig cfg;
-  cfg.metrics_interval_s = 1e18;
-  FluidSimulator sim(graph, cluster, GreedyBalancedPlacement(model), cfg);
-  sim.SetAllSourceRates(q.TotalTargetRate());
-  for (int i = 0; i < 1000; ++i) {
-    sim.Step();
-  }
-  EXPECT_EQ(CountAllocsDuringSteps(sim, 1000), 0u);
+  ExpectBothTickPathsAllocationFree(BuildQ2Join());
 }
 
 }  // namespace
