@@ -9,10 +9,7 @@
 //   - Flink evenly (count balancing).
 #include <cstdio>
 
-#include "src/caps/auto_tuner.h"
-#include "src/caps/cost_model.h"
-#include "src/caps/greedy.h"
-#include "src/caps/search.h"
+#include "src/caps/plan.h"
 #include "src/baselines/flink_strategies.h"
 #include "src/common/logging.h"
 #include "src/dataflow/rates.h"
@@ -23,12 +20,9 @@ namespace capsys {
 namespace {
 
 Placement SolveWith(const CostModel& model) {
-  AutoTuneResult tuned = AutoTuneThresholds(model);
-  SearchOptions options;
-  options.alpha = tuned.feasible ? tuned.alpha : ResourceVector{1.0, 1.0, 1.0};
-  options.timeout_s = 5.0;
-  SearchResult r = CapsSearch(model, options).Run();
-  return r.found ? r.best.placement : GreedyBalancedPlacement(model);
+  return PlanPlacement(model, std::nullopt, AutoTuneOptions{}, /*search_threads=*/1,
+                       /*search_timeout_s=*/5.0, /*find_first_above_tasks=*/1 << 30)
+      .placement;
 }
 
 int Main() {

@@ -1,14 +1,14 @@
 // Offline threshold precomputation example (paper §5.2): enumerate the DS2 scaling
 // scenarios a variable workload can reach, auto-tune pruning thresholds for each scenario
-// offline (in parallel), persist the cache, and show a runtime deployment skipping the
-// auto-tuning step entirely via a cache hit.
+// offline (in parallel) into a PlanCache, persist it, and show a runtime deployment
+// skipping the auto-tuning step entirely via a cache hit.
 //
 //   $ ./threshold_precompute [cache_file]
 #include <cstdio>
 #include <fstream>
 #include <sstream>
 
-#include "src/caps/threshold_cache.h"
+#include "src/caps/plan_cache.h"
 #include "src/controller/deployment.h"
 #include "src/nexmark/queries.h"
 
@@ -29,18 +29,20 @@ int main(int argc, char** argv) {
                                              cluster.worker(0).spec, rate_multipliers);
   std::printf("scaling scenarios for rates x0.25..x2.0: %zu\n", scenarios.size());
 
-  ThresholdCache cache;
-  cache.Precompute(q.graph, q.source_rates, cluster, scenarios, AutoTuneOptions{},
-                   /*num_threads=*/4);
+  PlanCache cache;
+  PrecomputeThresholds(cache, q.graph, q.source_rates, cluster, scenarios, AutoTuneOptions{},
+                       /*num_threads=*/4);
   std::printf("precomputed thresholds: %zu entries\n", cache.size());
   for (const auto& scenario : scenarios) {
-    auto alpha = cache.Lookup(scenario);
+    LogicalGraph sized = q.graph;
+    sized.SetParallelism(scenario);
+    auto entry = cache.Lookup(PlanCache::Key(sized, q.source_rates, cluster));
     std::string key;
     for (int p : scenario) {
       key += (key.empty() ? "" : ",") + std::to_string(p);
     }
     std::printf("  [%s] -> %s\n", key.c_str(),
-                alpha.has_value() ? alpha->ToString().c_str() : "(infeasible)");
+                entry.has_value() ? entry->alpha.ToString().c_str() : "(infeasible)");
   }
 
   // 2. Persist and reload (e.g. shipped with the job's deployment bundle).
@@ -48,7 +50,7 @@ int main(int argc, char** argv) {
     std::ofstream out(cache_file);
     out << cache.Serialize();
   }
-  ThresholdCache loaded;
+  PlanCache loaded;
   {
     std::ifstream in(cache_file);
     std::stringstream buffer;
@@ -64,20 +66,11 @@ int main(int argc, char** argv) {
   DeployOptions options;
   options.policy = PlacementPolicy::kCaps;
   options.use_ds2_sizing = true;
-  options.threshold_cache = &loaded;
+  options.plan_cache = &loaded;
   CapsysController controller(cluster, options);
   Deployment d = controller.Deploy(q);
   std::printf("deployed with alpha=%s (decision %.4f s, cache %s)\n",
               d.alpha.ToString().c_str(), d.decision_time_s,
-              loaded.Lookup([&] {
-                std::vector<int> p;
-                for (const auto& op : d.graph.operators()) {
-                  p.push_back(op.parallelism);
-                }
-                return p;
-              }())
-                      .has_value()
-                  ? "HIT"
-                  : "MISS (tuned at runtime)");
+              loaded.hits() > 0 ? "HIT" : "MISS (tuned at runtime)");
   return 0;
 }

@@ -5,7 +5,7 @@
 #include <cmath>
 #include <cstdint>
 
-#include "src/caps/greedy.h"
+#include "src/caps/plan.h"
 #include "src/common/logging.h"
 #include "src/common/str.h"
 
@@ -162,20 +162,11 @@ PartitionedResult PartitionedPlacementSearch(const PhysicalGraph& graph,
     }
 
     CostModel sub_model(sub_graph, sub_cluster, sub_demands);
-    AutoTuneOptions tune = options.autotune;
-    tune.num_threads = options.num_threads;
-    AutoTuneResult tuned = AutoTuneThresholds(sub_model, tune);
-    ResourceVector alpha = tuned.feasible ? tuned.alpha : ResourceVector{1.0, 1.0, 1.0};
-    result.alphas.push_back(alpha);
-
-    SearchOptions search_options;
-    search_options.alpha = alpha;
-    search_options.find_first = true;
-    search_options.num_threads = options.num_threads;
-    search_options.timeout_s = options.search_timeout_s;
-    SearchResult sub_result = CapsSearch(sub_model, search_options).Run();
-    Placement sub_plan =
-        sub_result.found ? sub_result.best.placement : GreedyBalancedPlacement(sub_model);
+    PlannedPlacement planned =
+        PlanPlacement(sub_model, std::nullopt, options.autotune, options.num_threads,
+                      options.search_timeout_s, /*find_first_above_tasks=*/0);
+    result.alphas.push_back(planned.alpha);
+    const Placement& sub_plan = planned.placement;
 
     // Splice into the global plan.
     for (OperatorId o : partitions[pi]) {

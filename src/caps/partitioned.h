@@ -22,7 +22,8 @@ namespace capsys {
 struct PartitionedOptions {
   int num_partitions = 2;
   AutoTuneOptions autotune;
-  // find_first is forced on inside each partition; alpha comes from per-partition tuning.
+  // Each partition is one PlanPlacement in find-first mode: alpha comes from per-partition
+  // tuning, and the greedy incumbent wins over the first plan when its utilization is lower.
   int num_threads = 2;
   double search_timeout_s = 5.0;
 };

@@ -25,22 +25,6 @@ const char* PolicyName(PlacementPolicy policy) {
   return "?";
 }
 
-double CapsysController::StandaloneTaskRate(const MeasuredCost& cost, const WorkerSpec& spec) {
-  double rate = 1e18;
-  ContentionParams params;
-  if (cost.cpu_per_record > 1e-15) {
-    rate = std::min(rate, params.cores_per_task / cost.cpu_per_record);
-  }
-  if (cost.io_bytes_per_record > 1e-15) {
-    rate = std::min(rate, spec.io_bandwidth_bps / cost.io_bytes_per_record);
-  }
-  if (cost.out_bytes_per_record > 1e-15 && cost.selectivity > 1e-15) {
-    rate = std::min(rate,
-                    spec.net_bandwidth_bps / (cost.out_bytes_per_record * cost.selectivity));
-  }
-  return rate;
-}
-
 Deployment CapsysController::Deploy(const QuerySpec& query) {
   return DeployGraph(query.graph, query.source_rates);
 }
@@ -87,11 +71,12 @@ Deployment CapsysController::DeployGraph(const LogicalGraph& graph,
                            cluster_.total_slots(), d.physical.num_tasks()));
   auto rates = PropagateRates(d.graph, source_rates);
   auto demands = DemandsFromMeasuredCosts(d.physical, d.costs, rates);
-  d.placement = Place(d.physical, demands, &d);
+  d.placement = Place(d.physical, source_rates, demands, &d);
   return d;
 }
 
 Placement CapsysController::Place(const PhysicalGraph& physical,
+                                  const std::map<OperatorId, double>& source_rates,
                                   const std::vector<ResourceVector>& demands, Deployment* out) {
   Span place_span("controller.place");
   place_span.AddAttr("policy", PolicyName(options_.policy));
@@ -102,10 +87,14 @@ Placement CapsysController::Place(const PhysicalGraph& physical,
   switch (options_.policy) {
     case PlacementPolicy::kCaps: {
       CostModel model(physical, cluster_, demands);
-      // Precomputed thresholds for this scaling scenario skip the runtime auto-tuning.
+      // Precomputed thresholds for this graph on this cluster skip the runtime auto-tuning.
       std::optional<ResourceVector> cached;
-      if (options_.threshold_cache != nullptr) {
-        cached = options_.threshold_cache->Lookup(physical.logical().Parallelism());
+      if (options_.plan_cache != nullptr) {
+        auto entry = options_.plan_cache->Lookup(
+            PlanCache::Key(physical.logical(), source_rates, cluster_));
+        if (entry.has_value()) {
+          cached = entry->alpha;
+        }
       }
       planned = PlanPlacement(model, cached, options_.autotune, options_.search_threads,
                               options_.search_timeout_s, options_.find_first_above_tasks);

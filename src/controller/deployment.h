@@ -9,7 +9,7 @@
 #include <vector>
 
 #include "src/caps/auto_tuner.h"
-#include "src/caps/threshold_cache.h"
+#include "src/caps/plan_cache.h"
 #include "src/common/rng.h"
 #include "src/controller/ds2.h"
 #include "src/controller/profiler.h"
@@ -37,9 +37,9 @@ struct DeployOptions {
   ProfileOptions profile;
   Ds2Options ds2;
   uint64_t seed = 1;  // randomness for the Flink baseline policies
-  // Optional precomputed thresholds (paper §5.2): when set and the current parallelism
-  // vector is cached, the runtime auto-tuning step is skipped. Not owned.
-  const ThresholdCache* threshold_cache = nullptr;
+  // Optional precomputed thresholds (paper §5.2): when set and the cache holds an entry for
+  // this graph on this cluster, its alpha skips the runtime auto-tuning step. Not owned.
+  PlanCache* plan_cache = nullptr;
 };
 
 struct Deployment {
@@ -66,14 +66,12 @@ class CapsysController {
   Deployment DeployGraph(const LogicalGraph& graph,
                          const std::map<OperatorId, double>& source_rates);
 
-  // Placement only, for an already-expanded graph with known demands. Returns the plan and
-  // fills `alpha`/`plan_cost`/`decision_time_s` of `out` when non-null.
-  Placement Place(const PhysicalGraph& physical, const std::vector<ResourceVector>& demands,
-                  Deployment* out);
-
-  // Standalone (uncontended) records/s one task of an operator with the given measured
-  // costs sustains on `spec` — the per-task capacity DS2 sizes against after profiling.
-  static double StandaloneTaskRate(const MeasuredCost& cost, const WorkerSpec& spec);
+  // Placement only, for an already-expanded graph at `source_rates` with known demands.
+  // Returns the plan and fills `alpha`/`plan_cost`/`decision_time_s` of `out` when
+  // non-null.
+  Placement Place(const PhysicalGraph& physical,
+                  const std::map<OperatorId, double>& source_rates,
+                  const std::vector<ResourceVector>& demands, Deployment* out);
 
   const Cluster& cluster() const { return cluster_; }
   DeployOptions& options() { return options_; }

@@ -2,9 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
+#include <set>
 
 #include "src/common/logging.h"
 #include "src/common/str.h"
+#include "src/dataflow/rates.h"
 
 namespace capsys {
 
@@ -60,6 +62,55 @@ Ds2Decision Ds2Scale(const LogicalGraph& graph,
     }
   }
   return decision;
+}
+
+double StandaloneTaskRate(const MeasuredCost& cost, const WorkerSpec& spec,
+                          double cores_per_task) {
+  double rate = 1e18;
+  if (cost.cpu_per_record > 1e-15) {
+    rate = std::min(rate, cores_per_task / cost.cpu_per_record);
+  }
+  if (cost.io_bytes_per_record > 1e-15) {
+    rate = std::min(rate, spec.io_bandwidth_bps / cost.io_bytes_per_record);
+  }
+  double out = cost.selectivity * cost.out_bytes_per_record;
+  if (out > 1e-15) {
+    rate = std::min(rate, spec.net_bandwidth_bps / out);
+  }
+  return rate;
+}
+
+std::vector<int> MinimalParallelism(const LogicalGraph& graph,
+                                    const std::map<OperatorId, double>& source_rates,
+                                    const WorkerSpec& spec, double cores_per_task) {
+  auto rates = PropagateRates(graph, source_rates);
+  std::vector<int> p(static_cast<size_t>(graph.num_operators()), 1);
+  for (OperatorId o = 0; o < graph.num_operators(); ++o) {
+    const OperatorProfile& prof = graph.op(o).profile;
+    MeasuredCost solo_cost{prof.cpu_per_record * (1.0 + prof.gc_spike_fraction),
+                           prof.io_bytes_per_record, prof.out_bytes_per_record,
+                           prof.selectivity};
+    double solo = StandaloneTaskRate(solo_cost, spec, cores_per_task);
+    double in = rates[static_cast<size_t>(o)].input_rate;
+    if (solo > 1e-9 && in > 1e-9) {
+      p[static_cast<size_t>(o)] = std::max(1, static_cast<int>(std::ceil(in / solo)));
+    }
+  }
+  return p;
+}
+
+std::vector<std::vector<int>> EnumerateScalingScenarios(
+    const LogicalGraph& graph, const std::map<OperatorId, double>& source_rates,
+    const WorkerSpec& worker_spec, const std::vector<double>& rate_multipliers) {
+  std::set<std::vector<int>> scenarios;
+  for (double mult : rate_multipliers) {
+    std::map<OperatorId, double> rates = source_rates;
+    for (auto& [op, r] : rates) {
+      r *= mult;
+    }
+    scenarios.insert(MinimalParallelism(graph, rates, worker_spec));
+  }
+  return {scenarios.begin(), scenarios.end()};
 }
 
 }  // namespace capsys

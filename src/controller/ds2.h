@@ -14,6 +14,7 @@
 #include <string>
 #include <vector>
 
+#include "src/controller/profiler.h"
 #include "src/dataflow/logical_graph.h"
 
 namespace capsys {
@@ -48,6 +49,25 @@ Ds2Decision Ds2Scale(const LogicalGraph& graph,
                      const std::map<OperatorId, double>& target_source_rates,
                      const std::vector<Ds2Observation>& observations,
                      const Ds2Options& options = {});
+
+// Standalone (uncontended) records/s one task with per-record costs `cost` sustains on
+// `spec`: the binding one of its CPU (`cores_per_task` cores), state-backend I/O and
+// emitted network bytes. The per-task capacity DS2 sizes against.
+double StandaloneTaskRate(const MeasuredCost& cost, const WorkerSpec& spec,
+                          double cores_per_task = 1.0);
+
+// Ground-truth minimal parallelism per operator at `source_rates`: the operator's input
+// rate over the standalone rate of one task at its declared profile with the solo GC
+// multiplier. DS2 with perfect metrics and an uncontended placement returns exactly this.
+std::vector<int> MinimalParallelism(const LogicalGraph& graph,
+                                    const std::map<OperatorId, double>& source_rates,
+                                    const WorkerSpec& spec, double cores_per_task = 1.0);
+
+// Enumerates the scaling scenarios DS2 can reach for `graph`: the minimal parallelism
+// vector at each of `rate_multipliers` x `source_rates`. Deduplicated and sorted.
+std::vector<std::vector<int>> EnumerateScalingScenarios(
+    const LogicalGraph& graph, const std::map<OperatorId, double>& source_rates,
+    const WorkerSpec& worker_spec, const std::vector<double>& rate_multipliers);
 
 }  // namespace capsys
 

@@ -49,7 +49,7 @@ double EstimateSustainableRate(const LogicalGraph& graph,
     if (in <= 1e-9) {
       continue;
     }
-    double solo = CapsysController::StandaloneTaskRate(costs[static_cast<size_t>(o)], spec);
+    double solo = StandaloneTaskRate(costs[static_cast<size_t>(o)], spec);
     double capacity = solo * graph.op(o).parallelism;
     fraction = std::min(fraction, capacity / in);
   }
@@ -103,7 +103,8 @@ RecoveryPlan PlanRecovery(const LogicalGraph& graph,
   auto rates = PropagateRates(plan.graph, source_rates);
   auto demands = DemandsFromMeasuredCosts(plan.physical, costs, rates);
   CapsysController recovery_controller(reduced, options);
-  Placement reduced_plan = recovery_controller.Place(plan.physical, demands, nullptr);
+  Placement reduced_plan =
+      recovery_controller.Place(plan.physical, source_rates, demands, nullptr);
   plan.placement = Placement(plan.physical.num_tasks());
   for (TaskId t = 0; t < plan.physical.num_tasks(); ++t) {
     plan.placement.Assign(t, to_global[static_cast<size_t>(reduced_plan.WorkerOf(t))]);

@@ -11,44 +11,6 @@
 namespace capsys {
 namespace {
 
-// Records/s one task of `op` sustains when it is the only resource-intensive task on a
-// worker — the ground truth against which over-provisioning is judged. Unlike the profiled
-// costs (which inherit GC-collision inflation from co-locating the operator's tasks during
-// profiling), this uses the declared profile with the solo GC multiplier.
-double GroundTruthSoloRate(const OperatorProfile& prof, const WorkerSpec& spec,
-                           const ContentionParams& params) {
-  double cpu_eff = prof.cpu_per_record * (1.0 + prof.gc_spike_fraction);
-  double rate = 1e18;
-  if (cpu_eff > 1e-15) {
-    rate = std::min(rate, params.cores_per_task / cpu_eff);
-  }
-  if (prof.io_bytes_per_record > 1e-15) {
-    rate = std::min(rate, spec.io_bandwidth_bps / prof.io_bytes_per_record);
-  }
-  double out = prof.selectivity * prof.out_bytes_per_record;
-  if (out > 1e-15) {
-    rate = std::min(rate, spec.net_bandwidth_bps / out);
-  }
-  return rate;
-}
-
-// Ground-truth minimal parallelism per operator for a given total target rate. DS2 with
-// perfect metrics and an uncontended placement would return exactly this.
-std::vector<int> MinimalParallelism(const LogicalGraph& graph,
-                                    const std::map<OperatorId, double>& source_rates,
-                                    const WorkerSpec& spec, const ContentionParams& params) {
-  auto rates = PropagateRates(graph, source_rates);
-  std::vector<int> p(static_cast<size_t>(graph.num_operators()), 1);
-  for (OperatorId o = 0; o < graph.num_operators(); ++o) {
-    double solo = GroundTruthSoloRate(graph.op(o).profile, spec, params);
-    double in = rates[static_cast<size_t>(o)].input_rate;
-    if (solo > 1e-9 && in > 1e-9) {
-      p[static_cast<size_t>(o)] = std::max(1, static_cast<int>(std::ceil(in / solo)));
-    }
-  }
-  return p;
-}
-
 std::map<OperatorId, double> ScaledRates(const std::map<OperatorId, double>& base,
                                          double total_rate) {
   double base_total = 0.0;
@@ -92,7 +54,8 @@ ScalingRun RunScalingExperiment(const QuerySpec& query, const Cluster& cluster,
   LogicalGraph graph = query.graph;
   auto step0_rates = ScaledRates(query.source_rates, rate_steps[0]);
   if (options.start_optimal) {
-    graph.SetParallelism(MinimalParallelism(graph, step0_rates, spec, options.sim.contention));
+    graph.SetParallelism(MinimalParallelism(graph, step0_rates, spec,
+                                          options.sim.contention.cores_per_task));
   } else {
     for (OperatorId o = 0; o < graph.num_operators(); ++o) {
       graph.SetParallelism(o, 1);
@@ -110,9 +73,9 @@ ScalingRun RunScalingExperiment(const QuerySpec& query, const Cluster& cluster,
       DeployOptions caps_options = deploy_options;
       caps_options.policy = PlacementPolicy::kCaps;
       CapsysController caps(cluster, caps_options);
-      return caps.Place(physical, demands, nullptr);
+      return caps.Place(physical, rates, demands, nullptr);
     }
-    return controller.Place(physical, demands, nullptr);
+    return controller.Place(physical, rates, demands, nullptr);
   };
 
   Placement placement = make_placement(graph, step0_rates);
@@ -231,7 +194,8 @@ ScalingRun RunScalingExperiment(const QuerySpec& query, const Cluster& cluster,
     eval.target_rate = rate_steps[step];
     eval.throughput = summary.throughput;
     eval.slots = graph.total_parallelism();
-    auto min_p = MinimalParallelism(query.graph, current_rates, spec, options.sim.contention);
+    auto min_p = MinimalParallelism(query.graph, current_rates, spec,
+                                    options.sim.contention.cores_per_task);
     for (int p : min_p) {
       eval.min_slots += p;
     }

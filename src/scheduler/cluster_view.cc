@@ -215,16 +215,6 @@ SlotReservation ClusterView::ReservationOf(JobId job) const {
   return it->second;
 }
 
-std::string ClusterSnapshot::Signature() const {
-  std::string sig;
-  for (size_t w = 0; w < free_slots.size(); ++w) {
-    sig += Sprintf("f%d%c ", free_slots[w], usable[w] ? 'u' : 'd');
-  }
-  return sig;
-}
-
-std::string ClusterView::CapacitySignature() const { return Snapshot().Signature(); }
-
 std::string ClusterView::CheckInvariants() const {
   std::lock_guard<std::mutex> lock(mu_);
   std::vector<int> summed(reserved_.size(), 0);

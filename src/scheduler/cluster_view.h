@@ -15,9 +15,9 @@
 //                       snapshot and re-plan (with backoff; see PlacementService).
 //
 // Every mutation (commit, release, worker death/restore, spec change) bumps the epoch, so
-// an epoch value uniquely identifies one slot-accounting state. Two epochs with identical
-// CapacitySignature() are interchangeable for planning purposes — the plan cache keys on
-// the signature for exactly that reason.
+// an epoch value uniquely identifies one slot-accounting state. Two snapshots with equal
+// residual clusters are interchangeable for planning purposes — the plan cache keys on the
+// residual cluster's signature for exactly that reason.
 #ifndef SRC_SCHEDULER_CLUSTER_VIEW_H_
 #define SRC_SCHEDULER_CLUSTER_VIEW_H_
 
@@ -48,10 +48,6 @@ struct ClusterSnapshot {
   // Residual cluster for planning: same workers (same global WorkerIds and capacities),
   // slots clamped to the free count. Unusable workers keep 0 slots.
   Cluster ResidualCluster(const Cluster& full) const;
-
-  // Canonical free/usable string ("f3u f0d ..."): equal signatures mean planners see
-  // interchangeable clusters. The plan cache keys on this.
-  std::string Signature() const;
 };
 
 enum class CommitResult : int {
@@ -102,9 +98,6 @@ class ClusterView {
 
   // Reservation currently held by `job` (empty vector if none).
   SlotReservation ReservationOf(JobId job) const;
-
-  // Signature of the current state (Snapshot().Signature()).
-  std::string CapacitySignature() const;
 
   // Checks the internal invariants: per-worker reserved slots equal the sum of job
   // reservations, no worker over its slot count, no reservation on an unusable worker.

@@ -19,6 +19,12 @@ namespace capsys {
 
 namespace {
 
+// Conflict retries per planning session, with exponential backoff between them.
+constexpr int kMaxPlanAttempts = 10;
+constexpr double kBackoffBaseS = 0.001;  // doubles per conflict
+constexpr double kBackoffMaxS = 0.064;
+constexpr size_t kPlanCacheCapacity = 512;
+
 struct JobDemand {
   ResourceVector demand;
   int tasks = 0;
@@ -116,7 +122,7 @@ PlacementService::PlacementService(Cluster cluster, SchedulerOptions options)
     : cluster_(std::move(cluster)),
       options_(options),
       view_(cluster_),
-      cache_(options.plan_cache_capacity),
+      cache_(kPlanCacheCapacity),
       planner_pool_(std::make_unique<ThreadPool>(std::max(1, options.planner_threads))),
       start_(std::chrono::steady_clock::now()) {
   dispatcher_ = std::thread([this] { DispatcherLoop(); });
@@ -515,7 +521,7 @@ void PlacementService::RunPlanner(PlanRequest req) {
   // pay only for the (much cheaper) re-search. Re-tuned only when degradation changes the
   // graph.
   std::optional<ResourceVector> tuned_alpha;
-  while (outcome->attempts < options_.max_plan_attempts) {
+  while (outcome->attempts < kMaxPlanAttempts) {
     ++outcome->attempts;
     if (req.cancelled->load()) {
       outcome->fail = PlanOutcome::Fail::kCancelled;
@@ -535,21 +541,19 @@ void PlacementService::RunPlanner(PlanRequest req) {
     PhysicalGraph physical = PhysicalGraph::Expand(graph);
     auto rates = PropagateRates(graph, req.source_rates);
     auto demands = TaskDemands(physical, rates);
+    Cluster residual = snap.ResidualCluster(cluster_);
     std::string key;
     std::optional<PlannedPlacement> planned;
     if (options_.enable_plan_cache) {
-      key = PlanCache::MakeKey(JobGraphFingerprint(graph, req.source_rates),
-                               snap.Signature(), BottleneckSignature(demands, cluster_));
-      std::lock_guard<std::mutex> lock(cache_mu_);
+      key = PlanCache::Key(graph, req.source_rates, residual);
       auto cached = cache_.Lookup(key);
       if (cached.has_value() && cached->placement.num_tasks() == physical.num_tasks()) {
-        planned = PlannedPlacement{cached->placement, cached->plan_cost, cached->alpha, {}};
+        planned = PlannedPlacement{cached->placement, cached->cost, cached->alpha, {}};
       }
     }
     const bool hit = planned.has_value();
     if (!hit) {
       Span search_span("scheduler.search");
-      Cluster residual = snap.ResidualCluster(cluster_);
       CostModel model(physical, residual, demands);
       planned = PlanPlacement(model, tuned_alpha, options_.autotune, options_.search_threads,
                               options_.search_timeout_s, options_.find_first_above_tasks);
@@ -560,16 +564,13 @@ void PlacementService::RunPlanner(PlanRequest req) {
                                       !options_.strict_epoch_commit);
     if (cr == CommitResult::kConflict) {
       ++outcome->conflicts;
-      double backoff = std::min(options_.backoff_max_s,
-                                options_.backoff_base_s *
-                                    std::pow(2.0, outcome->conflicts - 1));
+      double backoff =
+          std::min(kBackoffMaxS, kBackoffBaseS * std::pow(2.0, outcome->conflicts - 1));
       std::this_thread::sleep_for(std::chrono::duration<double>(backoff));
       continue;
     }
     if (!hit && options_.enable_plan_cache) {
-      std::lock_guard<std::mutex> lock(cache_mu_);
-      cache_.Insert(key,
-                    CachedPlan{planned->placement, planned->alpha, planned->cost, snap.epoch});
+      cache_.Insert(key, CachedPlan{planned->placement, planned->alpha, planned->cost});
     }
     outcome->fail = PlanOutcome::Fail::kNone;
     outcome->commit = cr;
@@ -727,11 +728,8 @@ SchedulerStats PlacementService::stats() const {
   SchedulerStats s = stats_;
   s.stale_commits = view_.stale_commits();
   s.epoch = view_.epoch();
-  {
-    std::lock_guard<std::mutex> cache_lock(cache_mu_);
-    s.cache_hits = cache_.hits();
-    s.cache_misses = cache_.misses();
-  }
+  s.cache_hits = cache_.hits();
+  s.cache_misses = cache_.misses();
   return s;
 }
 

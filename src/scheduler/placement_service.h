@@ -15,8 +15,8 @@
 //     and either admits, queues (fits the cluster but not the current free capacity), or
 //     rejects it with a structured kRejectedCapacity — never a CHECK abort. Queued jobs
 //     are re-examined whenever capacity frees (cancel, restore, down-scale).
-//   - A PlanCache keyed by (job fingerprint, capacity signature, bottleneck signature)
-//     lets repeated submissions and failure-replans of an unchanged job skip the search.
+//   - A PlanCache keyed by (job fingerprint, residual-cluster signature) lets repeated
+//     submissions and failure-replans of an unchanged job skip the search.
 //
 // The service is additive: the single-job batch drivers (fig benches, chaos/scaling
 // drivers) do not go through it and are byte-identical to their pre-service behaviour.
@@ -35,10 +35,10 @@
 #include <vector>
 
 #include "src/caps/auto_tuner.h"
+#include "src/caps/plan_cache.h"
 #include "src/common/thread_pool.h"
 #include "src/scheduler/cluster_view.h"
 #include "src/scheduler/job.h"
-#include "src/scheduler/plan_cache.h"
 
 namespace capsys {
 
@@ -56,9 +56,6 @@ struct SchedulerOptions {
   // not intersect ours re-validates and commits (kCommittedStale). Strict mode treats any
   // epoch advance as a conflict — the textbook protocol; used by tests and ablations.
   bool strict_epoch_commit = false;
-  int max_plan_attempts = 10;
-  double backoff_base_s = 0.001;  // exponential, doubles per conflict
-  double backoff_max_s = 0.064;
 
   // Admission control.
   int max_queued_jobs = 64;
@@ -67,7 +64,6 @@ struct SchedulerOptions {
 
   // Plan cache.
   bool enable_plan_cache = true;
-  size_t plan_cache_capacity = 512;
 };
 
 struct SchedulerStats {
@@ -162,7 +158,6 @@ class PlacementService {
   SchedulerOptions options_;
   ClusterView view_;
 
-  mutable std::mutex cache_mu_;
   PlanCache cache_;
 
   // Dispatcher state: the event queue and all job records.

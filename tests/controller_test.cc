@@ -311,7 +311,7 @@ TEST(DeploymentTest, CapsDeploymentIsValidAndBeatsBaselinesOnCost) {
     DeployOptions options = caps_options;
     options.policy = policy;
     CapsysController controller(cluster, options);
-    Placement p = controller.Place(d.physical, demands, nullptr);
+    Placement p = controller.Place(d.physical, d.source_rates, demands, nullptr);
     EXPECT_EQ(p.Validate(d.physical, cluster), "");
     ResourceVector cost = model.Cost(p);
     EXPECT_LE(caps_cost.Max(), cost.Max() + 1e-9)
@@ -352,7 +352,7 @@ TEST(DeploymentTest, StandaloneTaskRateUsesBindingResource) {
   cost.io_bytes_per_record = 46000;  // cap 230e6/46000 = 5k  <- binding
   cost.out_bytes_per_record = 10;
   cost.selectivity = 1.0;
-  double rate = CapsysController::StandaloneTaskRate(cost, WorkerSpec::R5dXlarge(4));
+  double rate = StandaloneTaskRate(cost, WorkerSpec::R5dXlarge(4));
   EXPECT_NEAR(rate, 5000.0, 1.0);
 }
 

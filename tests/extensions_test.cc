@@ -1,137 +1,188 @@
-// Tests for the extension features: threshold cache (offline precomputation), online cost
-// profiling, and the search ablation switches.
+// Tests for the extension features: precomputed thresholds in the plan cache (offline
+// precomputation), online cost profiling, and the search ablation switches.
 #include <gtest/gtest.h>
 
 #include "src/caps/greedy.h"
-#include "src/caps/threshold_cache.h"
+#include "src/caps/plan_cache.h"
 #include "src/controller/deployment.h"
 #include "src/controller/profiler.h"
+#include "src/controller/recovery.h"
 #include "src/dataflow/rates.h"
 #include "src/nexmark/queries.h"
+#include "src/obs/events.h"
 #include "src/simulator/fluid_simulator.h"
 
 namespace capsys {
 namespace {
 
-// --- ThresholdCache ---------------------------------------------------------------------------
+// --- Precomputed thresholds in the plan cache --------------------------------------------------
 
-TEST(ThresholdCacheTest, PrecomputeAndLookup) {
+// Key of `q` at parallelism `scenario` on `cluster`.
+std::string ScenarioKey(const QuerySpec& q, const std::vector<int>& scenario,
+                        const Cluster& cluster) {
+  LogicalGraph sized = q.graph;
+  sized.SetParallelism(scenario);
+  return PlanCache::Key(sized, q.source_rates, cluster);
+}
+
+TEST(PrecomputedThresholdsTest, PrecomputeAndLookup) {
   QuerySpec q = BuildQ1Sliding();
   Cluster cluster(4, WorkerSpec::R5dXlarge(4));
   std::vector<std::vector<int>> scenarios = {{2, 5, 8, 1}, {1, 3, 4, 1}};
-  ThresholdCache cache;
-  cache.Precompute(q.graph, q.source_rates, cluster, scenarios);
+  PlanCache cache;
+  PrecomputeThresholds(cache, q.graph, q.source_rates, cluster, scenarios);
   EXPECT_EQ(cache.size(), 2u);
-  auto alpha = cache.Lookup({2, 5, 8, 1});
-  ASSERT_TRUE(alpha.has_value());
-  EXPECT_GT(alpha->cpu, 0.0);
-  EXPECT_LE(alpha->cpu, 1.0);
-  EXPECT_FALSE(cache.Lookup({9, 9, 9, 9}).has_value());
+  auto entry = cache.Lookup(ScenarioKey(q, {2, 5, 8, 1}, cluster));
+  ASSERT_TRUE(entry.has_value());
+  EXPECT_EQ(entry->placement.num_tasks(), 0);  // thresholds only
+  EXPECT_GT(entry->alpha.cpu, 0.0);
+  EXPECT_LE(entry->alpha.cpu, 1.0);
+  EXPECT_FALSE(cache.Lookup(ScenarioKey(q, {9, 9, 9, 9}, cluster)).has_value());
 }
 
-TEST(ThresholdCacheTest, SkipsScenariosThatDoNotFit) {
+TEST(PrecomputedThresholdsTest, SkipsScenariosThatDoNotFit) {
   QuerySpec q = BuildQ1Sliding();
   Cluster cluster(2, WorkerSpec::R5dXlarge(4));  // 8 slots
-  ThresholdCache cache;
-  cache.Precompute(q.graph, q.source_rates, cluster, {{4, 4, 8, 4}});  // 20 tasks
+  PlanCache cache;
+  PrecomputeThresholds(cache, q.graph, q.source_rates, cluster, {{4, 4, 8, 4}});  // 20 tasks
   EXPECT_EQ(cache.size(), 0u);
 }
 
-TEST(ThresholdCacheTest, SerializeRoundTrip) {
-  ThresholdCache cache;
-  cache.Insert({1, 2, 3}, ResourceVector{0.1, 0.2, 0.3});
-  cache.Insert({4, 5, 6}, ResourceVector{0.4, 0.5, 0.6});
-  std::string text = cache.Serialize();
-  ThresholdCache restored;
-  ASSERT_TRUE(restored.Deserialize(text));
+TEST(PrecomputedThresholdsTest, SerializeRoundTrip) {
+  QuerySpec q = BuildQ1Sliding();
+  Cluster small(2, WorkerSpec::R5dXlarge(4));
+  Cluster large(4, WorkerSpec::R5dXlarge(4));
+  PlanCache cache;
+  cache.Insert(ScenarioKey(q, {1, 2, 4, 1}, small), CachedPlan{{}, {0.1, 0.2, 0.3}, {}});
+  cache.Insert(ScenarioKey(q, {1, 2, 4, 1}, large),
+               CachedPlan{Placement(8), {0.4, 0.5, 0.6}, {}});
+  PlanCache restored;
+  ASSERT_TRUE(restored.Deserialize(cache.Serialize()));
   EXPECT_EQ(restored.size(), 2u);
-  auto alpha = restored.Lookup({1, 2, 3});
-  ASSERT_TRUE(alpha.has_value());
-  EXPECT_NEAR(alpha->io, 0.2, 1e-15);
+  EXPECT_EQ(restored.Serialize(), cache.Serialize());
+  auto entry = restored.Lookup(ScenarioKey(q, {1, 2, 4, 1}, small));
+  ASSERT_TRUE(entry.has_value());
+  EXPECT_EQ(entry->alpha.io, 0.2);
+  // Placements are not persisted: a restored entry holds thresholds only.
+  auto other = restored.Lookup(ScenarioKey(q, {1, 2, 4, 1}, large));
+  ASSERT_TRUE(other.has_value());
+  EXPECT_EQ(other->alpha.net, 0.6);
+  EXPECT_EQ(other->placement.num_tasks(), 0);
 }
 
-TEST(ThresholdCacheTest, DeserializeRejectsGarbage) {
-  ThresholdCache cache;
+TEST(PrecomputedThresholdsTest, DeserializeRejectsGarbage) {
+  PlanCache cache;
+  cache.Insert("00|4/4/1/1;", CachedPlan{{}, {0.5, 0.5, 0.5}, {}});
   EXPECT_FALSE(cache.Deserialize("not,numbers x y z\n"));
   EXPECT_EQ(cache.size(), 0u);
+  EXPECT_FALSE(cache.Deserialize("no-separator 0.1 0.2 0.3\n"));
+  EXPECT_EQ(cache.size(), 0u);
 }
 
-TEST(ThresholdCacheTest, RevalidateKeepsEntriesForIdenticalCapacity) {
+TEST(PrecomputedThresholdsTest, SameCapacityShapeGivesSameKey) {
   QuerySpec q = BuildQ1Sliding();
   Cluster cluster(4, WorkerSpec::R5dXlarge(4));
-  ThresholdCache cache;
-  cache.Precompute(q.graph, q.source_rates, cluster, {{2, 5, 8, 1}});
+  PlanCache cache;
+  PrecomputeThresholds(cache, q.graph, q.source_rates, cluster, {{2, 5, 8, 1}});
   ASSERT_EQ(cache.size(), 1u);
   // An equal-shaped cluster object (e.g. after a scheduler epoch bump: reservations change
-  // slot occupancy, never capacity) must not evict anything.
+  // slot occupancy, never capacity) finds the entry.
   Cluster same_shape(4, WorkerSpec::R5dXlarge(4));
-  EXPECT_TRUE(cache.Revalidate(same_shape));
-  EXPECT_EQ(cache.size(), 1u);
-  EXPECT_TRUE(cache.Lookup({2, 5, 8, 1}).has_value());
+  EXPECT_EQ(ClusterSignature(same_shape), ClusterSignature(cluster));
+  EXPECT_TRUE(cache.Lookup(ScenarioKey(q, {2, 5, 8, 1}, same_shape)).has_value());
 }
 
-TEST(ThresholdCacheTest, RevalidateEvictsOnWorkerCountChange) {
+TEST(PrecomputedThresholdsTest, WorkerCountChangeGivesNewKey) {
   QuerySpec q = BuildQ1Sliding();
   Cluster cluster(4, WorkerSpec::R5dXlarge(4));
-  ThresholdCache cache;
-  cache.Precompute(q.graph, q.source_rates, cluster, {{2, 5, 8, 1}});
+  PlanCache cache;
+  PrecomputeThresholds(cache, q.graph, q.source_rates, cluster, {{2, 5, 8, 1}});
   ASSERT_EQ(cache.size(), 1u);
   Cluster shrunk(3, WorkerSpec::R5dXlarge(4));  // a worker died: capacity shape changed
-  EXPECT_FALSE(cache.Revalidate(shrunk));
-  EXPECT_EQ(cache.size(), 0u);
-  EXPECT_FALSE(cache.Lookup({2, 5, 8, 1}).has_value());
-  // The cache rebinds to the new shape: revalidating against it again is a no-op.
-  EXPECT_TRUE(cache.Revalidate(shrunk));
+  EXPECT_FALSE(cache.Lookup(ScenarioKey(q, {2, 5, 8, 1}, shrunk)).has_value());
+  // Tuning on the new shape adds an entry beside the old one instead of mixing them.
+  Cluster grown(8, WorkerSpec::R5dXlarge(4));
+  PrecomputeThresholds(cache, q.graph, q.source_rates, grown, {{2, 5, 8, 1}});
+  EXPECT_EQ(cache.size(), 2u);
+  EXPECT_TRUE(cache.Lookup(ScenarioKey(q, {2, 5, 8, 1}, cluster)).has_value());
+  EXPECT_TRUE(cache.Lookup(ScenarioKey(q, {2, 5, 8, 1}, grown)).has_value());
 }
 
-TEST(ThresholdCacheTest, RevalidateEvictsOnSpecChange) {
-  ThresholdCache cache;
-  Cluster small(2, WorkerSpec::R5dXlarge(4));
-  cache.Revalidate(small);  // bind
-  cache.Insert({1, 1}, ResourceVector{0.5, 0.5, 0.5});
-  // Same worker count and slots but a bigger instance type: alphas are capacity fractions,
-  // so they are stale.
-  Cluster bigger(2, WorkerSpec::C5d4xlarge(4));
-  EXPECT_FALSE(cache.Revalidate(bigger));
-  EXPECT_EQ(cache.size(), 0u);
-}
-
-TEST(ThresholdCacheTest, PrecomputeOnChangedClusterDropsStaleEntries) {
+TEST(PrecomputedThresholdsTest, SpecChangeGivesNewKey) {
   QuerySpec q = BuildQ1Sliding();
-  ThresholdCache cache;
-  Cluster old_cluster(4, WorkerSpec::R5dXlarge(4));
-  cache.Precompute(q.graph, q.source_rates, old_cluster, {{2, 5, 8, 1}});
-  ASSERT_EQ(cache.size(), 1u);
-  ResourceVector old_alpha = *cache.Lookup({2, 5, 8, 1});
-  // Precompute against a differently-shaped cluster must not leave the old entry mixed in:
-  // the stale scenario is evicted and only the freshly tuned ones survive.
-  Cluster new_cluster(8, WorkerSpec::M5d2xlarge(8));
-  cache.Precompute(q.graph, q.source_rates, new_cluster, {{1, 3, 4, 1}});
-  EXPECT_EQ(cache.size(), 1u);
-  EXPECT_FALSE(cache.Lookup({2, 5, 8, 1}).has_value());
-  EXPECT_TRUE(cache.Lookup({1, 3, 4, 1}).has_value());
-  // And re-tuning the evicted scenario on the new shape yields a fresh (generally
-  // different) alpha rather than resurrecting the stale one.
-  cache.Precompute(q.graph, q.source_rates, new_cluster, {{2, 5, 8, 1}});
-  auto fresh = cache.Lookup({2, 5, 8, 1});
-  ASSERT_TRUE(fresh.has_value());
-  (void)old_alpha;  // alphas may coincide numerically; the guarantee is re-tuning, not value
+  // Same worker count and slots but a bigger instance type: alphas are capacity fractions.
+  Cluster small(2, WorkerSpec::R5dXlarge(4));
+  Cluster bigger(2, WorkerSpec::C5d4xlarge(4));
+  EXPECT_NE(ClusterSignature(small), ClusterSignature(bigger));
+  EXPECT_NE(ScenarioKey(q, {1, 1, 1, 1}, small), ScenarioKey(q, {1, 1, 1, 1}, bigger));
 }
 
-TEST(ThresholdCacheTest, ClearResetsEntriesAndBinding) {
-  ThresholdCache cache;
-  Cluster cluster(2, WorkerSpec::R5dXlarge(4));
-  cache.Revalidate(cluster);
-  cache.Insert({1, 1}, ResourceVector{0.5, 0.5, 0.5});
-  cache.Clear();
-  EXPECT_EQ(cache.size(), 0u);
-  EXPECT_TRUE(cache.cluster_signature().empty());
-  // After Clear the cache is unbound: the next Revalidate binds without evicting.
-  Cluster other(5, WorkerSpec::M5d2xlarge(8));
-  EXPECT_TRUE(cache.Revalidate(other));
+// The alpha of the latest placement decision in the event log.
+std::string LastDecisionAlpha() {
+  std::string alpha;
+  for (const Event& e : EventLog::Global().Snapshot()) {
+    if (e.type == EventType::kPlacementDecision) {
+      alpha.clear();
+      for (const auto& [name, value] : e.fields) {
+        if (name.rfind("alpha_", 0) == 0) {
+          alpha += name + "=" + value + " ";
+        }
+      }
+    }
+  }
+  return alpha;
 }
 
-TEST(ThresholdCacheTest, ScalingScenarioEnumeration) {
+TEST(PrecomputedThresholdsTest, ThresholdsOfAnotherCapacityShapeAreRetuned) {
+  QuerySpec q = BuildQ1Sliding();
+  Cluster four(4, WorkerSpec::R5dXlarge(4));
+  Cluster eight(8, WorkerSpec::R5dXlarge(4));
+  DeployOptions options;
+  options.policy = PlacementPolicy::kCaps;
+  options.use_ds2_sizing = false;  // keep the parallelism the cache was filled for
+  options.search_threads = 1;
+  Deployment fresh = CapsysController(four, options).Deploy(q);
+
+  PlanCache cache;
+  PrecomputeThresholds(cache, q.graph, q.source_rates, eight, {q.graph.Parallelism()});
+  auto stale = cache.Lookup(PlanCache::Key(q.graph, q.source_rates, eight));
+  ASSERT_TRUE(stale.has_value());
+  ASSERT_NE(stale->alpha.ToString(), fresh.alpha.ToString());  // the test can tell them apart
+  PlanCache restored;
+  ASSERT_TRUE(restored.Deserialize(cache.Serialize()));
+
+  // Recovery onto the four survivors of a five-worker cluster whose thresholds were
+  // precomputed before the crash.
+  Cluster five(5, WorkerSpec::R5dXlarge(4));
+  PlanCache five_cache;
+  PrecomputeThresholds(five_cache, q.graph, q.source_rates, five, {q.graph.Parallelism()});
+  PlanCache five_restored;
+  ASSERT_TRUE(five_restored.Deserialize(five_cache.Serialize()));
+  std::vector<bool> usable = {true, true, true, false, true};
+  EventLog::Global().Reset();
+  EventLog::Global().Enable();
+  PlanRecovery(q.graph, q.source_rates, fresh.costs, five, usable, options);
+  std::string fresh_recovery_alpha = LastDecisionAlpha();
+  ASSERT_FALSE(fresh_recovery_alpha.empty());
+
+  for (auto [deploy_cache, recovery_cache] :
+       {std::pair{&cache, &five_cache}, std::pair{&restored, &five_restored}}) {
+    options.plan_cache = deploy_cache;
+    Deployment d = CapsysController(four, options).Deploy(q);
+    EXPECT_EQ(d.alpha.cpu, fresh.alpha.cpu);
+    EXPECT_EQ(d.alpha.io, fresh.alpha.io);
+    EXPECT_EQ(d.alpha.net, fresh.alpha.net);
+    options.plan_cache = recovery_cache;
+    RecoveryPlan plan =
+        PlanRecovery(q.graph, q.source_rates, fresh.costs, five, usable, options);
+    EXPECT_EQ(plan.outcome, RecoveryOutcome::kRecoveredFull);
+    EXPECT_EQ(LastDecisionAlpha(), fresh_recovery_alpha);
+  }
+  EventLog::Global().Disable();
+  EventLog::Global().Reset();
+}
+
+TEST(PrecomputedThresholdsTest, ScalingScenarioEnumeration) {
   QuerySpec q = BuildQ3Inf();
   auto scenarios = EnumerateScalingScenarios(q.graph, q.source_rates,
                                              WorkerSpec::R5dXlarge(4), {0.5, 1.0, 2.0, 4.0});
@@ -157,20 +208,22 @@ TEST(ThresholdCacheTest, ScalingScenarioEnumeration) {
   EXPECT_LT(min_total, max_total);
 }
 
-TEST(ThresholdCacheTest, DeploymentUsesCachedThresholds) {
+TEST(PrecomputedThresholdsTest, DeploymentUsesCachedThresholds) {
   Cluster cluster(4, WorkerSpec::R5dXlarge(4));
   QuerySpec q = BuildQ1Sliding();
-  // Cache an entry for the query's default parallelism with a recognizable alpha.
-  ThresholdCache cache;
-  cache.Insert({2, 5, 8, 1}, ResourceVector{0.37, 0.41, 0.93});
+  // Cache an entry for the query on this cluster with a recognizable alpha.
+  PlanCache cache;
+  cache.Insert(PlanCache::Key(q.graph, q.source_rates, cluster),
+               CachedPlan{{}, ResourceVector{0.37, 0.41, 0.93}, {}});
   DeployOptions options;
   options.policy = PlacementPolicy::kCaps;
   options.use_ds2_sizing = false;  // keep the default parallelism so the cache key matches
-  options.threshold_cache = &cache;
+  options.plan_cache = &cache;
   CapsysController controller(cluster, options);
   Deployment d = controller.Deploy(q);
   EXPECT_NEAR(d.alpha.cpu, 0.37, 1e-12);
   EXPECT_NEAR(d.alpha.net, 0.93, 1e-12);
+  EXPECT_EQ(cache.hits(), 1u);
 }
 
 // --- Online profiling ---------------------------------------------------------------------------

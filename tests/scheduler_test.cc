@@ -10,6 +10,8 @@
 #include <thread>
 #include <vector>
 
+#include "src/caps/plan_cache.h"
+#include "src/common/str.h"
 #include "src/controller/recovery.h"
 #include "src/dataflow/physical_graph.h"
 #include "src/dataflow/rates.h"
@@ -17,7 +19,6 @@
 #include "src/scheduler/cluster_view.h"
 #include "src/scheduler/job.h"
 #include "src/scheduler/placement_service.h"
-#include "src/scheduler/plan_cache.h"
 
 namespace capsys {
 namespace {
@@ -189,21 +190,45 @@ TEST(PlanCacheTest, FingerprintInvariantUnderUniformRateScaling) {
             JobGraphFingerprint(c.graph, c.source_rates));
 }
 
-TEST(PlanCacheTest, BottleneckSignatureScaleInvariantButShapeSensitive) {
+TEST(PlanCacheTest, KeyChangesWithIoHeavyProfileOfSameShape) {
   Cluster cluster(2, WorkerSpec{});
-  std::vector<ResourceVector> demands = {{1.0, 2e6, 3e6}, {0.5, 1e6, 1e6}};
-  std::vector<ResourceVector> doubled = {{2.0, 4e6, 6e6}, {1.0, 2e6, 2e6}};
-  EXPECT_EQ(BottleneckSignature(demands, cluster), BottleneckSignature(doubled, cluster));
-  std::vector<ResourceVector> io_heavy = {{0.1, 200e6, 1e6}};
-  EXPECT_NE(BottleneckSignature(demands, cluster), BottleneckSignature(io_heavy, cluster));
+  JobSpec a = MakePipelineJob("a", 3, 1e4);
+  JobSpec doubled = MakePipelineJob("a", 3, 2e4);
+  EXPECT_EQ(PlanCache::Key(a.graph, a.source_rates, cluster),
+            PlanCache::Key(doubled.graph, doubled.source_rates, cluster));
+  // Same operators, edges and parallelism, but the map now stresses the disk: the demand
+  // shape differs, so the plan and thresholds may too.
+  JobSpec io_heavy = MakePipelineJob("a", 3, 1e4);
+  io_heavy.graph.mutable_op(1).profile.io_bytes_per_record = 200e3;
+  EXPECT_NE(PlanCache::Key(a.graph, a.source_rates, cluster),
+            PlanCache::Key(io_heavy.graph, io_heavy.source_rates, cluster));
+}
+
+TEST(PlanCacheTest, DeadAndFullWorkerGiveSameResidualKey) {
+  Cluster cluster(3, WorkerSpec{.slots = 4});
+  ClusterView view(cluster);
+  JobSpec job = MakePipelineJob("j", 3, 1e4);
+  auto residual_key = [&] {
+    return PlanCache::Key(job.graph, job.source_rates,
+                          view.SnapshotFor(2).ResidualCluster(cluster));
+  };
+  std::string all_free = residual_key();
+  // Worker 0 full with another job's tasks...
+  ASSERT_EQ(view.TryCommit(1, view.epoch(), {4, 0, 0}), CommitResult::kCommitted);
+  std::string full = residual_key();
+  EXPECT_NE(full, all_free);
+  // ... or dead: the planner sees the same residual cluster either way.
+  ASSERT_TRUE(view.Release(1));
+  view.MarkWorkerDown(0);
+  EXPECT_EQ(residual_key(), full);
 }
 
 TEST(PlanCacheTest, LruEvictionAndCounters) {
   PlanCache cache(2);
-  cache.Insert("a", CachedPlan{Placement(1), {}, {}, 1});
-  cache.Insert("b", CachedPlan{Placement(2), {}, {}, 2});
+  cache.Insert("a", CachedPlan{Placement(1), {}, {}});
+  cache.Insert("b", CachedPlan{Placement(2), {}, {}});
   EXPECT_TRUE(cache.Lookup("a").has_value());  // refresh a; b is now LRU
-  cache.Insert("c", CachedPlan{Placement(3), {}, {}, 3});
+  cache.Insert("c", CachedPlan{Placement(3), {}, {}});
   EXPECT_EQ(cache.size(), 2u);
   EXPECT_FALSE(cache.Lookup("b").has_value());
   EXPECT_TRUE(cache.Lookup("a").has_value());
@@ -212,15 +237,34 @@ TEST(PlanCacheTest, LruEvictionAndCounters) {
   EXPECT_EQ(cache.misses(), 1u);
 }
 
-TEST(PlanCacheTest, EvictOlderThanAndClear) {
-  PlanCache cache(8);
-  cache.Insert("a", CachedPlan{Placement(1), {}, {}, 1});
-  cache.Insert("b", CachedPlan{Placement(1), {}, {}, 5});
-  EXPECT_EQ(cache.EvictOlderThan(5), 1u);
-  EXPECT_FALSE(cache.Lookup("a").has_value());
-  EXPECT_TRUE(cache.Lookup("b").has_value());
-  cache.Clear();
-  EXPECT_EQ(cache.size(), 0u);
+TEST(PlanCacheTest, ConcurrentLookupAndInsert) {
+  constexpr int kThreads = 4;
+  constexpr int kOps = 2000;
+  static constexpr size_t kCapacity = 16;
+  PlanCache cache(kCapacity);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&cache, t] {
+      for (int i = 0; i < kOps; ++i) {
+        std::string key = Sprintf("k%d", (i * 7 + t) % 40);
+        auto hit = cache.Lookup(key);
+        if (hit.has_value()) {
+          // An entry is always whole: the placement and alpha written together.
+          EXPECT_EQ(hit->placement.num_tasks(), static_cast<int>(hit->alpha.cpu));
+        } else {
+          int tasks = 1 + (i + t) % 5;
+          cache.Insert(key,
+                       CachedPlan{Placement(tasks), {static_cast<double>(tasks), 0, 0}, {}});
+        }
+        EXPECT_LE(cache.size(), kCapacity);
+      }
+    });
+  }
+  for (auto& thread : threads) {
+    thread.join();
+  }
+  EXPECT_EQ(cache.hits() + cache.misses(), static_cast<uint64_t>(kThreads * kOps));
+  EXPECT_LE(cache.size(), kCapacity);
 }
 
 // ------------------------------------------------------------------- PlacementService --
