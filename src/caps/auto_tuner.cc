@@ -10,6 +10,16 @@
 namespace capsys {
 namespace {
 
+// Multiplicative relaxation step per iteration; the paper uses 1.1 for both phases.
+constexpr double kRelaxFactor = 1.1;
+// Additive floor on each relaxation step. Purely multiplicative relaxation stalls when a
+// dimension's phase-1 minimum is degenerate (e.g. C_net = 0 is always achievable by
+// co-locating everything), which would let the other dimensions over-relax to 1 before the
+// stalled dimension becomes jointly feasible.
+constexpr double kMinStep = 0.01;
+// Tightest initial bound (a strictly positive cost floor to start relaxing from).
+constexpr double kInitialAlpha = 0.005;
+
 // Runs a find-first feasibility probe with the given thresholds and remaining budget.
 SearchResult Probe(const CostModel& model, const ResourceVector& alpha, int num_threads,
                    double budget_s) {
@@ -33,8 +43,6 @@ std::string AutoTuneResult::ToString() const {
 }
 
 AutoTuneResult AutoTuneThresholds(const CostModel& model, const AutoTuneOptions& options) {
-  CAPSYS_CHECK(options.relax_factor > 1.0);
-  CAPSYS_CHECK(options.initial_alpha > 0.0);
   Span tune_span("caps.autotune");
   auto start = std::chrono::steady_clock::now();
   auto elapsed = [&start] {
@@ -84,8 +92,8 @@ AutoTuneResult AutoTuneThresholds(const CostModel& model, const AutoTuneOptions&
   // cost up to probe_timeout_s when it must prove (or give up on) infeasibility.
   for (Resource r : kAllResources) {
     double lo = 0.0;
-    double hi = options.initial_alpha;
-    double step = std::max(options.min_step, options.initial_alpha * (options.relax_factor - 1.0));
+    double hi = kInitialAlpha;
+    double step = std::max(kMinStep, kInitialAlpha * (kRelaxFactor - 1.0));
     bool found = false;
     while (!found) {
       if (out_of_time()) {
@@ -109,7 +117,7 @@ AutoTuneResult AutoTuneThresholds(const CostModel& model, const AutoTuneOptions&
       hi = std::min(1.0, hi + step);
     }
     // Bisection refinement toward the minimum feasible value.
-    for (int i = 0; i < 5 && hi - lo > options.min_step && !out_of_time(); ++i) {
+    for (int i = 0; i < 5 && hi - lo > kMinStep && !out_of_time(); ++i) {
       double mid = 0.5 * (lo + hi);
       ResourceVector alpha{1.0, 1.0, 1.0};
       alpha[r] = mid;
@@ -125,7 +133,7 @@ AutoTuneResult AutoTuneThresholds(const CostModel& model, const AutoTuneOptions&
   // Phase 2: jointly relax the combined vector until feasible, again with geometrically
   // growing steps (the per-dimension minima are rarely jointly achievable).
   ResourceVector alpha = result.phase1_alpha;
-  ResourceVector step{options.min_step, options.min_step, options.min_step};
+  ResourceVector step{kMinStep, kMinStep, kMinStep};
   while (true) {
     if (out_of_time()) {
       result.timed_out = true;
@@ -139,7 +147,7 @@ AutoTuneResult AutoTuneThresholds(const CostModel& model, const AutoTuneOptions&
     bool all_maxed = true;
     for (Resource r : kAllResources) {
       if (alpha[r] < 1.0) {
-        alpha[r] = std::min(1.0, std::max(alpha[r] * options.relax_factor,
+        alpha[r] = std::min(1.0, std::max(alpha[r] * kRelaxFactor,
                                           alpha[r] + step[r]));
         step[r] = std::min(0.25, step[r] * 2.0);
         all_maxed = false;

@@ -20,15 +20,6 @@
 namespace capsys {
 
 struct AutoTuneOptions {
-  // Multiplicative relaxation step per iteration; the paper uses 1.1 for both phases.
-  double relax_factor = 1.1;
-  // Additive floor on each relaxation step. Purely multiplicative relaxation stalls when a
-  // dimension's phase-1 minimum is degenerate (e.g. C_net = 0 is always achievable by
-  // co-locating everything), which would let the other dimensions over-relax to 1 before
-  // the stalled dimension becomes jointly feasible.
-  double min_step = 0.01;
-  // Tightest initial bound (a strictly positive cost floor to start relaxing from).
-  double initial_alpha = 0.005;
   // Wall-clock budget across both phases.
   double timeout_s = 5.0;
   // Budget per feasibility probe. Probes that exceed it count as infeasible (slightly

@@ -5,6 +5,15 @@
 #include "src/common/str.h"
 
 namespace capsys {
+namespace {
+
+// Blackout when no completed checkpoint is available to restore from.
+constexpr double kFallbackDowntimeS = 5.0;
+// Floor on the restore phase: job teardown, scheduling, and task redeploy take this long
+// even for tiny state.
+constexpr double kMinRestoreS = 1.0;
+
+}  // namespace
 
 std::string RecoveryEstimate::ToString() const {
   if (used_fallback) {
@@ -18,11 +27,9 @@ std::string RecoveryEstimate::ToString() const {
       downtime_s, duplicate_records, lost_records);
 }
 
-RecoveryEstimate EstimateRecovery(const CheckpointCoordinator* coordinator, double now,
+RecoveryEstimate EstimateRecovery(const CheckpointCoordinator* coordinator,
                                   double source_records, double replay_rate,
-                                  double restore_bandwidth_bps,
-                                  const RecoveryModelOptions& options) {
-  (void)now;
+                                  double restore_bandwidth_bps, bool exactly_once) {
   RecoveryEstimate est;
   const CheckpointRecord* ckpt =
       coordinator != nullptr ? coordinator->LastCompleted() : nullptr;
@@ -30,18 +37,18 @@ RecoveryEstimate EstimateRecovery(const CheckpointCoordinator* coordinator, doub
     // No snapshot to restore from: the job restarts empty after the fixed blackout, and
     // every record that built the lost state is gone (at-most-once).
     est.used_fallback = true;
-    est.downtime_s = options.fallback_downtime_s;
+    est.downtime_s = kFallbackDowntimeS;
     est.lost_records = coordinator != nullptr ? source_records : 0.0;
     return est;
   }
   est.checkpoint_id = ckpt->id;
   est.restored_bytes = ckpt->full_bytes;
-  est.restore_s = options.min_restore_s;
+  est.restore_s = kMinRestoreS;
   if (restore_bandwidth_bps > 1e-9) {
     est.restore_s += static_cast<double>(ckpt->full_bytes) / restore_bandwidth_bps;
   }
   est.replayed_records = std::max(0.0, source_records - ckpt->source_records);
-  if (options.exactly_once) {
+  if (exactly_once) {
     // The sources rewind to the barrier; the backlog is re-processed inside the blackout
     // and its outputs are committed exactly once.
     est.replay_s = replay_rate > 1e-9 ? est.replayed_records / replay_rate : 0.0;

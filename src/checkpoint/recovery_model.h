@@ -10,8 +10,7 @@
 //     resume from their current position — shorter downtime, but every replayed record is
 //     delivered again (counted as duplicates).
 // When checkpointing is disabled (coordinator == nullptr) or nothing ever completed, the
-// model falls back to the caller's fixed blackout (the pre-checkpoint `reconfigure_downtime_s`
-// behaviour), which keeps the constant available as a documented escape hatch.
+// model falls back to a fixed 5 s blackout, the paper's restart downtime.
 #ifndef SRC_CHECKPOINT_RECOVERY_MODEL_H_
 #define SRC_CHECKPOINT_RECOVERY_MODEL_H_
 
@@ -21,17 +20,6 @@
 #include "src/checkpoint/checkpoint.h"
 
 namespace capsys {
-
-struct RecoveryModelOptions {
-  // Fixed blackout used when no completed checkpoint is available to restore from.
-  double fallback_downtime_s = 5.0;
-  // Delivery guarantee: true = exactly-once (replay inside the blackout), false =
-  // at-least-once (resume immediately, replayed records become duplicates).
-  bool exactly_once = true;
-  // Floor on the restore phase: job teardown, scheduling, and task redeploy take this long
-  // even for tiny state.
-  double min_restore_s = 1.0;
-};
 
 struct RecoveryEstimate {
   bool used_fallback = false;   // no completed checkpoint — fixed blackout applied
@@ -47,15 +35,16 @@ struct RecoveryEstimate {
   std::string ToString() const;
 };
 
-// Estimates the blackout for a recovery at time `now` with the sources at cumulative
-// position `source_records`. `replay_rate` is the rate the restored plan re-processes the
-// backlog at (the plan's sustainable rate); `restore_bandwidth_bps` the aggregate disk
-// bandwidth the snapshot is re-materialized at. `coordinator` may be null (checkpointing
-// disabled) — the fixed fallback applies.
-RecoveryEstimate EstimateRecovery(const CheckpointCoordinator* coordinator, double now,
+// Estimates the blackout for a recovery with the sources at cumulative position
+// `source_records`. `replay_rate` is the rate the restored plan re-processes the backlog at
+// (the plan's sustainable rate); `restore_bandwidth_bps` the aggregate disk bandwidth the
+// snapshot is re-materialized at. `exactly_once` picks the delivery guarantee: true replays
+// inside the blackout, false resumes immediately and counts replayed records as
+// duplicates. `coordinator` may be null (checkpointing disabled) — the fixed fallback
+// applies.
+RecoveryEstimate EstimateRecovery(const CheckpointCoordinator* coordinator,
                                   double source_records, double replay_rate,
-                                  double restore_bandwidth_bps,
-                                  const RecoveryModelOptions& options);
+                                  double restore_bandwidth_bps, bool exactly_once);
 
 }  // namespace capsys
 

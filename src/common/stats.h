@@ -38,7 +38,6 @@ class RunningStats {
 class Distribution {
  public:
   void Add(double x) { samples_.push_back(x); }
-  void Reserve(size_t n) { samples_.reserve(n); }
 
   size_t Count() const { return samples_.size(); }
   double Mean() const;

@@ -6,13 +6,31 @@
 #include <memory>
 #include <set>
 
+#include "src/checkpoint/recovery_model.h"
 #include "src/common/logging.h"
 #include "src/common/str.h"
+#include "src/controller/failure_detector.h"
 #include "src/dataflow/rates.h"
+#include "src/faults/fault_injector.h"
 #include "src/obs/events.h"
 #include "src/obs/trace.h"
 
 namespace capsys {
+namespace {
+
+// Controller loop cadence: heartbeat collection, detector ticks, fault application.
+constexpr double kControlIntervalS = 1.0;
+// Timeline sampling cadence (and the resolution of the loss integral).
+constexpr double kSampleIntervalS = 5.0;
+// Placement decision latency: the world keeps moving while the search runs, so a plan can
+// be stale by the time it is ready (churn).
+constexpr double kReplanLatencyS = 2.0;
+// Bounded retry when churn invalidates a freshly computed plan.
+constexpr int kMaxReplanRetries = 3;
+// Back-off before re-attempting recovery after a kUnplaceable verdict.
+constexpr double kUnplaceableRetryS = 10.0;
+
+}  // namespace
 
 std::string ChaosRun::ToString() const {
   return Sprintf(
@@ -54,17 +72,16 @@ ChaosRun RunChaosExperiment(const QuerySpec& query, const Cluster& cluster,
 
   // Flush metrics every control tick so timeline samples always see fresh windows, however
   // reconfigurations shift the runtime's local clock against the global one.
-  SimConfig sim_config = options.sim;
-  sim_config.metrics_interval_s =
-      std::min(sim_config.metrics_interval_s, options.control_interval_s);
+  SimConfig sim_config;
+  sim_config.metrics_interval_s = std::min(sim_config.metrics_interval_s, kControlIntervalS);
 
   auto sim = std::make_unique<FluidSimulator>(physical, cluster, placement, sim_config);
   for (const auto& [op, r] : d.source_rates) {
     sim->SetSourceRate(op, r);
   }
 
-  FaultInjector injector(schedule, cluster.num_workers(), options.seed, options.injector);
-  FailureDetector detector(cluster.num_workers(), options.detector);
+  FaultInjector injector(schedule, cluster.num_workers(), options.seed);
+  FailureDetector detector(cluster.num_workers());
 
   // Checkpoint coordinator: runs on the driver's global clock, sized by the state growth
   // model. Null when checkpointing is disabled (fixed-blackout fallback).
@@ -79,7 +96,7 @@ ChaosRun RunChaosExperiment(const QuerySpec& query, const Cluster& cluster,
 
   double now = 0.0;            // global time
   double global_offset = 0.0;  // global time = offset + sim local time
-  double next_sample = options.sample_interval_s;
+  double next_sample = kSampleIntervalS;
   double achievable = std::min(
       target, EstimateSustainableRate(graph, d.source_rates, d.costs, cluster.worker(0).spec));
   double last_reconfig_s = -1e300;
@@ -112,13 +129,13 @@ ChaosRun RunChaosExperiment(const QuerySpec& query, const Cluster& cluster,
     if (coordinator != nullptr) {
       apply_checkpoint_io(coordinator->InFlightIoBps());
     }
-    sim->RunFor(options.control_interval_s);
-    now += options.control_interval_s;
+    sim->RunFor(kControlIntervalS);
+    now += kControlIntervalS;
     EventLog::Global().set_now(now);
     {
       double local = now - global_offset;
-      cum_records += sim->Throughput(std::max(0.0, local - options.control_interval_s), local) *
-                     options.control_interval_s;
+      cum_records += sim->Throughput(std::max(0.0, local - kControlIntervalS), local) *
+                     kControlIntervalS;
     }
     if (coordinator != nullptr) {
       coordinator->SetForceFail(injector.CheckpointsFailing());
@@ -149,7 +166,7 @@ ChaosRun RunChaosExperiment(const QuerySpec& query, const Cluster& cluster,
     if (now + 1e-9 >= next_sample) {
       double local = now - global_offset;
       double throughput =
-          sim->Throughput(std::max(0.0, local - options.sample_interval_s), local);
+          sim->Throughput(std::max(0.0, local - kSampleIntervalS), local);
       run.timeline.push_back(TimelinePoint{.time_s = now,
                                            .target_rate = achievable,
                                            .throughput = throughput,
@@ -158,18 +175,18 @@ ChaosRun RunChaosExperiment(const QuerySpec& query, const Cluster& cluster,
       run.telemetry.Record("chaos.0.target_rate", now, achievable);
       run.telemetry.Record("chaos.0.slots", now, graph.total_parallelism());
       run.telemetry.Record("chaos.0.usable_workers", now, detector.NumUsable(now));
-      next_sample += options.sample_interval_s;
+      next_sample += kSampleIntervalS;
     }
   };
   auto advance = [&](double seconds) {
-    int ticks = std::max(1, static_cast<int>(std::llround(seconds / options.control_interval_s)));
+    int ticks = std::max(1, static_cast<int>(std::llround(seconds / kControlIntervalS)));
     for (int i = 0; i < ticks; ++i) {
       step();
     }
   };
 
   // --- Control loop -------------------------------------------------------------------------
-  while (now + options.control_interval_s <= options.run_s + 1e-9) {
+  while (now + kControlIntervalS <= options.run_s + 1e-9) {
     step();
 
     // Does the current deployment still stand on usable workers?
@@ -185,7 +202,7 @@ ChaosRun RunChaosExperiment(const QuerySpec& query, const Cluster& cluster,
     if (!hosts_unusable && !can_rebalance) {
       continue;
     }
-    if (!hosts_unusable && now - last_unplaceable_s < options.unplaceable_retry_s) {
+    if (!hosts_unusable && now - last_unplaceable_s < kUnplaceableRetryS) {
       continue;  // back off after a hopeless attempt unless forced to act
     }
 
@@ -195,7 +212,7 @@ ChaosRun RunChaosExperiment(const QuerySpec& query, const Cluster& cluster,
     recovery_span.AddAttr("trigger", hosts_unusable ? "unusable_host" : "rebalance");
     RecoveryPlan plan;
     bool plan_usable = false;
-    for (int attempt = 0; attempt <= options.max_replan_retries; ++attempt) {
+    for (int attempt = 0; attempt <= kMaxReplanRetries; ++attempt) {
       if (attempt > 0) {
         ++run.replan_churn_retries;
         run.telemetry.GetCounter("chaos.0.churn_retries").Add();
@@ -208,7 +225,7 @@ ChaosRun RunChaosExperiment(const QuerySpec& query, const Cluster& cluster,
                                                  replan_start)
                        .count());
       // The search takes time; faults keep landing while it runs.
-      advance(options.replan_latency_s);
+      advance(kReplanLatencyS);
       if (!plan.Placeable()) {
         break;
       }
@@ -235,7 +252,7 @@ ChaosRun RunChaosExperiment(const QuerySpec& query, const Cluster& cluster,
       CAPSYS_LOG_WARN("chaos",
                       Sprintf("t=%.0f recovery unplaceable (%d usable workers), retrying in "
                               "%.0fs",
-                              now, detector.NumUsable(now), options.unplaceable_retry_s));
+                              now, detector.NumUsable(now), kUnplaceableRetryS));
       continue;
     }
     if (!plan_usable) {
@@ -261,19 +278,16 @@ ChaosRun RunChaosExperiment(const QuerySpec& query, const Cluster& cluster,
     injector.ApplyCurrentState(sim.get());
 
     // --- Blackout: restore from the last completed checkpoint + source replay ----------
-    // (or the fixed reconfigure_downtime_s fallback when checkpointing is off / nothing
-    // has completed). Sources stay silent until the advance() below finishes, so the
+    // (or the recovery model's fixed fallback when checkpointing is off / nothing has
+    // completed). Sources stay silent until the advance() below finishes, so the
     // estimate's downtime shows up in the loss integral sample-by-sample.
     if (coordinator != nullptr) {
       coordinator->FailInFlight(now, "reconfiguration");
     }
-    RecoveryModelOptions rm;
-    rm.fallback_downtime_s = options.reconfigure_downtime_s;
-    rm.exactly_once = options.exactly_once;
-    RecoveryEstimate est =
-        EstimateRecovery(coordinator.get(), now, cum_records,
-                         std::max(plan.sustainable_rate, 1.0),
-                         cluster.worker(0).spec.io_bandwidth_bps, rm);
+    RecoveryEstimate est = EstimateRecovery(coordinator.get(), cum_records,
+                                            std::max(plan.sustainable_rate, 1.0),
+                                            cluster.worker(0).spec.io_bandwidth_bps,
+                                            options.exactly_once);
     run.replayed_records += est.replayed_records;
     run.duplicate_records += est.duplicate_records;
     run.lost_records += est.lost_records;
@@ -303,7 +317,7 @@ ChaosRun RunChaosExperiment(const QuerySpec& query, const Cluster& cluster,
   std::vector<double> outage_durations;
   for (const TimelinePoint& p : run.timeline) {
     thr_sum += p.throughput;
-    loss += std::max(0.0, target - p.throughput) * options.sample_interval_s;
+    loss += std::max(0.0, target - p.throughput) * kSampleIntervalS;
     bool below = p.throughput < options.target_fraction * p.target_rate;
     if (below && outage_start < 0.0) {
       outage_start = p.time_s;

@@ -13,34 +13,27 @@
 #include <vector>
 
 #include "src/checkpoint/checkpoint.h"
-#include "src/checkpoint/recovery_model.h"
-#include "src/controller/failure_detector.h"
 #include "src/controller/recovery.h"
 #include "src/controller/scaling_experiments.h"
-#include "src/faults/fault_injector.h"
 #include "src/faults/fault_schedule.h"
 #include "src/metrics/metrics.h"
 
 namespace capsys {
 
+// The control loop runs every 1 s (heartbeat collection, detector ticks, fault application)
+// and samples the timeline every 5 s. A fresh plan costs 2 s of decision latency; churn
+// that invalidates it is retried at most 3 times, and an unplaceable verdict backs off
+// 10 s. These are fixed in the driver.
 struct ChaosExperimentOptions {
   PlacementPolicy policy = PlacementPolicy::kCaps;
   double run_s = 420.0;
-  // Controller loop cadence: heartbeat collection, detector ticks, fault application.
-  double control_interval_s = 1.0;
-  // Timeline sampling cadence (and the resolution of the loss integral).
-  double sample_interval_s = 5.0;
   // A sample counts as healthy when throughput >= target_fraction x the achievable target
   // (the nominal target, reduced while running a degraded plan).
   double target_fraction = 0.9;
-  // Fixed checkpoint-restore blackout per reconfiguration — the FALLBACK used only when
-  // `use_checkpointing` is off or no checkpoint has completed yet. With checkpointing on,
-  // the blackout comes from the recovery-time model instead (restore bytes / disk bandwidth
-  // + source replay from the last barrier).
-  double reconfigure_downtime_s = 5.0;
   // Aligned-snapshot checkpointing: a CheckpointCoordinator runs alongside the control
   // loop, its in-flight uploads contend with the workers' disk bandwidth, and every
-  // reconfiguration restores from the last *completed* checkpoint.
+  // reconfiguration restores from the last *completed* checkpoint. When off, each
+  // reconfiguration costs the recovery model's fixed 5 s blackout.
   bool use_checkpointing = true;
   CheckpointOptions checkpoint;
   StateGrowthModel state;
@@ -48,25 +41,15 @@ struct ChaosExperimentOptions {
   // inside the blackout (zero lost/duplicates); at-least-once resumes immediately and
   // counts the replayed records as duplicates.
   bool exactly_once = true;
-  // Placement decision latency: the world keeps moving while the search runs, so a plan can
-  // be stale by the time it is ready (churn).
-  double replan_latency_s = 2.0;
-  // Bounded retry when churn invalidates a freshly computed plan.
-  int max_replan_retries = 3;
-  // Back-off before re-attempting recovery after a kUnplaceable verdict.
-  double unplaceable_retry_s = 10.0;
   // Minimum gap before re-upscaling onto restored workers (prevents reconfiguration storms
   // when workers churn).
   double upscale_cooldown_s = 30.0;
   int search_threads = 2;
   uint64_t seed = 1;
-  FailureDetectorOptions detector;
-  InjectorOptions injector;
-  SimConfig sim;
 };
 
 struct ChaosRun {
-  // Sampled every sample_interval_s; `target_rate` carries the achievable target at that
+  // Sampled every 5 s; `target_rate` carries the achievable target at that
   // time (nominal, or the degraded plan's sustainable rate), `slots` the deployed width.
   std::vector<TimelinePoint> timeline;
   std::vector<double> reconfig_times_s;

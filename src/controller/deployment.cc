@@ -40,7 +40,7 @@ Deployment CapsysController::DeployGraph(const LogicalGraph& graph,
   // ② Profiling job: per-operator unit costs.
   {
     Span profile_span("controller.profile");
-    d.costs = ProfileOperators(graph, source_rates, cluster_.worker(0).spec, options_.profile);
+    d.costs = ProfileOperators(graph, source_rates, cluster_.worker(0).spec);
   }
 
   // ③ Scaling controller (DS2): parallelism per operator from profiled standalone rates.
@@ -51,10 +51,10 @@ Deployment CapsysController::DeployGraph(const LogicalGraph& graph,
       obs[static_cast<size_t>(o)].true_rate_per_task =
           StandaloneTaskRate(d.costs[static_cast<size_t>(o)], cluster_.worker(0).spec);
     }
-    Ds2Options ds2 = options_.ds2;
-    ds2.max_parallelism = std::min(ds2.max_parallelism, cluster_.slots_per_worker() *
-                                                            cluster_.num_workers());
-    Ds2Decision decision = Ds2Scale(graph, source_rates, obs, ds2);
+    Ds2Decision decision =
+        Ds2Scale(graph, source_rates, obs,
+                 std::min(kDs2MaxParallelism,
+                          cluster_.slots_per_worker() * cluster_.num_workers()));
     int slots_before = d.graph.total_parallelism();
     d.graph.SetParallelism(decision.parallelism);
     ds2_span.AddAttr("parallelism", decision.ToString());

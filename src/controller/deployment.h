@@ -34,8 +34,6 @@ struct DeployOptions {
   double search_timeout_s = 3.0;
   int find_first_above_tasks = 48;
   AutoTuneOptions autotune;
-  ProfileOptions profile;
-  Ds2Options ds2;
   uint64_t seed = 1;  // randomness for the Flink baseline policies
   // Optional precomputed thresholds (paper §5.2): when set and the cache holds an entry for
   // this graph on this cluster, its alpha skips the runtime auto-tuning step. Not owned.

@@ -21,7 +21,7 @@ std::string Ds2Decision::ToString() const {
 Ds2Decision Ds2Scale(const LogicalGraph& graph,
                      const std::map<OperatorId, double>& target_source_rates,
                      const std::vector<Ds2Observation>& observations,
-                     const Ds2Options& options) {
+                     int max_parallelism) {
   CAPSYS_CHECK(observations.size() == static_cast<size_t>(graph.num_operators()));
   Ds2Decision decision;
   decision.parallelism.resize(static_cast<size_t>(graph.num_operators()), 1);
@@ -53,9 +53,9 @@ Ds2Decision Ds2Scale(const LogicalGraph& graph,
     double true_rate = obs.true_rate_per_task;
     int p = op.parallelism;
     if (true_rate > 1e-9 && in > 1e-9) {
-      p = static_cast<int>(std::ceil(in * options.headroom / true_rate));
+      p = static_cast<int>(std::ceil(in / true_rate));
     }
-    p = std::clamp(p, options.min_parallelism, options.max_parallelism);
+    p = std::clamp(p, 1, max_parallelism);
     decision.parallelism[static_cast<size_t>(id)] = p;
     if (p != op.parallelism) {
       decision.changed = true;

@@ -26,13 +26,8 @@ struct Ds2Observation {
   double observed_output_rate = 0.0;
 };
 
-struct Ds2Options {
-  // Safety margin on computed parallelism (1.0 = exactly the model's answer).
-  double headroom = 1.0;
-  // Parallelism bounds per operator.
-  int min_parallelism = 1;
-  int max_parallelism = 64;
-};
+// Default upper bound on one operator's parallelism.
+inline constexpr int kDs2MaxParallelism = 64;
 
 // Result of one DS2 evaluation.
 struct Ds2Decision {
@@ -44,11 +39,12 @@ struct Ds2Decision {
 
 // Runs the DS2 model. `observations` is indexed by OperatorId. Source operators keep their
 // current parallelism unless their true rate cannot sustain the target, in which case they
-// are scaled like any other operator.
+// are scaled like any other operator. Each operator's parallelism is clamped to
+// [1, max_parallelism].
 Ds2Decision Ds2Scale(const LogicalGraph& graph,
                      const std::map<OperatorId, double>& target_source_rates,
                      const std::vector<Ds2Observation>& observations,
-                     const Ds2Options& options = {});
+                     int max_parallelism = kDs2MaxParallelism);
 
 // Standalone (uncontended) records/s one task with per-record costs `cost` sustains on
 // `spec`: the binding one of its CPU (`cores_per_task` cores), state-backend I/O and

@@ -20,10 +20,8 @@ const char* WorkerHealthName(WorkerHealth health) {
   return "?";
 }
 
-FailureDetector::FailureDetector(int num_workers, FailureDetectorOptions options)
-    : options_(options), workers_(static_cast<size_t>(num_workers)) {
+FailureDetector::FailureDetector(int num_workers) : workers_(static_cast<size_t>(num_workers)) {
   CAPSYS_CHECK(num_workers > 0);
-  CAPSYS_CHECK(options_.timeout_s > 0.0 && options_.dead_after_misses >= 1);
 }
 
 void FailureDetector::RecordHeartbeat(WorkerId w, double now_s) {
@@ -42,33 +40,31 @@ std::vector<WorkerId> FailureDetector::Tick(double now_s) {
     WorkerState& state = workers_[i];
     // One miss per fully elapsed timeout period since the last beat.
     int misses = static_cast<int>(
-        std::floor((now_s - state.last_heartbeat_s) / options_.timeout_s + 1e-9));
+        std::floor((now_s - state.last_heartbeat_s) / kTimeoutS + 1e-9));
     if (misses <= state.misses) {
       continue;
     }
     state.misses = misses;
-    if (state.misses >= options_.dead_after_misses) {
+    if (state.misses >= kDeadAfterMisses) {
       if (state.health != WorkerHealth::kDead) {
         state.health = WorkerHealth::kDead;
-        state.total_deaths += 1;
         ++deaths_declared_;
         newly_dead.push_back(static_cast<WorkerId>(i));
         // Flap tracking: repeated deaths within the window trigger exponential backoff.
         state.death_times_s.push_back(now_s);
         while (!state.death_times_s.empty() &&
-               state.death_times_s.front() < now_s - options_.flap_window_s) {
+               state.death_times_s.front() < now_s - kFlapWindowS) {
           state.death_times_s.pop_front();
         }
-        if (static_cast<int>(state.death_times_s.size()) >=
-            options_.flap_deaths_to_blacklist) {
-          double backoff = options_.blacklist_base_s *
-                           std::pow(2.0, static_cast<double>(state.times_blacklisted));
-          backoff = std::min(backoff, options_.blacklist_max_s);
+        if (static_cast<int>(state.death_times_s.size()) >= kFlapDeathsToBlacklist) {
+          double backoff =
+              kBlacklistBaseS * std::pow(2.0, static_cast<double>(state.times_blacklisted));
+          backoff = std::min(backoff, kBlacklistMaxS);
           state.times_blacklisted += 1;
           state.blacklist_until_s = std::max(state.blacklist_until_s, now_s + backoff);
           CAPSYS_LOG_WARN("detector",
                           Sprintf("w%zu flapping (%zu deaths in %.0fs): blacklisted for %.0fs",
-                                  i, state.death_times_s.size(), options_.flap_window_s,
+                                  i, state.death_times_s.size(), kFlapWindowS,
                                   backoff));
         }
       }

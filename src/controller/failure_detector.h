@@ -1,11 +1,11 @@
 // Heartbeat-based failure detection with suspicion and flap blacklisting (robustness
 // extension; StreamShield-style resiliency, see PAPERS.md).
 //
-// Each worker heartbeats the controller every heartbeat_interval_s. The detector counts one
-// miss per elapsed timeout period without a beat: after the first miss a worker is
+// Each worker heartbeats the controller at the FaultInjector's cadence. The detector counts
+// one miss per elapsed kTimeoutS without a beat: after the first miss a worker is
 // *suspected* (still usable — slow workers and lossy telemetry must not trigger
-// re-placement), and only after `dead_after_misses` consecutive misses is it declared
-// *dead*. Any beat resets the worker to alive.
+// re-placement), and only after kDeadAfterMisses consecutive misses is it declared *dead*.
+// Any beat resets the worker to alive.
 //
 // Workers that are declared dead repeatedly within a sliding window are flapping: they get
 // blacklisted with exponential backoff (base * 2^(n-1), capped), so the placement search
@@ -25,24 +25,21 @@ enum class WorkerHealth : int { kAlive = 0, kSuspected = 1, kDead = 2 };
 
 const char* WorkerHealthName(WorkerHealth health);
 
-struct FailureDetectorOptions {
-  double heartbeat_interval_s = 1.0;
-  // No beat for this long counts as one miss (should exceed the heartbeat interval by a
-  // comfortable margin so jittery-but-alive workers are merely suspected).
-  double timeout_s = 3.0;
-  // Consecutive misses before a suspected worker is declared dead.
-  int dead_after_misses = 3;
-  // Declared dead this many times within flap_window_s => blacklisted.
-  int flap_deaths_to_blacklist = 2;
-  double flap_window_s = 120.0;
-  // Exponential backoff before a blacklisted worker may host tasks again.
-  double blacklist_base_s = 30.0;
-  double blacklist_max_s = 480.0;
-};
-
 class FailureDetector {
  public:
-  explicit FailureDetector(int num_workers, FailureDetectorOptions options = {});
+  // No beat for this long counts as one miss (exceeds the 1 s heartbeat interval by a
+  // comfortable margin so jittery-but-alive workers are merely suspected).
+  static constexpr double kTimeoutS = 3.0;
+  // Consecutive misses before a suspected worker is declared dead.
+  static constexpr int kDeadAfterMisses = 3;
+  // Declared dead this many times within kFlapWindowS => blacklisted.
+  static constexpr int kFlapDeathsToBlacklist = 2;
+  static constexpr double kFlapWindowS = 120.0;
+  // Exponential backoff before a blacklisted worker may host tasks again.
+  static constexpr double kBlacklistBaseS = 30.0;
+  static constexpr double kBlacklistMaxS = 480.0;
+
+  explicit FailureDetector(int num_workers);
 
   // A heartbeat from `w` arrived at `now_s`. Resets misses; a dead worker comes back as
   // alive (blacklisting, tracked separately, may still exclude it from placement).
@@ -61,12 +58,10 @@ class FailureDetector {
   int NumUsable(double now_s) const;
 
   int deaths_declared() const { return deaths_declared_; }
-  int DeathsOf(WorkerId w) const { return workers_[static_cast<size_t>(w)].total_deaths; }
   double BlacklistedUntil(WorkerId w) const {
     return workers_[static_cast<size_t>(w)].blacklist_until_s;
   }
   int num_workers() const { return static_cast<int>(workers_.size()); }
-  const FailureDetectorOptions& options() const { return options_; }
 
   std::string ToString(double now_s) const;
 
@@ -75,13 +70,11 @@ class FailureDetector {
     double last_heartbeat_s = 0.0;
     int misses = 0;
     WorkerHealth health = WorkerHealth::kAlive;
-    std::deque<double> death_times_s;  // recent deaths, pruned to flap_window_s
-    int total_deaths = 0;
+    std::deque<double> death_times_s;  // recent deaths, pruned to kFlapWindowS
     int times_blacklisted = 0;
     double blacklist_until_s = -1.0;
   };
 
-  FailureDetectorOptions options_;
   std::vector<WorkerState> workers_;
   int deaths_declared_ = 0;
 };

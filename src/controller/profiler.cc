@@ -7,11 +7,19 @@
 #include "src/dataflow/rates.h"
 
 namespace capsys {
+namespace {
+
+// Fraction of the target rate used while profiling (kept low so no operator saturates and
+// measured costs reflect uncontended behaviour).
+constexpr double kRateFraction = 0.3;
+constexpr double kWarmupS = 10.0;
+constexpr double kMeasureS = 30.0;
+
+}  // namespace
 
 std::vector<MeasuredCost> ProfileOperators(const LogicalGraph& graph,
                                            const std::map<OperatorId, double>& source_rates,
-                                           const WorkerSpec& worker_spec,
-                                           const ProfileOptions& options) {
+                                           const WorkerSpec& worker_spec) {
   // Deploy each operator's tasks on their own dedicated worker: one worker per operator,
   // sized to hold the operator's full parallelism. All channels are then cross-worker, so
   // emitted bytes appear 1:1 as NIC traffic.
@@ -34,20 +42,20 @@ std::vector<MeasuredCost> ProfileOperators(const LogicalGraph& graph,
   // get throttled anyway — e.g. a wide stateful operator whose tasks contend with each
   // other on the profiling worker — back off and retry so measured unit costs reflect
   // uncontended behaviour.
-  double fraction = options.rate_fraction;
+  double fraction = kRateFraction;
   double from = 0.0;
   double to = 0.0;
   std::unique_ptr<FluidSimulator> sim;
   for (int attempt = 0; attempt < 4; ++attempt) {
-    sim = std::make_unique<FluidSimulator>(physical, cluster, placement, options.sim);
+    sim = std::make_unique<FluidSimulator>(physical, cluster, placement, SimConfig{});
     double requested = 0.0;
     for (const auto& [op, rate] : source_rates) {
       sim->SetSourceRate(op, rate * fraction);
       requested += rate * fraction;
     }
-    sim->RunFor(options.warmup_s);
+    sim->RunFor(kWarmupS);
     from = sim->time_s();
-    sim->RunFor(options.measure_s);
+    sim->RunFor(kMeasureS);
     to = sim->time_s();
     double emitted = sim->Throughput(from, to);
     if (requested <= 0.0 || emitted >= 0.97 * requested) {

@@ -15,15 +15,6 @@
 
 namespace capsys {
 
-struct ProfileOptions {
-  // Fraction of the target rate used while profiling (kept low so no operator saturates
-  // and measured costs reflect uncontended behaviour).
-  double rate_fraction = 0.3;
-  double warmup_s = 10.0;
-  double measure_s = 30.0;
-  SimConfig sim;
-};
-
 // Measured per-record unit costs of one operator, in the same units as OperatorProfile.
 struct MeasuredCost {
   double cpu_per_record = 0.0;
@@ -36,8 +27,7 @@ struct MeasuredCost {
 // OperatorId.
 std::vector<MeasuredCost> ProfileOperators(const LogicalGraph& graph,
                                            const std::map<OperatorId, double>& source_rates,
-                                           const WorkerSpec& worker_spec,
-                                           const ProfileOptions& options = {});
+                                           const WorkerSpec& worker_spec);
 
 // Converts measured unit costs into per-task demand vectors for a physical graph running at
 // the given operator rates — the U(t) inputs of the CAPS cost model.

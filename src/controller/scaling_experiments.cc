@@ -7,9 +7,21 @@
 #include "src/common/logging.h"
 #include "src/common/str.h"
 #include "src/dataflow/rates.h"
+#include "src/obs/events.h"
 
 namespace capsys {
 namespace {
+
+// DS2 controller timing (paper §6.4).
+constexpr double kActivationTimeS = 90.0;
+constexpr double kPolicyIntervalS = 5.0;
+// Metrics window DS2 evaluates over.
+constexpr double kMetricsWindowS = 30.0;
+// Restart blackout per reconfiguration.
+constexpr double kReconfigureDowntimeS = 5.0;
+// Fraction of the target a step must reach to count as "met".
+constexpr double kTargetFraction = 0.95;
+constexpr int kSearchThreads = 2;
 
 std::map<OperatorId, double> ScaledRates(const std::map<OperatorId, double>& base,
                                          double total_rate) {
@@ -37,25 +49,26 @@ ScalingRun RunScalingExperiment(const QuerySpec& query, const Cluster& cluster,
                                 const ScalingExperimentOptions& options) {
   CAPSYS_CHECK(!rate_steps.empty());
   ScalingRun run;
+  const SimConfig sim_config;
+  // All structured events below stamp against the driver's global clock.
+  EventLog::Global().set_now(0.0);
 
   DeployOptions deploy_options;
   deploy_options.policy = options.policy;
-  deploy_options.search_threads = options.search_threads;
+  deploy_options.search_threads = kSearchThreads;
   deploy_options.seed = options.seed;
-  deploy_options.ds2 = options.ds2;
   CapsysController controller(cluster, deploy_options);
 
   // One-time profiling at the base rates (§5.1: profiling is not repeated on reconfig).
-  std::vector<MeasuredCost> costs = ProfileOperators(
-      query.graph, query.source_rates, cluster.worker(0).spec, deploy_options.profile);
   const WorkerSpec& spec = cluster.worker(0).spec;
+  std::vector<MeasuredCost> costs = ProfileOperators(query.graph, query.source_rates, spec);
 
   // --- Initial configuration --------------------------------------------------------------
   LogicalGraph graph = query.graph;
   auto step0_rates = ScaledRates(query.source_rates, rate_steps[0]);
   if (options.start_optimal) {
     graph.SetParallelism(MinimalParallelism(graph, step0_rates, spec,
-                                          options.sim.contention.cores_per_task));
+                                          sim_config.contention.cores_per_task));
   } else {
     for (OperatorId o = 0; o < graph.num_operators(); ++o) {
       graph.SetParallelism(o, 1);
@@ -80,17 +93,8 @@ ScalingRun RunScalingExperiment(const QuerySpec& query, const Cluster& cluster,
 
   Placement placement = make_placement(graph, step0_rates);
   auto sim = std::make_unique<FluidSimulator>(PhysicalGraph::Expand(graph), cluster, placement,
-                                              options.sim);
+                                              sim_config);
   double global_offset = 0.0;  // global time = offset + sim->time_s()
-
-  // Optional checkpointing: replaces the fixed reconfiguration blackout with the
-  // recovery-time model. Off by default, which keeps the driver byte-compatible with the
-  // paper's fixed-downtime setup (EstimateRecovery falls back to reconfigure_downtime_s).
-  std::unique_ptr<CheckpointCoordinator> coordinator;
-  if (options.use_checkpointing) {
-    coordinator = std::make_unique<CheckpointCoordinator>(options.checkpoint, options.state);
-  }
-  double cum_records = 0.0;  // cumulative source position the barriers capture
 
   std::map<OperatorId, double> current_rates = step0_rates;
   auto apply_rates = [&](FluidSimulator& s) {
@@ -104,31 +108,27 @@ ScalingRun RunScalingExperiment(const QuerySpec& query, const Cluster& cluster,
   for (size_t step = 0; step < rate_steps.size(); ++step) {
     current_rates = ScaledRates(query.source_rates, rate_steps[step]);
     apply_rates(*sim);
-    double step_start_global = global_offset + sim->time_s();
     int decisions_this_step = 0;
 
     double elapsed_in_step = 0.0;
     while (elapsed_in_step + 1e-9 < options.step_duration_s) {
-      sim->RunFor(options.policy_interval_s);
-      elapsed_in_step += options.policy_interval_s;
+      sim->RunFor(kPolicyIntervalS);
+      elapsed_in_step += kPolicyIntervalS;
       double now_local = sim->time_s();
       double now_global = global_offset + now_local;
-      QuerySummary last = sim->Summarize(now_local - options.policy_interval_s, now_local);
+      EventLog::Global().set_now(now_global);
+      QuerySummary last = sim->Summarize(now_local - kPolicyIntervalS, now_local);
       run.timeline.push_back(TimelinePoint{.time_s = now_global,
                                            .target_rate = rate_steps[step],
                                            .throughput = last.throughput,
                                            .slots = graph.total_parallelism()});
-      cum_records += last.throughput * options.policy_interval_s;
-      if (coordinator != nullptr) {
-        coordinator->AdvanceTo(now_global, cum_records);
-      }
 
       // DS2 evaluation: only after the activation time has elapsed since the last
       // reconfiguration, so the controller sees stabilized metrics.
-      if (now_local < options.activation_time_s) {
+      if (now_local < kActivationTimeS) {
         continue;
       }
-      double window_from = std::max(0.0, now_local - options.metrics_window_s);
+      double window_from = std::max(0.0, now_local - kMetricsWindowS);
       std::vector<Ds2Observation> obs(static_cast<size_t>(graph.num_operators()));
       for (OperatorId o = 0; o < graph.num_operators(); ++o) {
         auto& ob = obs[static_cast<size_t>(o)];
@@ -136,10 +136,9 @@ ScalingRun RunScalingExperiment(const QuerySpec& query, const Cluster& cluster,
         ob.observed_input_rate = sim->OperatorInputRate(o, window_from, now_local);
         ob.observed_output_rate = sim->OperatorOutputRate(o, window_from, now_local);
       }
-      Ds2Options ds2 = options.ds2;
-      ds2.max_parallelism =
-          std::min(ds2.max_parallelism, cluster.total_slots() - graph.num_operators() + 1);
-      Ds2Decision decision = Ds2Scale(graph, current_rates, obs, ds2);
+      Ds2Decision decision = Ds2Scale(
+          graph, current_rates, obs,
+          std::min(kDs2MaxParallelism, cluster.total_slots() - graph.num_operators() + 1));
       if (!decision.changed) {
         continue;
       }
@@ -159,25 +158,11 @@ ScalingRun RunScalingExperiment(const QuerySpec& query, const Cluster& cluster,
       placement = make_placement(graph, current_rates);
       global_offset += sim->time_s();
       sim = std::make_unique<FluidSimulator>(PhysicalGraph::Expand(graph), cluster, placement,
-                                             options.sim);
-      // Checkpoint-restore blackout: no records flow until the job is back up. The
-      // duration comes from the recovery-time model — with checkpointing off (the
-      // default) it degenerates to the fixed reconfigure_downtime_s fallback.
-      if (coordinator != nullptr) {
-        coordinator->FailInFlight(now_global, "reconfiguration");
-      }
-      RecoveryModelOptions rm;
-      rm.fallback_downtime_s = options.reconfigure_downtime_s;
-      rm.exactly_once = options.exactly_once;
-      RecoveryEstimate est =
-          EstimateRecovery(coordinator.get(), now_global, cum_records,
-                           std::max(rate_steps[step], 1.0), spec.io_bandwidth_bps, rm);
-      run.restore_downtime_s += est.downtime_s;
-      run.replayed_records += est.replayed_records;
-      if (est.downtime_s > 0.0) {
-        sim->RunFor(est.downtime_s);
-        elapsed_in_step += est.downtime_s;
-      }
+                                             sim_config);
+      sim->SetTelemetryTimeOffset(global_offset);
+      // Restart blackout: no records flow until the job is back up.
+      sim->RunFor(kReconfigureDowntimeS);
+      elapsed_in_step += kReconfigureDowntimeS;
       apply_rates(*sim);
     }
 
@@ -195,18 +180,14 @@ ScalingRun RunScalingExperiment(const QuerySpec& query, const Cluster& cluster,
     eval.throughput = summary.throughput;
     eval.slots = graph.total_parallelism();
     auto min_p = MinimalParallelism(query.graph, current_rates, spec,
-                                    options.sim.contention.cores_per_task);
+                                    sim_config.contention.cores_per_task);
     for (int p : min_p) {
       eval.min_slots += p;
     }
-    eval.met_target = summary.throughput >= options.target_fraction * rate_steps[step];
+    eval.met_target = summary.throughput >= kTargetFraction * rate_steps[step];
     eval.overprovisioned = eval.slots > eval.min_slots;
     eval.scaling_decisions = decisions_this_step;
     run.steps.push_back(eval);
-    (void)step_start_global;
-  }
-  if (coordinator != nullptr) {
-    run.checkpoints_completed = coordinator->completed();
   }
   return run;
 }

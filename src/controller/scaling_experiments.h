@@ -8,43 +8,23 @@
 #include <string>
 #include <vector>
 
-#include "src/checkpoint/checkpoint.h"
-#include "src/checkpoint/recovery_model.h"
 #include "src/controller/deployment.h"
 
 namespace capsys {
 
+// DS2 timing follows the paper's §6.4 setup and is fixed in the driver: activation time
+// 90 s, policy interval 5 s over a 30 s metrics window, and a 5 s restart blackout per
+// reconfiguration (sources stay blocked while the job restarts, which makes extra scaling
+// decisions costly, as on Flink).
 struct ScalingExperimentOptions {
   PlacementPolicy policy = PlacementPolicy::kCaps;
-  // DS2 controller timing (paper: activation 90 s, policy interval 5 s).
-  double activation_time_s = 90.0;
-  double policy_interval_s = 5.0;
-  // Metrics window DS2 evaluates over.
-  double metrics_window_s = 30.0;
   // Duration of each rate step (paper: 600 s / 1200 s; shorter values keep benches fast —
   // the fluid model reaches steady state within ~30 s).
   double step_duration_s = 240.0;
   // Start from the manually tuned optimal configuration (Table 4) instead of parallelism 1
   // with the policy's own initial plan (Figure 9).
   bool start_optimal = true;
-  // Fraction of the target a step must reach to count as "met".
-  double target_fraction = 0.95;
-  // Fixed downtime per reconfiguration — the FALLBACK when `use_checkpointing` is off (the
-  // default here, preserving the paper's Table 4 / Figure 9 setup) or before the first
-  // checkpoint completes. Sources stay blocked while the job restarts and state is
-  // restored, which makes extra scaling decisions costly, as on Flink.
-  double reconfigure_downtime_s = 5.0;
-  // When on, a CheckpointCoordinator runs alongside the DS2 loop and each
-  // reconfiguration's blackout comes from the recovery-time model (restore bytes / disk
-  // bandwidth + source replay from the last barrier) instead of the fixed constant.
-  bool use_checkpointing = false;
-  CheckpointOptions checkpoint;
-  StateGrowthModel state;
-  bool exactly_once = true;
-  int search_threads = 2;
   uint64_t seed = 1;
-  SimConfig sim;
-  Ds2Options ds2;
 };
 
 struct TimelinePoint {
@@ -71,10 +51,6 @@ struct ScalingRun {
   std::vector<double> decision_times_s;     // when reconfigurations happened
   std::vector<StepEval> steps;
   int total_decisions = 0;
-  // Checkpoint & restore accounting (fallback constants when use_checkpointing is off).
-  double restore_downtime_s = 0.0;  // total reconfiguration blackout across the run
-  double replayed_records = 0.0;    // source backlog re-read across all reconfigurations
-  int checkpoints_completed = 0;
 };
 
 // Runs the experiment: `rate_steps` gives the target source rate (scaled per source by its

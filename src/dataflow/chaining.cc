@@ -7,12 +7,11 @@
 namespace capsys {
 namespace {
 
-bool SchemeChainable(PartitionScheme scheme, const ChainingOptions& options) {
+bool SchemeChainable(PartitionScheme scheme) {
   switch (scheme) {
     case PartitionScheme::kForward:
-      return options.chain_forward;
     case PartitionScheme::kRebalance:
-      return options.chain_rebalance;
+      return true;
     case PartitionScheme::kHash:
       return false;  // key partitioning requires a network shuffle
   }
@@ -21,7 +20,7 @@ bool SchemeChainable(PartitionScheme scheme, const ChainingOptions& options) {
 
 }  // namespace
 
-ChainingResult ChainOperators(const LogicalGraph& graph, const ChainingOptions& options) {
+ChainingResult ChainOperators(const LogicalGraph& graph) {
   int n = graph.num_operators();
   // successor[i] = j when the edge i->j is chainable and both endpoints are linear.
   std::vector<OperatorId> successor(static_cast<size_t>(n), kInvalidId);
@@ -29,11 +28,11 @@ ChainingResult ChainOperators(const LogicalGraph& graph, const ChainingOptions& 
   for (const auto& e : graph.edges()) {
     const auto& from = graph.op(e.from);
     const auto& to = graph.op(e.to);
-    bool chainable = SchemeChainable(e.scheme, options) &&
+    bool chainable = SchemeChainable(e.scheme) &&
                      from.parallelism == to.parallelism &&
                      graph.Downstreams(e.from).size() == 1 &&
                      graph.Upstreams(e.to).size() == 1 &&
-                     (options.chain_sources || from.kind != OperatorKind::kSource);
+                     from.kind != OperatorKind::kSource;
     if (chainable) {
       successor[static_cast<size_t>(e.from)] = e.to;
       has_pred[static_cast<size_t>(e.to)] = true;

@@ -16,23 +16,17 @@
 
 namespace capsys {
 
-struct ChainingOptions {
-  // Edge schemes that permit chaining (Flink chains forward edges; rebalance edges are
-  // chainable when parallelism matches, which Flink's default chaining also exploits).
-  bool chain_forward = true;
-  bool chain_rebalance = true;
-  // Never chain across these kinds (the paper separates sources from downstream operators
-  // because generation has different resource requirements).
-  bool chain_sources = false;
-};
-
 struct ChainingResult {
   LogicalGraph graph;
   // chain_of[original operator id] = operator id in the chained graph.
   std::vector<OperatorId> chain_of;
 };
 
-ChainingResult ChainOperators(const LogicalGraph& graph, const ChainingOptions& options = {});
+// Forward and rebalance edges chain (Flink chains forward edges; rebalance edges are
+// chainable when parallelism matches, which Flink's default chaining also exploits). Sources
+// never chain: the paper separates them from downstream operators because generation has
+// different resource requirements.
+ChainingResult ChainOperators(const LogicalGraph& graph);
 
 }  // namespace capsys
 

@@ -8,15 +8,6 @@
 
 namespace capsys {
 
-bool Placement::IsComplete() const {
-  for (WorkerId w : assignment_) {
-    if (w == kInvalidId) {
-      return false;
-    }
-  }
-  return !assignment_.empty();
-}
-
 std::string Placement::Validate(const PhysicalGraph& graph, const Cluster& cluster) const {
   if (static_cast<int>(assignment_.size()) != graph.num_tasks()) {
     return Sprintf("plan covers %zu tasks but graph has %d", assignment_.size(),
@@ -40,17 +31,6 @@ std::string Placement::Validate(const PhysicalGraph& graph, const Cluster& clust
     }
   }
   return "";
-}
-
-std::vector<std::vector<TaskId>> Placement::TasksByWorker(const Cluster& cluster) const {
-  std::vector<std::vector<TaskId>> by_worker(static_cast<size_t>(cluster.num_workers()));
-  for (size_t t = 0; t < assignment_.size(); ++t) {
-    WorkerId w = assignment_[t];
-    if (w != kInvalidId) {
-      by_worker[static_cast<size_t>(w)].push_back(static_cast<TaskId>(t));
-    }
-  }
-  return by_worker;
 }
 
 std::vector<int> Placement::LoadByWorker(const Cluster& cluster) const {

@@ -25,14 +25,9 @@ class Placement {
   WorkerId WorkerOf(TaskId t) const { return assignment_[static_cast<size_t>(t)]; }
   void Assign(TaskId t, WorkerId w) { assignment_[static_cast<size_t>(t)] = w; }
 
-  bool IsComplete() const;
-
   // Validates constraints (1) and (2) of §4.1: every task assigned exactly one worker and
   // no worker exceeds its slot count. Returns an error string or empty when valid.
   std::string Validate(const PhysicalGraph& graph, const Cluster& cluster) const;
-
-  // Tasks placed on each worker.
-  std::vector<std::vector<TaskId>> TasksByWorker(const Cluster& cluster) const;
 
   // Number of tasks per worker.
   std::vector<int> LoadByWorker(const Cluster& cluster) const;

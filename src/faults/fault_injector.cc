@@ -33,16 +33,14 @@ const char* FaultKindName(PrimitiveFault::Kind kind) {
 
 }  // namespace
 
-FaultInjector::FaultInjector(const FaultSchedule& schedule, int num_workers, uint64_t seed,
-                             InjectorOptions options)
-    : options_(options),
-      timeline_(schedule.Expand()),
+FaultInjector::FaultInjector(const FaultSchedule& schedule, int num_workers, uint64_t seed)
+    : timeline_(schedule.Expand()),
       crashed_(static_cast<size_t>(num_workers), false),
       degrade_(static_cast<size_t>(num_workers), 1.0),
       corruption_seed_(seed ^ 0x9e3779b97f4a7c15ULL),
       heartbeat_rng_(seed) {
   CAPSYS_CHECK(num_workers > 0);
-  next_beat_s_.assign(static_cast<size_t>(num_workers), options_.heartbeat_interval_s);
+  next_beat_s_.assign(static_cast<size_t>(num_workers), kHeartbeatIntervalS);
 }
 
 void FaultInjector::AdvanceTo(double now, FluidSimulator* sim) {
@@ -114,24 +112,16 @@ std::vector<WorkerId> FaultInjector::CollectHeartbeats(double now) {
     while (next_beat_s_[w] <= now + 1e-9) {
       // A degraded worker heartbeats at a slowed cadence; a crashed worker skips the beat
       // entirely but its cadence keeps advancing so beats resume promptly after a restore.
-      double interval = options_.heartbeat_interval_s / std::max(degrade_[w], 0.05);
+      double interval = kHeartbeatIntervalS / std::max(degrade_[w], 0.05);
       bool emitted = !crashed_[w];
       bool lost = corruption_.dropout_p > 0.0 && heartbeat_rng_.Bernoulli(corruption_.dropout_p);
       if (emitted && !lost) {
         delivered.push_back(static_cast<WorkerId>(w));
       }
-      next_beat_s_[w] += crashed_[w] ? options_.heartbeat_interval_s : interval;
+      next_beat_s_[w] += crashed_[w] ? kHeartbeatIntervalS : interval;
     }
   }
   return delivered;
-}
-
-int FaultInjector::NumCrashed() const {
-  int n = 0;
-  for (bool c : crashed_) {
-    n += c ? 1 : 0;
-  }
-  return n;
 }
 
 std::string FaultInjector::ToString() const {

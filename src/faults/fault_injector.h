@@ -16,16 +16,13 @@
 
 namespace capsys {
 
-struct InjectorOptions {
-  // Workers emit one heartbeat per interval; a worker degraded to factor f emits every
-  // interval/f (slow nodes report late, which is what drives detector suspicion).
-  double heartbeat_interval_s = 1.0;
-};
-
 class FaultInjector {
  public:
-  FaultInjector(const FaultSchedule& schedule, int num_workers, uint64_t seed,
-                InjectorOptions options = {});
+  // Workers emit one heartbeat per interval; a worker degraded to factor f emits every
+  // interval/f (slow nodes report late, which is what drives detector suspicion).
+  static constexpr double kHeartbeatIntervalS = 1.0;
+
+  FaultInjector(const FaultSchedule& schedule, int num_workers, uint64_t seed);
 
   // Applies every primitive fault with time <= now to the truth state and (when `sim` is
   // non-null) to the simulator. `now` must be monotonically non-decreasing across calls.
@@ -43,20 +40,13 @@ class FaultInjector {
 
   // Ground truth.
   bool IsCrashed(WorkerId w) const { return crashed_[static_cast<size_t>(w)]; }
-  double DegradeFactor(WorkerId w) const { return degrade_[static_cast<size_t>(w)]; }
-  int NumCrashed() const;
   // True while a checkpoint-failure storm is active — the checkpoint coordinator consults
   // this to fail every checkpoint attempted in the window.
   bool CheckpointsFailing() const { return checkpoint_failing_; }
-  double dropout_p() const { return corruption_.dropout_p; }
-  const MetricCorruption& corruption() const { return corruption_; }
-  // True when every scheduled fault has been applied.
-  bool Exhausted() const { return next_ >= timeline_.size(); }
 
   std::string ToString() const;
 
  private:
-  InjectorOptions options_;
   std::vector<PrimitiveFault> timeline_;
   size_t next_ = 0;
   double now_ = 0.0;

@@ -87,14 +87,10 @@ bool ClusterView::FitsLocked(const SlotReservation& reservation, JobId ignore_jo
 }
 
 CommitResult ClusterView::TryCommit(JobId job, uint64_t snapshot_epoch,
-                                    const SlotReservation& reservation, bool allow_stale) {
+                                    const SlotReservation& reservation) {
   CAPSYS_CHECK(reservation.size() == reserved_.size());
   std::lock_guard<std::mutex> lock(mu_);
   bool stale = epoch_ != snapshot_epoch;
-  if (stale && !allow_stale) {
-    ++conflicts_;
-    return CommitResult::kConflict;
-  }
   // Even an epoch-exact commit re-validates: the snapshot the *plan* was computed against
   // may be older than the snapshot the caller compares to (paranoia is cheap here, and it
   // makes double-booking structurally impossible).

@@ -10,7 +10,7 @@
 //   - kCommittedStale   the epoch moved, but re-validation under the lock shows the
 //                       reservation still fits the current free slots of usable workers
 //                       (another job's commit did not intersect ours). Applied; epoch
-//                       bumped. Enabled by default; strict-epoch mode turns it off.
+//                       bumped.
 //   - kConflict         the reservation no longer fits — the planner must take a fresh
 //                       snapshot and re-plan (with backoff; see PlacementService).
 //
@@ -72,11 +72,10 @@ class ClusterView {
   ClusterSnapshot SnapshotFor(JobId job) const;
 
   // Commits `reservation` for `job`, releasing whatever the job had reserved before
-  // (make-before-break swap, so rescales and recovery replans are atomic). When
-  // `allow_stale` is false, any epoch advance since `snapshot_epoch` is a kConflict even if
-  // the reservation would still fit (strict optimistic concurrency).
-  CommitResult TryCommit(JobId job, uint64_t snapshot_epoch, const SlotReservation& reservation,
-                         bool allow_stale = true);
+  // (make-before-break swap, so rescales and recovery replans are atomic). An epoch advance
+  // since `snapshot_epoch` commits as kCommittedStale when the reservation still fits.
+  CommitResult TryCommit(JobId job, uint64_t snapshot_epoch,
+                         const SlotReservation& reservation);
 
   // Releases everything `job` has reserved. No-op (returns false) when nothing is held.
   bool Release(JobId job);

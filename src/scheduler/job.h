@@ -21,7 +21,6 @@
 #include <string>
 #include <vector>
 
-#include "src/checkpoint/checkpoint.h"
 #include "src/common/types.h"
 #include "src/dataflow/logical_graph.h"
 #include "src/dataflow/placement.h"
@@ -60,10 +59,6 @@ struct JobSpec {
   std::string name;
   LogicalGraph graph;
   std::map<OperatorId, double> source_rates;
-  // Optional checkpoint coordinator of the job's runtime (not owned; may be null). When
-  // present, recovery estimates restore from its last completed checkpoint instead of the
-  // fixed fallback blackout.
-  const CheckpointCoordinator* checkpoint = nullptr;
   // Allow the recovery path to down-scale parallelism when the survivors cannot host the
   // job at full parallelism (graceful degradation); off = queue until capacity returns.
   bool allow_degraded_recovery = true;
@@ -90,7 +85,6 @@ struct JobStatus {
   double running_time_s = -1.0;   // first entered Running (-1 = never)
   double decision_latency_s = -1.0;  // submit -> first Running
   double planning_time_s = 0.0;      // cumulative planner time (search + tuning)
-  double est_recovery_downtime_s = -1.0;  // checkpoint-model estimate of the last recovery
   std::string detail;             // human-readable last transition reason
 
   std::string ToString() const;

@@ -8,7 +8,6 @@
 
 #include "src/caps/plan.h"
 #include "src/caps/search.h"
-#include "src/checkpoint/recovery_model.h"
 #include "src/common/logging.h"
 #include "src/common/str.h"
 #include "src/dataflow/rates.h"
@@ -209,12 +208,6 @@ void PlacementService::OnWorkerRestored(WorkerId w) {
   ev.kind = EventItem::Kind::kWorkerRestored;
   ev.worker = w;
   Enqueue(std::move(ev));
-}
-
-void PlacementService::OnFailureDetectorVerdicts(const std::vector<WorkerId>& newly_dead) {
-  for (WorkerId w : newly_dead) {
-    OnWorkerDead(w);
-  }
 }
 
 void PlacementService::DispatcherLoop() {
@@ -441,19 +434,7 @@ void PlacementService::HandleWorkerDead(WorkerId w) {
 void PlacementService::BeginRecoveryLocked(JobRecord& rec, const std::string& cause) {
   ++stats_.recoveries;
   ++rec.status.recoveries;
-  // Checkpoint-model estimate of the blackout this recovery will incur (fed to the
-  // Recovering state; the fixed fallback applies when the job has no coordinator).
-  double total_rate = 0.0;
-  for (const auto& [op, r] : rec.spec.source_rates) {
-    total_rate += r;
-  }
-  double domain_now = EventLog::Global().now();
-  RecoveryEstimate est = EstimateRecovery(
-      rec.spec.checkpoint, domain_now, total_rate * domain_now, std::max(1.0, total_rate),
-      std::max(1e6, view_.TotalCapacity().io), RecoveryModelOptions{});
-  rec.status.est_recovery_downtime_s = est.downtime_s;
-  Transition(rec, JobState::kRecovering,
-             Sprintf("%s (est blackout %.2fs)", cause.c_str(), est.downtime_s));
+  Transition(rec, JobState::kRecovering, cause);
   SpawnPlanner(rec, /*recovering=*/true);
 }
 
@@ -560,8 +541,7 @@ void PlacementService::RunPlanner(PlanRequest req) {
       tuned_alpha = planned->alpha;
     }
     SlotReservation reservation = planned->placement.LoadByWorker(cluster_);
-    CommitResult cr = view_.TryCommit(req.job, snap.epoch, reservation,
-                                      !options_.strict_epoch_commit);
+    CommitResult cr = view_.TryCommit(req.job, snap.epoch, reservation);
     if (cr == CommitResult::kConflict) {
       ++outcome->conflicts;
       double backoff =

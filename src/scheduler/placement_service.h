@@ -52,11 +52,6 @@ struct SchedulerOptions {
   int find_first_above_tasks = 32;
   AutoTuneOptions autotune{.timeout_s = 0.5, .probe_timeout_s = 0.05};
 
-  // Optimistic-commit policy. Default: an epoch advance whose committed reservations do
-  // not intersect ours re-validates and commits (kCommittedStale). Strict mode treats any
-  // epoch advance as a conflict — the textbook protocol; used by tests and ablations.
-  bool strict_epoch_commit = false;
-
   // Admission control.
   int max_queued_jobs = 64;
   // Fraction of aggregate usable capacity admissible per dimension (1.0 = up to nominal).
@@ -110,8 +105,6 @@ class PlacementService {
 
   void OnWorkerDead(WorkerId w);
   void OnWorkerRestored(WorkerId w);
-  // Convenience for wiring FailureDetector::Tick results straight in.
-  void OnFailureDetectorVerdicts(const std::vector<WorkerId>& newly_dead);
 
   // --- Introspection --------------------------------------------------------------------
 

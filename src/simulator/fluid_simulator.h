@@ -99,9 +99,6 @@ class FluidSimulator {
   // paper's §3.3 I/O-contention study. 0 clears the charge.
   void SetWorkerCheckpointIoBps(WorkerId w, double bps);
   void ClearCheckpointIo();
-  double WorkerCheckpointIoBps(WorkerId w) const {
-    return checkpoint_io_bps_[static_cast<size_t>(w)];
-  }
 
   // Fault injection: corrupts subsequent controller-facing metric reads (the Operator*
   // accessors below). `seed` makes dropout/noise deterministic.

@@ -152,10 +152,9 @@ TEST(RecoveryModelTest, CrashMidCheckpointRestoresLastCompletedWithZeroLoss) {
   ASSERT_TRUE(c.InFlight());
   c.FailInFlight(20.4, "participant_crash");  // ...which dies mid-flight
 
-  RecoveryModelOptions rm;
-  rm.exactly_once = true;
   const double now = 21.0;
-  RecoveryEstimate est = EstimateRecovery(&c, now, kRate * now, kRate, 100e6, rm);
+  RecoveryEstimate est =
+      EstimateRecovery(&c, kRate * now, kRate, 100e6, /*exactly_once=*/true);
   // Recovery restores the last *completed* checkpoint, never the failed attempt.
   EXPECT_FALSE(est.used_fallback);
   EXPECT_EQ(est.checkpoint_id, completed.id);
@@ -169,8 +168,8 @@ TEST(RecoveryModelTest, CrashMidCheckpointRestoresLastCompletedWithZeroLoss) {
   EXPECT_NEAR(est.downtime_s, est.restore_s + est.replay_s, 1e-9);
 
   // At-least-once: shorter blackout, but every replayed record is a duplicate.
-  rm.exactly_once = false;
-  RecoveryEstimate alo = EstimateRecovery(&c, now, kRate * now, kRate, 100e6, rm);
+  RecoveryEstimate alo =
+      EstimateRecovery(&c, kRate * now, kRate, 100e6, /*exactly_once=*/false);
   EXPECT_DOUBLE_EQ(alo.lost_records, 0.0);
   EXPECT_DOUBLE_EQ(alo.duplicate_records, alo.replayed_records);
   EXPECT_LT(alo.downtime_s, est.downtime_s);
@@ -178,17 +177,16 @@ TEST(RecoveryModelTest, CrashMidCheckpointRestoresLastCompletedWithZeroLoss) {
 }
 
 TEST(RecoveryModelTest, FallsBackToFixedBlackoutWithoutCheckpoints) {
-  RecoveryModelOptions rm;
-  rm.fallback_downtime_s = 5.0;
-  // Checkpointing disabled entirely: the legacy fixed blackout, no loss accounting.
-  RecoveryEstimate off = EstimateRecovery(nullptr, 100.0, 1e5, kRate, 100e6, rm);
+  // Checkpointing disabled entirely: the fixed 5 s blackout, no loss accounting.
+  RecoveryEstimate off = EstimateRecovery(nullptr, 1e5, kRate, 100e6, /*exactly_once=*/true);
   EXPECT_TRUE(off.used_fallback);
   EXPECT_DOUBLE_EQ(off.downtime_s, 5.0);
   EXPECT_DOUBLE_EQ(off.lost_records, 0.0);
   // Checkpointing on but nothing ever completed: restart empty — the state is gone.
   CheckpointCoordinator c(FastCheckpoint(), SmallState());
   c.AdvanceTo(5.0, kRate * 5.0);  // before the first trigger
-  RecoveryEstimate none = EstimateRecovery(&c, 5.0, kRate * 5.0, kRate, 100e6, rm);
+  RecoveryEstimate none =
+      EstimateRecovery(&c, kRate * 5.0, kRate, 100e6, /*exactly_once=*/true);
   EXPECT_TRUE(none.used_fallback);
   EXPECT_DOUBLE_EQ(none.downtime_s, 5.0);
   EXPECT_DOUBLE_EQ(none.lost_records, kRate * 5.0);
@@ -203,14 +201,14 @@ TEST(RecoveryModelTest, DowntimeGrowsWithStateSizeAndBacklog) {
   CheckpointCoordinator cl(o, large);
   RunTo(cs, 35.0);
   RunTo(cl, 35.0);
-  RecoveryModelOptions rm;
-  RecoveryEstimate es = EstimateRecovery(&cs, 40.0, kRate * 40.0, kRate, 20e6, rm);
-  RecoveryEstimate el = EstimateRecovery(&cl, 40.0, kRate * 40.0, kRate, 20e6, rm);
+  RecoveryEstimate es = EstimateRecovery(&cs, kRate * 40.0, kRate, 20e6, /*exactly_once=*/true);
+  RecoveryEstimate el = EstimateRecovery(&cl, kRate * 40.0, kRate, 20e6, /*exactly_once=*/true);
   EXPECT_GT(el.restored_bytes, es.restored_bytes);
   EXPECT_GT(el.restore_s, es.restore_s);
   EXPECT_GT(el.downtime_s, es.downtime_s);
   // A later failure point means a longer backlog since the same barrier.
-  RecoveryEstimate later = EstimateRecovery(&cs, 44.0, kRate * 44.0, kRate, 20e6, rm);
+  RecoveryEstimate later =
+      EstimateRecovery(&cs, kRate * 44.0, kRate, 20e6, /*exactly_once=*/true);
   EXPECT_GT(later.replayed_records, es.replayed_records);
   EXPECT_GT(later.downtime_s, es.downtime_s);
 }

@@ -60,9 +60,7 @@ TEST(Ds2Test, ClampsToBounds) {
   for (auto& o : obs) {
     o.true_rate_per_task = 1.0;  // would need absurd parallelism
   }
-  Ds2Options options;
-  options.max_parallelism = 6;
-  Ds2Decision d = Ds2Scale(q.graph, q.source_rates, obs, options);
+  Ds2Decision d = Ds2Scale(q.graph, q.source_rates, obs, /*max_parallelism=*/6);
   for (int p : d.parallelism) {
     EXPECT_LE(p, 6);
     EXPECT_GE(p, 1);

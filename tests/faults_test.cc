@@ -128,16 +128,8 @@ TEST(MetricCorruptionTest, CorruptsControllerReadsButNotGroundTruth) {
 
 // --- Failure detector ------------------------------------------------------------------------
 
-FailureDetectorOptions FastDetector() {
-  FailureDetectorOptions o;
-  o.heartbeat_interval_s = 1.0;
-  o.timeout_s = 3.0;
-  o.dead_after_misses = 3;
-  return o;
-}
-
 TEST(FailureDetectorTest, SilentWorkerProgressesSuspectedThenDead) {
-  FailureDetector det(2, FastDetector());
+  FailureDetector det(2);
   // Both workers beat at t=1; then w1 goes silent.
   det.RecordHeartbeat(0, 1.0);
   det.RecordHeartbeat(1, 1.0);
@@ -147,7 +139,7 @@ TEST(FailureDetectorTest, SilentWorkerProgressesSuspectedThenDead) {
     for (WorkerId w : det.Tick(now)) {
       dead.push_back(w);
     }
-    if (now < 1.0 + det.options().timeout_s) {
+    if (now < 1.0 + FailureDetector::kTimeoutS) {
       EXPECT_EQ(det.HealthOf(1), WorkerHealth::kAlive) << "t=" << now;
     }
   }
@@ -163,7 +155,7 @@ TEST(FailureDetectorTest, SilentWorkerProgressesSuspectedThenDead) {
 }
 
 TEST(FailureDetectorTest, StragglerIsSuspectedButNeverDeclaredDead) {
-  FailureDetector det(1, FastDetector());
+  FailureDetector det(1);
   // A degraded worker beats every 4 s: slower than the 3 s timeout (so it accumulates one
   // miss and gets suspected) but never 3 consecutive misses.
   bool ever_suspected = false;
@@ -182,11 +174,8 @@ TEST(FailureDetectorTest, StragglerIsSuspectedButNeverDeclaredDead) {
 }
 
 TEST(FailureDetectorTest, FlappingWorkerIsBlacklistedWithBackoff) {
-  FailureDetectorOptions o = FastDetector();
-  o.flap_deaths_to_blacklist = 2;
-  o.flap_window_s = 120.0;
-  o.blacklist_base_s = 30.0;
-  FailureDetector det(1, o);
+  // Two deaths within the 120 s flap window blacklist the worker for 30 s.
+  FailureDetector det(1);
   // Cycle: silent long enough to die, then one beat, repeated.
   double now = 0.0;
   auto kill_once = [&]() {

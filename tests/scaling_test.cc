@@ -8,6 +8,7 @@
 #include "src/controller/scaling_experiments.h"
 #include "src/dataflow/rates.h"
 #include "src/nexmark/queries.h"
+#include "src/obs/events.h"
 
 namespace capsys {
 namespace {
@@ -16,7 +17,6 @@ ScalingExperimentOptions FastOptions(PlacementPolicy policy) {
   ScalingExperimentOptions options;
   options.policy = policy;
   options.step_duration_s = 240.0;
-  options.activation_time_s = 90.0;  // the paper's DS2 activation time
   options.seed = 3;
   return options;
 }
@@ -91,6 +91,33 @@ TEST(ScalingExperimentTest, DecisionsHaveTimestampsWithinRun) {
   for (double t : run.decision_times_s) {
     EXPECT_GE(t, 0.0);
     EXPECT_LE(t, run.timeline.back().time_s + 60.0);
+  }
+}
+
+TEST(ScalingExperimentTest, PlacementEventsStampTheDriverClock) {
+  Cluster cluster(8, WorkerSpec::R5dXlarge(8));
+  QuerySpec q = BuildQ3Inf();
+  ScalingExperimentOptions options = FastOptions(PlacementPolicy::kCaps);
+  options.start_optimal = false;
+  EventLog& log = EventLog::Global();
+  log.Enable();
+  log.Reset();
+  ScalingRun run = RunScalingExperiment(q, cluster, {800, 2400}, options);
+  std::vector<Event> events = log.Snapshot();
+  log.Disable();
+  log.Reset();
+  std::vector<double> placement_times;
+  for (const Event& e : events) {
+    if (e.type == EventType::kPlacementDecision) {
+      placement_times.push_back(e.time_s);
+    }
+  }
+  ASSERT_GE(run.decision_times_s.size(), 1u);
+  // The initial plan at t=0, then one plan per reconfiguration at its decision time.
+  ASSERT_EQ(placement_times.size(), run.decision_times_s.size() + 1);
+  EXPECT_DOUBLE_EQ(placement_times[0], 0.0);
+  for (size_t i = 0; i < run.decision_times_s.size(); ++i) {
+    EXPECT_DOUBLE_EQ(placement_times[i + 1], run.decision_times_s[i]) << "decision " << i;
   }
 }
 
