@@ -13,6 +13,8 @@ namespace capsys {
 namespace {
 
 constexpr double kEps = 1e-12;
+// Budget of each partition's search.
+constexpr double kSearchTimeoutS = 5.0;
 
 }  // namespace
 
@@ -164,7 +166,7 @@ PartitionedResult PartitionedPlacementSearch(const PhysicalGraph& graph,
     CostModel sub_model(sub_graph, sub_cluster, sub_demands);
     PlannedPlacement planned =
         PlanPlacement(sub_model, std::nullopt, options.autotune, options.num_threads,
-                      options.search_timeout_s, /*find_first_above_tasks=*/0);
+                      kSearchTimeoutS, /*find_first_above_tasks=*/0);
     result.alphas.push_back(planned.alpha);
     const Placement& sub_plan = planned.placement;
 

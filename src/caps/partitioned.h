@@ -25,7 +25,6 @@ struct PartitionedOptions {
   // Each partition is one PlanPlacement in find-first mode: alpha comes from per-partition
   // tuning, and the greedy incumbent wins over the first plan when its utilization is lower.
   int num_threads = 2;
-  double search_timeout_s = 5.0;
 };
 
 struct PartitionedResult {

@@ -18,6 +18,8 @@ constexpr double kLookaheadSlack = 1e-9;
 // A task count no worker reaches.
 constexpr int kNever = std::numeric_limits<int>::max() / 2;
 constexpr double kInf = std::numeric_limits<double>::infinity();
+// Cap on SearchResult::collected, which bounds a collecting search's memory.
+constexpr size_t kMaxCollected = size_t{1} << 22;
 // Utilizations closer than this tie, and the tie goes to the better cost.
 constexpr double kPickTolerance = 1e-9;
 
@@ -880,7 +882,7 @@ void CapsSearch::AtLeaf(Ctx& ctx) {
   if (branch_and_bound_) {
     LowerBounds(util, cost);
   }
-  if (options_.collect_plans && result_.collected.size() < options_.max_collected) {
+  if (options_.collect_plans && result_.collected.size() < kMaxCollected) {
     result_.collected.push_back(ScoredPlan{build_plan(), cost});
   }
   if (options_.find_first) {

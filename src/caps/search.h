@@ -66,9 +66,8 @@ struct SearchOptions {
   // Stop at the first plan satisfying the thresholds (used by the Fig. 10a measurements
   // and by threshold auto-tuning feasibility probes).
   bool find_first = false;
-  // Retain every satisfying plan (exhaustive studies, Fig. 2 / Fig. 5).
+  // Retain every satisfying plan, up to 2^22 of them (exhaustive studies, Fig. 2 / Fig. 5).
   bool collect_plans = false;
-  size_t max_collected = size_t{1} << 22;
   // Worker threads for parallel subtree exploration; 1 = fully deterministic.
   int num_threads = 1;
   double timeout_s = 1e18;

@@ -1,59 +1,10 @@
 #include "src/common/stats.h"
 
 #include <algorithm>
-#include <cmath>
 
 #include "src/common/str.h"
 
 namespace capsys {
-
-void RunningStats::Add(double x) {
-  if (count_ == 0) {
-    min_ = max_ = x;
-  } else {
-    min_ = std::min(min_, x);
-    max_ = std::max(max_, x);
-  }
-  ++count_;
-  double delta = x - mean_;
-  mean_ += delta / static_cast<double>(count_);
-  m2_ += delta * (x - mean_);
-}
-
-void RunningStats::Merge(const RunningStats& other) {
-  if (other.count_ == 0) {
-    return;
-  }
-  if (count_ == 0) {
-    *this = other;
-    return;
-  }
-  double delta = other.mean_ - mean_;
-  size_t total = count_ + other.count_;
-  double nf = static_cast<double>(count_);
-  double mf = static_cast<double>(other.count_);
-  mean_ += delta * mf / static_cast<double>(total);
-  m2_ += other.m2_ + delta * delta * nf * mf / static_cast<double>(total);
-  min_ = std::min(min_, other.min_);
-  max_ = std::max(max_, other.max_);
-  count_ = total;
-}
-
-void RunningStats::Reset() { *this = RunningStats(); }
-
-double RunningStats::Variance() const {
-  if (count_ < 2) {
-    return 0.0;
-  }
-  return m2_ / static_cast<double>(count_ - 1);
-}
-
-double RunningStats::Stddev() const { return std::sqrt(Variance()); }
-
-std::string RunningStats::ToString() const {
-  return Sprintf("n=%zu mean=%.4g sd=%.4g min=%.4g max=%.4g", count_, Mean(), Stddev(), Min(),
-                 Max());
-}
 
 void Distribution::EnsureSorted() const {
   if (!sorted_) {

@@ -1,4 +1,4 @@
-// Streaming statistics and summary helpers used by metrics, the simulator, and benches.
+// Percentile and summary helpers used by metrics, the simulator, and benches.
 #ifndef SRC_COMMON_STATS_H_
 #define SRC_COMMON_STATS_H_
 
@@ -7,31 +7,6 @@
 #include <vector>
 
 namespace capsys {
-
-// Welford-style running mean/variance with min/max tracking.
-class RunningStats {
- public:
-  void Add(double x);
-  void Merge(const RunningStats& other);
-  void Reset();
-
-  size_t Count() const { return count_; }
-  double Mean() const { return count_ > 0 ? mean_ : 0.0; }
-  double Variance() const;
-  double Stddev() const;
-  double Min() const { return count_ > 0 ? min_ : 0.0; }
-  double Max() const { return count_ > 0 ? max_ : 0.0; }
-  double Sum() const { return mean_ * static_cast<double>(count_); }
-
-  std::string ToString() const;
-
- private:
-  size_t count_ = 0;
-  double mean_ = 0.0;
-  double m2_ = 0.0;
-  double min_ = 0.0;
-  double max_ = 0.0;
-};
 
 // Exact percentile over a retained sample vector. Suitable for the experiment scales here
 // (at most a few hundred thousand samples per series).

@@ -72,10 +72,7 @@ ChaosRun RunChaosExperiment(const QuerySpec& query, const Cluster& cluster,
 
   // Flush metrics every control tick so timeline samples always see fresh windows, however
   // reconfigurations shift the runtime's local clock against the global one.
-  SimConfig sim_config;
-  sim_config.metrics_interval_s = std::min(sim_config.metrics_interval_s, kControlIntervalS);
-
-  auto sim = std::make_unique<FluidSimulator>(physical, cluster, placement, sim_config);
+  auto sim = std::make_unique<FluidSimulator>(physical, cluster, placement, kControlIntervalS);
   for (const auto& [op, r] : d.source_rates) {
     sim->SetSourceRate(op, r);
   }
@@ -273,7 +270,7 @@ ChaosRun RunChaosExperiment(const QuerySpec& query, const Cluster& cluster,
     run.reconfig_times_s.push_back(now);
     last_reconfig_s = now;
     global_offset = now;
-    sim = std::make_unique<FluidSimulator>(physical, cluster, placement, sim_config);
+    sim = std::make_unique<FluidSimulator>(physical, cluster, placement, kControlIntervalS);
     sim->SetTelemetryTimeOffset(global_offset);
     injector.ApplyCurrentState(sim.get());
 

@@ -12,6 +12,16 @@
 #include "src/obs/trace.h"
 
 namespace capsys {
+namespace {
+
+// Budget for the CAPS placement search. Instances with more than kFindFirstAboveTasks
+// tasks use find-first mode (the paper's online mode: the first plan satisfying the
+// auto-tuned thresholds); smaller ones are searched by branch and bound and return the
+// plan with the lowest MaxUtilization, tie-broken by cost (PlanPlacement).
+constexpr double kSearchTimeoutS = 3.0;
+constexpr int kFindFirstAboveTasks = 48;
+
+}  // namespace
 
 const char* PolicyName(PlacementPolicy policy) {
   switch (policy) {
@@ -97,7 +107,7 @@ Placement CapsysController::Place(const PhysicalGraph& physical,
         }
       }
       planned = PlanPlacement(model, cached, options_.autotune, options_.search_threads,
-                              options_.search_timeout_s, options_.find_first_above_tasks);
+                              kSearchTimeoutS, kFindFirstAboveTasks);
       break;
     }
     case PlacementPolicy::kFlinkDefault:

@@ -28,11 +28,6 @@ struct DeployOptions {
   // parallelism is kept (the motivation-study setups fix parallelism explicitly).
   bool use_ds2_sizing = false;
   int search_threads = 2;
-  // Budget for the placement search. Large instances use find-first mode (the paper's
-  // online mode: the first plan satisfying the auto-tuned thresholds); smaller instances
-  // explore within the budget and return the pareto-best plan.
-  double search_timeout_s = 3.0;
-  int find_first_above_tasks = 48;
   AutoTuneOptions autotune;
   uint64_t seed = 1;  // randomness for the Flink baseline policies
   // Optional precomputed thresholds (paper §5.2): when set and the cache holds an entry for

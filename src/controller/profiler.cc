@@ -47,7 +47,7 @@ std::vector<MeasuredCost> ProfileOperators(const LogicalGraph& graph,
   double to = 0.0;
   std::unique_ptr<FluidSimulator> sim;
   for (int attempt = 0; attempt < 4; ++attempt) {
-    sim = std::make_unique<FluidSimulator>(physical, cluster, placement, SimConfig{});
+    sim = std::make_unique<FluidSimulator>(physical, cluster, placement);
     double requested = 0.0;
     for (const auto& [op, rate] : source_rates) {
       sim->SetSourceRate(op, rate * fraction);
@@ -127,15 +127,10 @@ std::vector<ResourceVector> DemandsFromMeasuredCosts(const PhysicalGraph& graph,
   CAPSYS_CHECK(rates.size() == static_cast<size_t>(graph.num_operators()));
   std::vector<ResourceVector> demands(static_cast<size_t>(graph.num_tasks()));
   for (const auto& t : graph.tasks()) {
-    const auto& op = graph.logical().op(t.op);
     const auto& c = costs[static_cast<size_t>(t.op)];
-    const auto& r = rates[static_cast<size_t>(t.op)];
-    double per_task_in = r.input_rate / op.parallelism;
-    double per_task_out = r.output_rate / op.parallelism;
-    auto& d = demands[static_cast<size_t>(t.id)];
-    d.cpu = per_task_in * c.cpu_per_record;
-    d.io = per_task_in * c.io_bytes_per_record;
-    d.net = per_task_out * c.out_bytes_per_record;
+    demands[static_cast<size_t>(t.id)] =
+        TaskDemand(graph.logical().op(t.op).parallelism, rates[static_cast<size_t>(t.op)],
+                   {c.cpu_per_record, c.io_bytes_per_record, c.out_bytes_per_record});
   }
   return demands;
 }

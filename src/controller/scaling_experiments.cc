@@ -49,7 +49,6 @@ ScalingRun RunScalingExperiment(const QuerySpec& query, const Cluster& cluster,
                                 const ScalingExperimentOptions& options) {
   CAPSYS_CHECK(!rate_steps.empty());
   ScalingRun run;
-  const SimConfig sim_config;
   // All structured events below stamp against the driver's global clock.
   EventLog::Global().set_now(0.0);
 
@@ -68,7 +67,7 @@ ScalingRun RunScalingExperiment(const QuerySpec& query, const Cluster& cluster,
   auto step0_rates = ScaledRates(query.source_rates, rate_steps[0]);
   if (options.start_optimal) {
     graph.SetParallelism(MinimalParallelism(graph, step0_rates, spec,
-                                          sim_config.contention.cores_per_task));
+                                          FluidSimulator::kContention.cores_per_task));
   } else {
     for (OperatorId o = 0; o < graph.num_operators(); ++o) {
       graph.SetParallelism(o, 1);
@@ -92,8 +91,7 @@ ScalingRun RunScalingExperiment(const QuerySpec& query, const Cluster& cluster,
   };
 
   Placement placement = make_placement(graph, step0_rates);
-  auto sim = std::make_unique<FluidSimulator>(PhysicalGraph::Expand(graph), cluster, placement,
-                                              sim_config);
+  auto sim = std::make_unique<FluidSimulator>(PhysicalGraph::Expand(graph), cluster, placement);
   double global_offset = 0.0;  // global time = offset + sim->time_s()
 
   std::map<OperatorId, double> current_rates = step0_rates;
@@ -157,8 +155,7 @@ ScalingRun RunScalingExperiment(const QuerySpec& query, const Cluster& cluster,
       graph.SetParallelism(decision.parallelism);
       placement = make_placement(graph, current_rates);
       global_offset += sim->time_s();
-      sim = std::make_unique<FluidSimulator>(PhysicalGraph::Expand(graph), cluster, placement,
-                                             sim_config);
+      sim = std::make_unique<FluidSimulator>(PhysicalGraph::Expand(graph), cluster, placement);
       sim->SetTelemetryTimeOffset(global_offset);
       // Restart blackout: no records flow until the job is back up.
       sim->RunFor(kReconfigureDowntimeS);
@@ -180,7 +177,7 @@ ScalingRun RunScalingExperiment(const QuerySpec& query, const Cluster& cluster,
     eval.throughput = summary.throughput;
     eval.slots = graph.total_parallelism();
     auto min_p = MinimalParallelism(query.graph, current_rates, spec,
-                                    sim_config.contention.cores_per_task);
+                                    FluidSimulator::kContention.cores_per_task);
     for (int p : min_p) {
       eval.min_slots += p;
     }

@@ -33,14 +33,15 @@ std::vector<OperatorRates> PropagateRates(const LogicalGraph& graph, double sour
   return PropagateRates(graph, source_rates);
 }
 
-ResourceVector TaskDemand(const LogicalOperator& op, const OperatorRates& rates) {
-  CAPSYS_CHECK(op.parallelism >= 1);
-  double per_task_in = rates.input_rate / op.parallelism;
-  double per_task_out = rates.output_rate / op.parallelism;
+ResourceVector TaskDemand(int parallelism, const OperatorRates& rates,
+                          const ResourceVector& unit_cost) {
+  CAPSYS_CHECK(parallelism >= 1);
+  double per_task_in = rates.input_rate / parallelism;
+  double per_task_out = rates.output_rate / parallelism;
   ResourceVector demand;
-  demand.cpu = per_task_in * op.profile.cpu_per_record;
-  demand.io = per_task_in * op.profile.io_bytes_per_record;
-  demand.net = per_task_out * op.profile.out_bytes_per_record;
+  demand.cpu = per_task_in * unit_cost.cpu;
+  demand.io = per_task_in * unit_cost.io;
+  demand.net = per_task_out * unit_cost.net;
   return demand;
 }
 
@@ -50,7 +51,10 @@ std::vector<ResourceVector> TaskDemands(const PhysicalGraph& graph,
   std::vector<ResourceVector> demands(static_cast<size_t>(graph.num_tasks()));
   for (const auto& t : graph.tasks()) {
     const auto& op = graph.logical().op(t.op);
-    demands[static_cast<size_t>(t.id)] = TaskDemand(op, rates[static_cast<size_t>(t.op)]);
+    demands[static_cast<size_t>(t.id)] =
+        TaskDemand(op.parallelism, rates[static_cast<size_t>(t.op)],
+                   {op.profile.cpu_per_record, op.profile.io_bytes_per_record,
+                    op.profile.out_bytes_per_record});
   }
   return demands;
 }

@@ -36,9 +36,11 @@ std::vector<OperatorRates> PropagateRates(const LogicalGraph& graph, double sour
 std::vector<ResourceVector> TaskDemands(const PhysicalGraph& graph,
                                         const std::vector<OperatorRates>& rates);
 
-// Demand of one task of `op` if the operator runs at `rates[op]` with its current
-// parallelism.
-ResourceVector TaskDemand(const LogicalOperator& op, const OperatorRates& rates);
+// Demand of one of `parallelism` tasks of an operator running at `rates`, given its unit
+// costs: `unit_cost.cpu` CPU-seconds and `unit_cost.io` state bytes per input record, and
+// `unit_cost.net` bytes per output record.
+ResourceVector TaskDemand(int parallelism, const OperatorRates& rates,
+                          const ResourceVector& unit_cost);
 
 }  // namespace capsys
 

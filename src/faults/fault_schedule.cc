@@ -7,6 +7,19 @@
 #include "src/common/str.h"
 
 namespace capsys {
+namespace {
+
+// Shapes of the faults FaultSchedule::Random draws.
+constexpr double kRestoreAfterS = 60.0;  // crashes auto-restore after this long
+constexpr double kSlowdownFactor = 0.3;
+constexpr double kSlowdownDurationS = 40.0;
+constexpr double kFlapPeriodS = 10.0;
+constexpr int kFlapCycles = 3;
+constexpr double kDropoutP = 0.3;
+constexpr double kNoiseStddev = 0.2;
+constexpr double kMetricDurationS = 30.0;
+
+}  // namespace
 
 const char* FaultTypeName(FaultType type) {
   switch (type) {
@@ -202,7 +215,7 @@ FaultSchedule FaultSchedule::Random(int num_workers, const RandomOptions& option
   Rng rng(seed);
   FaultSchedule schedule;
   // Crashed-interval bookkeeping so generated crashes never take down more than
-  // max_concurrent_crashes workers at once.
+  // kMaxConcurrentCrashes workers at once.
   struct Outage {
     double from, to;
     WorkerId worker;
@@ -218,10 +231,7 @@ FaultSchedule FaultSchedule::Random(int num_workers, const RandomOptions& option
     return n;
   };
 
-  std::vector<FaultType> mix;
-  if (options.allow_crashes) {
-    mix.push_back(FaultType::kCrash);
-  }
+  std::vector<FaultType> mix = {FaultType::kCrash};
   if (options.allow_slowdowns) {
     mix.push_back(FaultType::kSlowdown);
   }
@@ -232,7 +242,6 @@ FaultSchedule FaultSchedule::Random(int num_workers, const RandomOptions& option
     mix.push_back(FaultType::kMetricDropout);
     mix.push_back(FaultType::kMetricNoise);
   }
-  CAPSYS_CHECK_MSG(!mix.empty(), "random schedule needs at least one allowed fault type");
 
   for (int i = 0; i < options.num_faults; ++i) {
     double t = rng.Uniform(options.min_time_s, options.horizon_s);
@@ -240,8 +249,8 @@ FaultSchedule FaultSchedule::Random(int num_workers, const RandomOptions& option
     WorkerId w = static_cast<WorkerId>(rng.NextBounded(static_cast<uint64_t>(num_workers)));
     switch (type) {
       case FaultType::kCrash: {
-        double end = t + options.restore_after_s;
-        if (concurrent_crashes(t, end) >= options.max_concurrent_crashes) {
+        double end = t + kRestoreAfterS;
+        if (concurrent_crashes(t, end) >= kMaxConcurrentCrashes) {
           continue;  // would exceed the blast-radius cap; skip this draw
         }
         schedule.Crash(t, w).Restore(end, w);
@@ -249,22 +258,22 @@ FaultSchedule FaultSchedule::Random(int num_workers, const RandomOptions& option
         break;
       }
       case FaultType::kSlowdown:
-        schedule.Slowdown(t, w, options.slowdown_factor, options.slowdown_duration_s);
+        schedule.Slowdown(t, w, kSlowdownFactor, kSlowdownDurationS);
         break;
       case FaultType::kFlap: {
-        double end = t + options.flap_period_s * options.flap_cycles;
-        if (concurrent_crashes(t, end) >= options.max_concurrent_crashes) {
+        double end = t + kFlapPeriodS * kFlapCycles;
+        if (concurrent_crashes(t, end) >= kMaxConcurrentCrashes) {
           continue;
         }
-        schedule.Flap(t, w, options.flap_period_s, options.flap_cycles);
+        schedule.Flap(t, w, kFlapPeriodS, kFlapCycles);
         outages.push_back({t, end, w});
         break;
       }
       case FaultType::kMetricDropout:
-        schedule.MetricDropout(t, options.dropout_p, options.metric_duration_s);
+        schedule.MetricDropout(t, kDropoutP, kMetricDurationS);
         break;
       case FaultType::kMetricNoise:
-        schedule.MetricNoise(t, 0.2, options.metric_duration_s);
+        schedule.MetricNoise(t, kNoiseStddev, kMetricDurationS);
         break;
       case FaultType::kMetricStaleness:
       case FaultType::kRestore:

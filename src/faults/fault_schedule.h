@@ -92,26 +92,20 @@ class FaultSchedule {
 
   std::string ToString() const;
 
-  // Options for generating a random (but seed-deterministic) schedule.
+  // Options for generating a random (but seed-deterministic) schedule. Crashes are always
+  // in the mix; the shapes of the drawn faults are fixed in fault_schedule.cc.
   struct RandomOptions {
     int num_faults = 8;
     double min_time_s = 30.0;    // no faults before the query warms up
     double horizon_s = 300.0;    // faults drawn uniformly in [min_time_s, horizon_s]
-    double restore_after_s = 60.0;  // crashes auto-restore after this long
-    double slowdown_factor = 0.3;
-    double slowdown_duration_s = 40.0;
-    double flap_period_s = 10.0;
-    int flap_cycles = 3;
-    double dropout_p = 0.3;
-    double metric_duration_s = 30.0;
-    bool allow_crashes = true;
     bool allow_slowdowns = true;
     bool allow_flaps = true;
     bool allow_metric_faults = true;
-    // At most this many workers may be simultaneously crashed by generated crash events
-    // (flaps not counted); guards against schedules that kill the whole cluster.
-    int max_concurrent_crashes = 2;
   };
+
+  // Generated crashes and flaps never overlap more than this many at a time; guards
+  // against schedules that kill the whole cluster.
+  static constexpr int kMaxConcurrentCrashes = 2;
 
   // Generates a schedule of `options.num_faults` events over `num_workers` workers.
   // Identical (num_workers, options, seed) triples yield identical schedules.

@@ -18,6 +18,11 @@ const char* const kStates[] = {"az", "wa", "ma", "or", "id", "ca"};
 const char* const kItems[] = {"rusty bike", "used laptop", "vintage lamp", "rare vinyl",
                               "old camera", "antique desk"};
 
+// Standard Nexmark mix: of every 50 events, 1 person, 3 auctions and 46 bids.
+constexpr int kPersonProportion = 1;
+constexpr int kAuctionProportion = 3;
+constexpr int kBidProportion = 46;
+
 template <typename T, size_t N>
 const T& Pick(Rng& rng, const T (&arr)[N]) {
   return arr[rng.NextBounded(N)];
@@ -28,24 +33,19 @@ const T& Pick(Rng& rng, const T (&arr)[N]) {
 NexmarkGenerator::NexmarkGenerator(GeneratorConfig config)
     : config_(config), rng_(config.seed) {
   CAPSYS_CHECK(config_.events_per_second > 0);
-  CAPSYS_CHECK(config_.person_proportion >= 1);
-  CAPSYS_CHECK(config_.auction_proportion >= 1);
-  CAPSYS_CHECK(config_.bid_proportion >= 1);
 }
 
 Event NexmarkGenerator::Next() {
-  int total =
-      config_.person_proportion + config_.auction_proportion + config_.bid_proportion;
-  int64_t slot = count_ % total;
+  int64_t slot = count_ % (kPersonProportion + kAuctionProportion + kBidProportion);
   time_ms_ += 1000.0 / config_.events_per_second;
   ++count_;
 
   Event e;
   e.timestamp_ms = static_cast<int64_t>(time_ms_);
-  if (slot < config_.person_proportion) {
+  if (slot < kPersonProportion) {
     e.kind = Event::Kind::kPerson;
     e.payload = MakePerson();
-  } else if (slot < config_.person_proportion + config_.auction_proportion) {
+  } else if (slot < kPersonProportion + kAuctionProportion) {
     e.kind = Event::Kind::kAuction;
     e.payload = MakeAuction();
   } else {

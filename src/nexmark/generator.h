@@ -15,10 +15,6 @@ namespace capsys {
 struct GeneratorConfig {
   uint64_t seed = 42;
   double events_per_second = 1000.0;
-  // Standard Nexmark mix out of every `person + auction + bid` events.
-  int person_proportion = 1;
-  int auction_proportion = 3;
-  int bid_proportion = 46;
   // Hot-key skew: fraction of bids that target one of the `hot_auctions` most recent
   // auctions. 0 disables skew.
   double hot_bid_fraction = 0.0;

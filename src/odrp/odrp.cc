@@ -12,6 +12,8 @@ namespace capsys {
 namespace {
 
 constexpr double kEps = 1e-12;
+// Propagation delay added per fully-remote logical hop (seconds); all links are equal.
+constexpr double kLinkDelayS = 0.001;
 
 // Placement-independent objective terms for one parallelism vector.
 struct VectorScore {
@@ -233,7 +235,7 @@ class PlacementSolver {
       }
     }
     double w_net = options_.weights.network * net_bytes / std::max(net_ref_, kEps);
-    double w_delay = options_.weights.response_time * options_.link_delay_s * delay_frac /
+    double w_delay = options_.weights.response_time * kLinkDelayS * delay_frac /
                      std::max(response_ref_, kEps);
     return w_net + w_delay;
   }
@@ -283,7 +285,7 @@ OdrpResult SolveOdrp(const LogicalGraph& base_graph, const Cluster& cluster,
   for (const auto& op : base_graph.operators()) {
     response_ref += op.profile.cpu_per_record * 2.0;
   }
-  response_ref += options.link_delay_s * static_cast<double>(base_graph.edges().size());
+  response_ref += kLinkDelayS * static_cast<double>(base_graph.edges().size());
 
   LogicalGraph scratch = base_graph;
   double net_ref = 0.0;
@@ -315,7 +317,7 @@ OdrpResult SolveOdrp(const LogicalGraph& base_graph, const Cluster& cluster,
       return;
     }
     const auto& op = base_graph.op(ops[idx]);
-    int lo = options.min_parallelism;
+    int lo = 1;
     int hi = options.max_parallelism;
     if (op.kind == OperatorKind::kSource || op.kind == OperatorKind::kSink) {
       lo = hi = op.parallelism;  // sources/sinks keep their configured parallelism

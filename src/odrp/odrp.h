@@ -41,15 +41,12 @@ struct OdrpWeights {
 
 struct OdrpOptions {
   OdrpWeights weights;
-  // Parallelism search range per operator.
-  int min_parallelism = 1;
+  // Largest parallelism tried per operator; the search range starts at 1.
   int max_parallelism = 16;
   // When true, the placement solver breaks worker symmetry like CAPS does. Off by default:
   // the original ODRP hands one monolithic ILP to CPLEX, which has no knowledge of worker
   // interchangeability — a structural reason for its long decision times.
   bool break_symmetry = false;
-  // Propagation delay added per fully-remote logical hop (seconds).
-  double link_delay_s = 0.001;
   // Exploration budget; the solver returns the best plan found so far when exhausted.
   double timeout_s = 60.0;
   uint64_t max_nodes = UINT64_MAX;

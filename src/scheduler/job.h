@@ -47,7 +47,7 @@ enum class AdmissionOutcome : int {
   kAdmitted = 0,        // fits the current free capacity; proceed to Planning
   kQueuedCapacity,      // fits the cluster, not the current free capacity; wait
   kRejectedCapacity,    // cannot fit the cluster even when empty
-  kRejectedInvalid,     // malformed spec (bad graph, empty, oversized queue)
+  kRejectedInvalid,     // malformed spec (bad graph or source rates, empty)
 };
 
 const char* AdmissionOutcomeName(AdmissionOutcome outcome);
@@ -58,6 +58,7 @@ const char* AdmissionOutcomeName(AdmissionOutcome outcome);
 struct JobSpec {
   std::string name;
   LogicalGraph graph;
+  // Target records/s per source operator: finite, non-negative, keyed on sources only.
   std::map<OperatorId, double> source_rates;
   // Allow the recovery path to down-scale parallelism when the survivors cannot host the
   // job at full parallelism (graceful degradation); off = queue until capacity returns.

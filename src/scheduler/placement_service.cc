@@ -42,6 +42,21 @@ JobDemand EstimateDemand(const LogicalGraph& graph,
   return out;
 }
 
+// Why `source_rates` is not a valid input for `graph`, or "" when it is: every rate is
+// finite, non-negative and keyed on a source operator of the graph.
+std::string SourceRatesError(const LogicalGraph& graph,
+                             const std::map<OperatorId, double>& source_rates) {
+  for (const auto& [op, rate] : source_rates) {
+    if (op < 0 || op >= graph.num_operators() || graph.op(op).kind != OperatorKind::kSource) {
+      return Sprintf("source rate keyed on operator %d, which is not a source", op);
+    }
+    if (!std::isfinite(rate) || rate < 0.0) {
+      return Sprintf("source rate %g of operator %d is negative or not finite", rate, op);
+    }
+  }
+  return "";
+}
+
 }  // namespace
 
 // One queue entry. Client calls and planner completions use the same queue, so every job
@@ -286,17 +301,20 @@ void PlacementService::HandleSubmit(JobId job) {
     Transition(rec, JobState::kTerminated, "cancelled before admission");
     return;
   }
-  std::string graph_error =
+  std::string spec_error =
       rec.graph.num_operators() == 0 ? "empty graph" : rec.graph.Validate();
-  if (graph_error.empty() && !CapsSearchable(rec.graph)) {
-    graph_error = "forward edge out of an operator with parallelism > 1";
+  if (spec_error.empty() && !CapsSearchable(rec.graph)) {
+    spec_error = "forward edge out of an operator with parallelism > 1";
   }
-  if (!graph_error.empty()) {
+  if (spec_error.empty()) {
+    spec_error = SourceRatesError(rec.graph, rec.spec.source_rates);
+  }
+  if (!spec_error.empty()) {
     rec.status.admission = AdmissionOutcome::kRejectedInvalid;
     ++stats_.rejected;
     EmitAdmissionDecision(EventLog::Global().now(), job,
                           AdmissionOutcomeName(rec.status.admission), 0, view_.TotalFreeSlots());
-    Transition(rec, JobState::kRejected, "invalid spec: " + graph_error);
+    Transition(rec, JobState::kRejected, "invalid spec: " + spec_error);
     return;
   }
   JobDemand estimate = EstimateDemand(rec.graph, rec.spec.source_rates);

@@ -94,12 +94,9 @@ class PlacementService {
   JobId Submit(JobSpec spec);
   // Cancels a job in any non-terminal state, releasing its reservation.
   void Cancel(JobId job);
-  // Requests a re-plan at a new per-operator parallelism (only honoured while Running;
-  // DS2 decisions arrive here via ApplyScaleDecision).
+  // Requests a re-plan at a new per-operator parallelism, e.g. a DS2 decision (only
+  // honoured while Running).
   void Rescale(JobId job, std::vector<int> parallelism);
-  void ApplyScaleDecision(JobId job, const std::vector<int>& parallelism) {
-    Rescale(job, parallelism);
-  }
 
   // --- Cluster events (FailureDetector verdicts, chaos faults, capacity changes) -------
 

@@ -13,6 +13,13 @@ namespace capsys {
 namespace {
 
 constexpr double kEps = 1e-12;
+// Buffer-debloating stand-in: a task's input queue holds kBufferSeconds of its target
+// input rate, floored at kMinQueueRecords.
+constexpr double kBufferSeconds = 0.5;
+constexpr double kMinQueueRecords = 64.0;
+// Mean source backpressure at flush time at/above which a BackpressureOnset event is
+// emitted (and below which a following BackpressureCleared is).
+constexpr double kBackpressureOnsetThreshold = 0.5;
 
 enum class Scope : uint8_t { kTask, kOperator, kWorker, kQuery };
 
@@ -48,8 +55,11 @@ std::string QuerySummary::ToString() const {
 }
 
 FluidSimulator::FluidSimulator(const PhysicalGraph& graph, const Cluster& cluster,
-                               const Placement& placement, SimConfig config)
-    : graph_(graph), cluster_(cluster), placement_(placement), config_(config) {
+                               const Placement& placement, double metrics_interval_s)
+    : graph_(graph),
+      cluster_(cluster),
+      placement_(placement),
+      metrics_interval_s_(metrics_interval_s) {
   std::string err = placement_.Validate(graph_, cluster_);
   CAPSYS_CHECK_MSG(err.empty(), err);
   size_t n = static_cast<size_t>(graph_.num_tasks());
@@ -97,9 +107,6 @@ FluidSimulator::FluidSimulator(const PhysicalGraph& graph, const Cluster& cluste
   failed_snapshot_ = failed_;
   degrade_snapshot_ = degrade_;
   checkpoint_io_snapshot_ = checkpoint_io_bps_;
-  if (config_.num_threads > 1) {
-    pool_ = std::make_unique<ThreadPool>(config_.num_threads);
-  }
   RebuildStatics();
 }
 
@@ -120,12 +127,12 @@ void FluidSimulator::RebuildStatics() {
   }
   // Queue capacities from target rates (buffer-debloating stand-in).
   auto rates = PropagateRates(graph_.logical(), source_rates_);
-  queue_capacity_.assign(n, config_.min_queue_records);
+  queue_capacity_.assign(n, kMinQueueRecords);
   for (const auto& t : graph_.tasks()) {
     const auto& op = graph_.logical().op(t.op);
     double per_task_in = rates[static_cast<size_t>(t.op)].input_rate / op.parallelism;
     queue_capacity_[static_cast<size_t>(t.id)] =
-        std::max(config_.min_queue_records, per_task_in * config_.buffer_seconds);
+        std::max(kMinQueueRecords, per_task_in * kBufferSeconds);
   }
   // Static per-task costs (constant between calls to this function).
   task_op_.assign(n, 0);
@@ -246,8 +253,8 @@ void FluidSimulator::Step() {
   for (size_t k = 0; k < accums_.size(); ++k) {
     accums_[k].Add(tick_[k]);
   }
-  time_s_ += config_.tick_s;
-  if (time_s_ - last_flush_s_ >= config_.metrics_interval_s - kEps) {
+  time_s_ += kTickS;
+  if (time_s_ - last_flush_s_ >= metrics_interval_s_ - kEps) {
     FlushMetrics();
   }
 }
@@ -258,7 +265,7 @@ bool FluidSimulator::InputsMatchReplaySnapshot() const {
 }
 
 bool FluidSimulator::SolveTick() {
-  const double dt = config_.tick_s;
+  const double dt = kTickS;
   const size_t n = static_cast<size_t>(graph_.num_tasks());
   std::copy(queue_.begin(), queue_.end(), queue_at_tick_start_.begin());
 
@@ -268,11 +275,8 @@ bool FluidSimulator::SolveTick() {
   }
 
   // --- 2. Per-worker contention solve -----------------------------------------------------
-  // Workers are solved independently and each writes only its own allocation arena plus its
-  // own tasks' slices of the scattered arrays, so the parallel path is bit-identical to the
-  // sequential one.
   const WorkerId num_workers = cluster_.num_workers();
-  auto solve_one = [this](WorkerId w) {
+  for (WorkerId w = 0; w < num_workers; ++w) {
     size_t wi = static_cast<size_t>(w);
     const auto& idxs = worker_tasks_[wi];
     std::vector<TaskLoad>& loads = worker_loads_[wi];
@@ -286,10 +290,9 @@ bool FluidSimulator::SolveTick() {
       WorkerSpec spec = cluster_.worker(w).spec;
       spec.io_bandwidth_bps = std::max(0.1 * spec.io_bandwidth_bps,
                                        spec.io_bandwidth_bps - ckpt_bps);
-      SolveWorkerInPlace(spec, config_.contention, loads, worker_scratch_[wi], alloc);
+      SolveWorkerInPlace(spec, kContention, loads, worker_scratch_[wi], alloc);
     } else {
-      SolveWorkerInPlace(cluster_.worker(w).spec, config_.contention, loads,
-                         worker_scratch_[wi], alloc);
+      SolveWorkerInPlace(cluster_.worker(w).spec, kContention, loads, worker_scratch_[wi], alloc);
     }
     if (failed_[wi]) {
       std::fill(alloc.rate.begin(), alloc.rate.end(), 0.0);
@@ -308,16 +311,6 @@ bool FluidSimulator::SolveTick() {
       rate_cap_[idxs[k]] = alloc.rate[k];
       true_rate_[idxs[k]] = alloc.capacity_rate[k];
       eff_cpu_cost_[idxs[k]] = alloc.effective_cpu_per_record[k];
-    }
-  };
-  if (pool_ != nullptr) {
-    for (WorkerId w = 0; w < num_workers; ++w) {
-      pool_->Submit([&solve_one, w] { solve_one(w); });
-    }
-    pool_->Wait();
-  } else {
-    for (WorkerId w = 0; w < num_workers; ++w) {
-      solve_one(w);
     }
   }
 
@@ -486,7 +479,7 @@ void FluidSimulator::FlushMetrics() {
   {
     const Accum& acc = accums_[row_base_[kQueryBackpressure]];
     double bp = acc.sum / acc.count;
-    bool above = bp >= config_.backpressure_onset_threshold;
+    bool above = bp >= kBackpressureOnsetThreshold;
     if (above && !backpressure_episode_) {
       EmitBackpressureOnset(telemetry_offset_s_ + time_s_, bp);
     } else if (!above && backpressure_episode_) {
@@ -545,7 +538,7 @@ double FluidSimulator::WindowMean(Row r, size_t k, double from_s, double to_s) c
 
 void FluidSimulator::RunFor(double seconds) {
   Span span("sim.run_for");
-  int steps = static_cast<int>(std::llround(seconds / config_.tick_s));
+  int steps = static_cast<int>(std::llround(seconds / kTickS));
   if (span.active()) {
     span.AddAttr("seconds", seconds);
     span.AddAttr("ticks", steps);
@@ -608,7 +601,7 @@ double FluidSimulator::CorruptedMean(Row r, size_t k, double from_s, double to_s
   }
   if (corruption_.dropout_p > 0.0 && corruption_rng_.Bernoulli(corruption_.dropout_p)) {
     // The fresh window was lost; the read falls back to the previous flush interval.
-    shift += config_.metrics_interval_s;
+    shift += metrics_interval_s_;
     ++pending_dropouts_;  // registry counter updated at the next flush (this path is const)
     EmitMetricDropout(event_t, SeriesName(r, k), shift);
   }

@@ -14,13 +14,11 @@
 
 #include <cstdint>
 #include <map>
-#include <memory>
 #include <string>
 #include <vector>
 
 #include "src/cluster/cluster.h"
 #include "src/common/rng.h"
-#include "src/common/thread_pool.h"
 #include "src/dataflow/placement.h"
 #include "src/dataflow/rates.h"
 #include "src/metrics/metrics.h"
@@ -40,25 +38,6 @@ struct MetricCorruption {
   bool Active() const { return dropout_p > 0.0 || staleness_s > 0.0 || noise_frac > 0.0; }
 };
 
-struct SimConfig {
-  double tick_s = 0.1;
-  // Buffer debloating stand-in: per-task queue capacity is `buffer_seconds` worth of the
-  // task's target input rate, floored at `min_queue_records`.
-  double buffer_seconds = 0.5;
-  double min_queue_records = 64.0;
-  // Interval at which metrics are flushed into the registry (paper records every 5 s).
-  double metrics_interval_s = 5.0;
-  // Mean source backpressure at flush time at/above which a BackpressureOnset event is
-  // emitted (and below which a following BackpressureCleared is).
-  double backpressure_onset_threshold = 0.5;
-  // Threads for the per-worker contention solve (stage 2 of Step). Workers are solved
-  // independently and each writes only its own slice of the per-task arrays, so any thread
-  // count produces bit-identical results; 1 runs inline and is the zero-heap-allocation
-  // steady-state mode (the pool hand-off itself allocates).
-  int num_threads = 1;
-  ContentionParams contention;
-};
-
 // Aggregate measurements over a time window (what Figures 2/3/7/8 plot per run).
 struct QuerySummary {
   double throughput = 0.0;       // records/s emitted by all sources, mean over window
@@ -72,8 +51,15 @@ struct QuerySummary {
 
 class FluidSimulator {
  public:
+  // Calibration every simulation uses (DESIGN.md §5): fixed-step ticks and the
+  // contention model's parameters.
+  static constexpr double kTickS = 0.1;
+  static constexpr ContentionParams kContention{};
+
+  // Metrics are flushed into the registry every `metrics_interval_s` (the paper records
+  // every 5 s).
   FluidSimulator(const PhysicalGraph& graph, const Cluster& cluster, const Placement& placement,
-                 SimConfig config = {});
+                 double metrics_interval_s = 5.0);
 
   // Sets the target generation rate (records/s, aggregate over the operator's tasks) of one
   // source operator. Takes effect at the next tick.
@@ -155,7 +141,7 @@ class FluidSimulator {
   PhysicalGraph graph_;
   Cluster cluster_;
   Placement placement_;
-  SimConfig config_;
+  double metrics_interval_s_;
   MetricsRegistry metrics_;
 
   double time_s_ = 0.0;
@@ -195,7 +181,6 @@ class FluidSimulator {
   std::vector<std::vector<TaskLoad>> worker_loads_;
   std::vector<WorkerAllocation> worker_alloc_;
   std::vector<WorkerScratch> worker_scratch_;
-  std::unique_ptr<ThreadPool> pool_;  // created only when config_.num_threads > 1
 
   // Per-tick scratch, sized once in RebuildStatics().
   std::vector<double> desired_;

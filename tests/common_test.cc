@@ -1,4 +1,4 @@
-// Tests for src/common: RNG determinism and distribution properties, streaming statistics,
+// Tests for src/common: RNG determinism and distribution properties, percentile statistics,
 // string helpers, the thread pool, and ResourceVector arithmetic.
 #include <gtest/gtest.h>
 
@@ -75,21 +75,26 @@ TEST(RngTest, UniformDoubleInUnitInterval) {
 
 TEST(RngTest, NormalMomentsApproximatelyCorrect) {
   Rng rng(13);
-  RunningStats stats;
+  Distribution d;
   for (int i = 0; i < 20000; ++i) {
-    stats.Add(rng.Normal(5.0, 2.0));
+    d.Add(rng.Normal(5.0, 2.0));
   }
-  EXPECT_NEAR(stats.Mean(), 5.0, 0.1);
-  EXPECT_NEAR(stats.Stddev(), 2.0, 0.1);
+  double mean = d.Mean();
+  double var = 0.0;
+  for (double x : d.samples()) {
+    var += (x - mean) * (x - mean);
+  }
+  EXPECT_NEAR(mean, 5.0, 0.1);
+  EXPECT_NEAR(std::sqrt(var / (d.Count() - 1)), 2.0, 0.1);
 }
 
 TEST(RngTest, ExponentialMeanMatchesRate) {
   Rng rng(17);
-  RunningStats stats;
+  Distribution d;
   for (int i = 0; i < 20000; ++i) {
-    stats.Add(rng.Exponential(4.0));
+    d.Add(rng.Exponential(4.0));
   }
-  EXPECT_NEAR(stats.Mean(), 0.25, 0.02);
+  EXPECT_NEAR(d.Mean(), 0.25, 0.02);
 }
 
 TEST(RngTest, ShuffleIsPermutation) {
@@ -110,58 +115,6 @@ TEST(RngTest, SplitProducesIndependentStream) {
   Rng a(23);
   Rng b = a.Split();
   EXPECT_NE(a.NextU64(), b.NextU64());
-}
-
-// --- RunningStats ----------------------------------------------------------------------------
-
-TEST(RunningStatsTest, MatchesDirectComputation) {
-  std::vector<double> xs = {1.5, 2.5, -3.0, 7.25, 0.0, 4.5};
-  RunningStats stats;
-  double sum = 0.0;
-  for (double x : xs) {
-    stats.Add(x);
-    sum += x;
-  }
-  double mean = sum / xs.size();
-  double var = 0.0;
-  for (double x : xs) {
-    var += (x - mean) * (x - mean);
-  }
-  var /= xs.size() - 1;
-  EXPECT_NEAR(stats.Mean(), mean, 1e-12);
-  EXPECT_NEAR(stats.Variance(), var, 1e-12);
-  EXPECT_EQ(stats.Min(), -3.0);
-  EXPECT_EQ(stats.Max(), 7.25);
-  EXPECT_EQ(stats.Count(), xs.size());
-}
-
-TEST(RunningStatsTest, MergeEqualsSequential) {
-  Rng rng(29);
-  RunningStats all;
-  RunningStats left;
-  RunningStats right;
-  for (int i = 0; i < 500; ++i) {
-    double x = rng.Normal();
-    all.Add(x);
-    (i < 200 ? left : right).Add(x);
-  }
-  left.Merge(right);
-  EXPECT_EQ(left.Count(), all.Count());
-  EXPECT_NEAR(left.Mean(), all.Mean(), 1e-9);
-  EXPECT_NEAR(left.Variance(), all.Variance(), 1e-9);
-  EXPECT_EQ(left.Min(), all.Min());
-  EXPECT_EQ(left.Max(), all.Max());
-}
-
-TEST(RunningStatsTest, EmptyAndSingleElement) {
-  RunningStats stats;
-  EXPECT_EQ(stats.Mean(), 0.0);
-  EXPECT_EQ(stats.Variance(), 0.0);
-  stats.Add(3.0);
-  EXPECT_EQ(stats.Mean(), 3.0);
-  EXPECT_EQ(stats.Variance(), 0.0);
-  EXPECT_EQ(stats.Min(), 3.0);
-  EXPECT_EQ(stats.Max(), 3.0);
 }
 
 // --- Distribution / BoxSummary ---------------------------------------------------------------

@@ -61,9 +61,8 @@ TEST(FaultScheduleTest, RandomScheduleRespectsBlastRadius) {
   options.allow_slowdowns = false;
   options.allow_flaps = false;
   options.allow_metric_faults = false;
-  options.max_concurrent_crashes = 2;
   FaultSchedule s = FaultSchedule::Random(4, options, 7);
-  // Replay the primitive timeline and check at most 2 workers are ever down at once.
+  // Replay the primitive timeline and check the cap on simultaneously down workers holds.
   std::vector<bool> down(4, false);
   for (const PrimitiveFault& p : s.Expand()) {
     if (p.kind == PrimitiveFault::Kind::kCrash) {
@@ -71,7 +70,7 @@ TEST(FaultScheduleTest, RandomScheduleRespectsBlastRadius) {
     } else if (p.kind == PrimitiveFault::Kind::kRestore) {
       down[static_cast<size_t>(p.worker)] = false;
     }
-    EXPECT_LE(std::count(down.begin(), down.end(), true), 2);
+    EXPECT_LE(std::count(down.begin(), down.end(), true), FaultSchedule::kMaxConcurrentCrashes);
   }
 }
 

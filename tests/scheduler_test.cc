@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <limits>
 #include <map>
 #include <set>
 #include <thread>
@@ -335,6 +336,33 @@ TEST(PlacementServiceTest, AdmissionRejectsInvalidSpec) {
   EXPECT_EQ(service.Status(id).admission, AdmissionOutcome::kRejectedInvalid);
 }
 
+// A negative or non-finite rate would enter admission as a negative or NaN demand, and a
+// rate keyed on a non-source operator would be ignored; all are rejected as invalid input.
+TEST(PlacementServiceTest, AdmissionRejectsInvalidSourceRates) {
+  PlacementService service(Cluster(2, WorkerSpec{.slots = 4}), FastOptions());
+  const double kInf = std::numeric_limits<double>::infinity();
+  std::vector<std::map<OperatorId, double>> bad_rates = {
+      {{0, -1e6}},                                       // negative
+      {{0, std::numeric_limits<double>::quiet_NaN()}},  // not finite
+      {{0, kInf}},
+      {{0, 1e3}, {2, 1e3}},   // keyed on the sink
+      {{0, 1e3}, {99, 1e3}},  // keyed on no operator of the graph
+  };
+  std::vector<JobId> ids;
+  for (const auto& rates : bad_rates) {
+    JobSpec spec = MakePipelineJob("bad-rates", 2, 1e3);
+    spec.source_rates = rates;
+    ids.push_back(service.Submit(std::move(spec)));
+  }
+  ASSERT_TRUE(service.WaitIdle(20.0));
+  for (JobId id : ids) {
+    EXPECT_EQ(service.Status(id).state, JobState::kRejected) << id;
+    EXPECT_EQ(service.Status(id).admission, AdmissionOutcome::kRejectedInvalid) << id;
+  }
+  EXPECT_EQ(service.stats().rejected, bad_rates.size());
+  EXPECT_EQ(service.stats().admitted, 0u);
+}
+
 // source(p) -forward-> map(p) -> sink: CAPS cannot place the forward channels of a
 // parallel source, so the service must refuse such a job instead of aborting on it.
 JobSpec MakeForwardJob(int parallelism) {
@@ -478,7 +506,7 @@ TEST(PlacementServiceTest, RescaleRecommitsAtNewParallelism) {
   JobId id = service.Submit(MakePipelineJob("rescale", 2, 1e4));
   ASSERT_TRUE(service.WaitIdle(20.0));
   ASSERT_EQ(service.Status(id).state, JobState::kRunning);
-  service.ApplyScaleDecision(id, {1, 6, 1});
+  service.Rescale(id, {1, 6, 1});
   ASSERT_TRUE(service.WaitIdle(20.0));
   JobStatus status = service.Status(id);
   EXPECT_EQ(status.state, JobState::kRunning);

@@ -325,12 +325,9 @@ struct ScriptedRun {
   uint64_t replayed_ticks = 0;
 };
 
-ScriptedRun RunScript(int num_threads, bool force_full_solve) {
+ScriptedRun RunScript(bool force_full_solve) {
   IdleWorkerFixture f;
-  SimConfig cfg;
-  cfg.num_threads = num_threads;
-  cfg.metrics_interval_s = 1.0;
-  FluidSimulator sim(f.graph, f.cluster, f.plan, cfg);
+  FluidSimulator sim(f.graph, f.cluster, f.plan, /*metrics_interval_s=*/1.0);
   EventLog::Global().Reset();
   EventLog::Global().Enable();
   ScriptedRun run;
@@ -339,7 +336,7 @@ ScriptedRun RunScript(int num_threads, bool force_full_solve) {
     if (force_full_solve) {
       ForceFullSolve(sim, tick);
     }
-    sim.RunFor(cfg.tick_s);
+    sim.RunFor(FluidSimulator::kTickS);
     if (tick % 40 == 39) {
       double t = sim.time_s();
       for (OperatorId op = 0; op < f.graph.num_operators(); ++op) {
@@ -372,17 +369,15 @@ ScriptedRun RunScript(int num_threads, bool force_full_solve) {
   return run;
 }
 
-class ReplayEquivalenceTest : public ::testing::TestWithParam<int> {};
-
 // Replaying fixed-point ticks must reproduce a run that solves every tick, bit for bit:
 // every series, every counter, every controller-facing read and every event.
-TEST_P(ReplayEquivalenceTest, MatchesFullSolveOnEveryTick) {
+TEST(ReplayEquivalenceTest, MatchesFullSolveOnEveryTick) {
   IdleWorkerFixture f;
   for (TaskId t = 0; t < f.graph.num_tasks(); ++t) {
     ASSERT_NE(f.plan.WorkerOf(t), kIdleWorker);
   }
-  ScriptedRun replayed = RunScript(GetParam(), /*force_full_solve=*/false);
-  ScriptedRun solved = RunScript(GetParam(), /*force_full_solve=*/true);
+  ScriptedRun replayed = RunScript(/*force_full_solve=*/false);
+  ScriptedRun solved = RunScript(/*force_full_solve=*/true);
   EXPECT_GT(replayed.replayed_ticks, 0u);
   EXPECT_EQ(solved.replayed_ticks, 0u);
   EXPECT_FALSE(replayed.series.empty());
@@ -392,8 +387,6 @@ TEST_P(ReplayEquivalenceTest, MatchesFullSolveOnEveryTick) {
   EXPECT_FALSE(replayed.events.empty());
   EXPECT_EQ(replayed.events, solved.events);
 }
-
-INSTANTIATE_TEST_SUITE_P(Threads, ReplayEquivalenceTest, ::testing::Values(1, 4));
 
 // A driver re-applies the in-flight checkpoint I/O every control interval by clearing it
 // and setting it again. An unchanged value must not end a replay.

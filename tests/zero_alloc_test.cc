@@ -79,10 +79,9 @@ void ExpectBothTickPathsAllocationFree(const QuerySpec& q) {
   Cluster placed_on(4, WorkerSpec::R5dXlarge(4));
   CostModel model(graph, placed_on,
                   TaskDemands(graph, PropagateRates(q.graph, q.source_rates)));
-  SimConfig cfg;
-  cfg.metrics_interval_s = 1e18;  // flushing allocates metric records; keep it out of scope
+  // Flushing allocates metric records; an interval of 1e18 s keeps it out of scope.
   FluidSimulator sim(graph, Cluster(5, WorkerSpec::R5dXlarge(4)),
-                     GreedyBalancedPlacement(model), cfg);
+                     GreedyBalancedPlacement(model), /*metrics_interval_s=*/1e18);
   sim.SetAllSourceRates(q.TotalTargetRate());
   for (int i = 0; i < 1000; ++i) {
     sim.Step();
