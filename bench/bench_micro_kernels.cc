@@ -1,7 +1,7 @@
 // Microbenchmarks (google-benchmark) for the hot kernels on the placement and simulation
-// paths: the contention solve, cost evaluation, greedy construction, find-first search, one
-// simulator tick, and the state store. These are the per-decision / per-tick costs that
-// determine how large a deployment the controller can manage online.
+// paths: the contention solve, cost evaluation, greedy construction, find-first search and
+// one simulator tick. These are the per-decision / per-tick costs that determine how large a
+// deployment the controller can manage online.
 #include <benchmark/benchmark.h>
 
 #include <chrono>
@@ -12,11 +12,9 @@
 #include "src/caps/greedy.h"
 #include "src/caps/search.h"
 #include "src/common/logging.h"
-#include "src/common/rng.h"
 #include "src/dataflow/rates.h"
 #include "src/nexmark/queries.h"
 #include "src/simulator/fluid_simulator.h"
-#include "src/statestore/state_store.h"
 
 namespace capsys {
 namespace {
@@ -134,30 +132,6 @@ void BM_SimulatorReplayTick(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * s.f.graph.num_tasks());
 }
 BENCHMARK(BM_SimulatorReplayTick);
-
-void BM_StateStorePut(benchmark::State& state) {
-  StateStore store;
-  Rng rng(1);
-  int i = 0;
-  for (auto _ : state) {
-    store.Put("key" + std::to_string(i++ % 10000), "value-payload-0123456789");
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_StateStorePut);
-
-void BM_StateStoreGet(benchmark::State& state) {
-  StateStore store;
-  for (int i = 0; i < 10000; ++i) {
-    store.Put("key" + std::to_string(i), "value-payload-0123456789");
-  }
-  int i = 0;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(store.Get("key" + std::to_string(i++ % 10000)));
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_StateStoreGet);
 
 void BM_RatePropagation(benchmark::State& state) {
   QuerySpec q = BuildQ2Join();

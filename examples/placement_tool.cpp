@@ -10,9 +10,11 @@
 //
 // Prints the DS2-sized parallelism, the chosen plan, its cost vector, decision time, and
 // the simulated performance.
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <optional>
 #include <string>
 
 #include "src/controller/deployment.h"
@@ -27,14 +29,15 @@ int main(int argc, char** argv) {
   int slots = argc > 3 ? std::atoi(argv[3]) : 4;
   std::string policy_name = argc > 4 ? argv[4] : "capsys";
   double rate_scale = argc > 5 ? std::atof(argv[5]) : 1.0;
-  if (workers < 1 || slots < 1 || rate_scale <= 0) {
+  std::optional<QuerySpec> found = FindQueryByName(query_name);
+  if (!found || workers < 1 || slots < 1 || !std::isfinite(rate_scale) || rate_scale <= 0) {
     std::fprintf(stderr, "usage: %s [q1..q6] [workers] [slots] [capsys|default|evenly|odrp] "
                          "[rate_scale]\n",
                  argv[0]);
     return 1;
   }
 
-  QuerySpec q = BuildQueryByName(query_name);
+  QuerySpec q = *std::move(found);
   q.ScaleRates(rate_scale);
   Cluster cluster(workers, WorkerSpec::R5dXlarge(slots));
   std::printf("query:   %s\ncluster: %s\ntarget:  %.0f rec/s\n\n", q.graph.ToString().c_str(),

@@ -7,10 +7,9 @@
 // upload at a bounded write bandwidth, completion or failure — without doing real I/O.
 // State size comes from a StateGrowthModel (bytes appended per source record, saturating at
 // a window-eviction cap), so checkpoint size, duration, and the recovery time derived from
-// them all scale with workload exactly as the paper's cost model assumes. The record-level
-// counterpart (memtable freeze + incremental run manifests) lives in
-// src/statestore/state_store.h; both charge snapshot bytes into the worker I/O dimension so
-// checkpoint traffic contends with compaction (§3.3).
+// them all scale with workload exactly as the paper's cost model assumes. The chaos driver
+// charges the in-flight upload rate into the simulator's worker I/O dimension, so checkpoint
+// traffic contends with compaction (§3.3).
 #ifndef SRC_CHECKPOINT_CHECKPOINT_H_
 #define SRC_CHECKPOINT_CHECKPOINT_H_
 

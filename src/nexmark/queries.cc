@@ -156,32 +156,43 @@ QuerySpec BuildQ6Session() {
   return q;
 }
 
+namespace {
+
+// The one name table: paper order, short alias, graph name.
+struct NamedQuery {
+  const char* alias;
+  const char* name;
+  QuerySpec (*build)();
+};
+constexpr NamedQuery kQueries[] = {
+    {"q1", "q1-sliding", BuildQ1Sliding},     {"q2", "q2-join", BuildQ2Join},
+    {"q3", "q3-inf", BuildQ3Inf},             {"q4", "q4-join", BuildQ4Join},
+    {"q5", "q5-aggregate", BuildQ5Aggregate}, {"q6", "q6-session", BuildQ6Session},
+};
+
+}  // namespace
+
 std::vector<QuerySpec> BuildAllQueries() {
-  return {BuildQ1Sliding(), BuildQ2Join(),      BuildQ3Inf(),
-          BuildQ4Join(),    BuildQ5Aggregate(), BuildQ6Session()};
+  std::vector<QuerySpec> all;
+  for (const NamedQuery& q : kQueries) {
+    all.push_back(q.build());
+  }
+  return all;
+}
+
+std::optional<QuerySpec> FindQueryByName(const std::string& name) {
+  for (const NamedQuery& q : kQueries) {
+    if (name == q.alias || name == q.name) {
+      return q.build();
+    }
+  }
+  return std::nullopt;
 }
 
 QuerySpec BuildQueryByName(const std::string& name) {
-  if (name == "q1" || name == "q1-sliding") {
-    return BuildQ1Sliding();
-  }
-  if (name == "q2" || name == "q2-join") {
-    return BuildQ2Join();
-  }
-  if (name == "q3" || name == "q3-inf") {
-    return BuildQ3Inf();
-  }
-  if (name == "q4" || name == "q4-join") {
-    return BuildQ4Join();
-  }
-  if (name == "q5" || name == "q5-aggregate") {
-    return BuildQ5Aggregate();
-  }
-  if (name == "q6" || name == "q6-session") {
-    return BuildQ6Session();
-  }
-  CAPSYS_CHECK_MSG(false, "unknown query: " + name);
-  return {};
+  std::optional<QuerySpec> q = FindQueryByName(name);
+  CAPSYS_CHECK_MSG(q.has_value(), "unknown query: " + name);
+  return *std::move(q);
 }
 
 }  // namespace capsys

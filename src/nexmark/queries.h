@@ -18,6 +18,7 @@
 #define SRC_NEXMARK_QUERIES_H_
 
 #include <map>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -56,7 +57,10 @@ QuerySpec BuildQ6Session();
 // All six queries in paper order.
 std::vector<QuerySpec> BuildAllQueries();
 
-// Query by short name ("q1".."q6"); CHECK-fails on unknown names.
+// Query by short name ("q1".."q6") or graph name ("q1-sliding"); nullopt on unknown names.
+std::optional<QuerySpec> FindQueryByName(const std::string& name);
+
+// As FindQueryByName, but CHECK-fails on unknown names.
 QuerySpec BuildQueryByName(const std::string& name);
 
 }  // namespace capsys

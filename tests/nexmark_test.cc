@@ -1,115 +1,12 @@
-// Tests for the Nexmark event generator and the six evaluation queries.
+// Tests for the six evaluation queries.
 #include <gtest/gtest.h>
 
-#include <map>
+#include <algorithm>
 
-#include "src/nexmark/generator.h"
 #include "src/nexmark/queries.h"
 
 namespace capsys {
 namespace {
-
-TEST(GeneratorTest, DeterministicForSameSeed) {
-  NexmarkGenerator a;
-  NexmarkGenerator b;
-  for (int i = 0; i < 500; ++i) {
-    Event ea = a.Next();
-    Event eb = b.Next();
-    EXPECT_EQ(ea.kind, eb.kind);
-    EXPECT_EQ(ea.timestamp_ms, eb.timestamp_ms);
-    if (ea.kind == Event::Kind::kBid) {
-      EXPECT_EQ(ea.bid().auction, eb.bid().auction);
-      EXPECT_EQ(ea.bid().price, eb.bid().price);
-    }
-  }
-}
-
-TEST(GeneratorTest, ProportionsMatchConfig) {
-  NexmarkGenerator gen;
-  std::map<Event::Kind, int> counts;
-  for (const Event& e : gen.Take(5000)) {
-    ++counts[e.kind];
-  }
-  EXPECT_EQ(counts[Event::Kind::kPerson], 100);
-  EXPECT_EQ(counts[Event::Kind::kAuction], 300);
-  EXPECT_EQ(counts[Event::Kind::kBid], 4600);
-}
-
-TEST(GeneratorTest, TimestampsMonotoneAtConfiguredRate) {
-  GeneratorConfig config;
-  config.events_per_second = 2000;
-  NexmarkGenerator gen(config);
-  int64_t prev = -1;
-  for (const Event& e : gen.Take(4000)) {
-    EXPECT_GE(e.timestamp_ms, prev);
-    prev = e.timestamp_ms;
-  }
-  EXPECT_NEAR(static_cast<double>(prev), 2000.0, 5.0);  // 4000 events at 2k/s ~ 2s
-}
-
-TEST(GeneratorTest, BidsReferenceExistingAuctions) {
-  NexmarkGenerator gen;
-  for (const Event& e : gen.Take(2000)) {
-    if (e.kind == Event::Kind::kBid) {
-      EXPECT_GE(e.bid().auction, 1000);
-      EXPECT_LT(e.bid().auction, gen.next_auction_id());
-    }
-  }
-}
-
-TEST(GeneratorTest, HotBidSkewConcentratesAuctions) {
-  GeneratorConfig hot;
-  hot.hot_bid_fraction = 0.9;
-  hot.hot_auctions = 2;
-  NexmarkGenerator gen(hot);
-  gen.Take(1000);  // warm up the auction id space
-  // A bid is "hot" relative to the auctions that existed when it was generated, so track
-  // the max auction id as the stream progresses.
-  int64_t max_auction = gen.next_auction_id() - 1;
-  int hot_count = 0;
-  int bids = 0;
-  for (const Event& e : gen.Take(2000)) {
-    if (e.kind == Event::Kind::kAuction) {
-      max_auction = e.auction().id;
-    } else if (e.kind == Event::Kind::kBid) {
-      ++bids;
-      if (e.bid().auction >= max_auction - 4) {
-        ++hot_count;
-      }
-    }
-  }
-  EXPECT_GT(static_cast<double>(hot_count) / bids, 0.5);
-
-  // Without skew the same window captures only a tiny fraction.
-  NexmarkGenerator uniform;
-  uniform.Take(1000);
-  max_auction = uniform.next_auction_id() - 1;
-  int uniform_hot = 0;
-  bids = 0;
-  for (const Event& e : uniform.Take(2000)) {
-    if (e.kind == Event::Kind::kAuction) {
-      max_auction = e.auction().id;
-    } else if (e.kind == Event::Kind::kBid) {
-      ++bids;
-      if (e.bid().auction >= max_auction - 4) {
-        ++uniform_hot;
-      }
-    }
-  }
-  EXPECT_LT(static_cast<double>(uniform_hot) / bids, 0.2);
-}
-
-TEST(GeneratorTest, PersonsHaveCredibleFields) {
-  NexmarkGenerator gen;
-  for (const Event& e : gen.Take(500)) {
-    if (e.kind == Event::Kind::kPerson) {
-      EXPECT_FALSE(e.person().name.empty());
-      EXPECT_NE(e.person().email.find('@'), std::string::npos);
-    }
-  }
-}
-
-// --- Queries ---------------------------------------------------------------------------------
 
 TEST(QueriesTest, AllQueriesValidate) {
   for (const QuerySpec& q : BuildAllQueries()) {
@@ -160,6 +57,9 @@ TEST(QueriesTest, BuildByNameAliases) {
   EXPECT_EQ(BuildQueryByName("q1").graph.name(), "q1-sliding");
   EXPECT_EQ(BuildQueryByName("q3-inf").graph.name(), "q3-inf");
   EXPECT_EQ(BuildQueryByName("q5").graph.name(), "q5-aggregate");
+  EXPECT_EQ(FindQueryByName("q6-session")->graph.name(), "q6-session");
+  EXPECT_FALSE(FindQueryByName("q9").has_value());
+  EXPECT_FALSE(FindQueryByName("Q1").has_value());
 }
 
 TEST(QueriesTest, BuildByNameUnknownDies) {
