@@ -95,7 +95,6 @@ CommitResult ClusterView::TryCommit(JobId job, uint64_t snapshot_epoch,
   // may be older than the snapshot the caller compares to (paranoia is cheap here, and it
   // makes double-booking structurally impossible).
   if (!FitsLocked(reservation, job)) {
-    ++conflicts_;
     return CommitResult::kConflict;
   }
   auto it = by_job_.find(job);
@@ -109,11 +108,6 @@ CommitResult ClusterView::TryCommit(JobId job, uint64_t snapshot_epoch,
   }
   by_job_[job] = reservation;
   ++epoch_;
-  if (stale) {
-    ++stale_commits_;
-  } else {
-    ++commits_;
-  }
   return stale ? CommitResult::kCommittedStale : CommitResult::kCommitted;
 }
 
@@ -243,21 +237,6 @@ std::string ClusterView::CheckInvariants() const {
     }
   }
   return "";
-}
-
-uint64_t ClusterView::commits() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return commits_;
-}
-
-uint64_t ClusterView::stale_commits() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return stale_commits_;
-}
-
-uint64_t ClusterView::conflicts() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return conflicts_;
 }
 
 }  // namespace capsys

@@ -1,9 +1,10 @@
 // Versioned cluster view shared by the online placement service (scheduler subsystem).
 //
 // The view owns the authoritative slot accounting of one shared cluster while several
-// planner threads compute placements concurrently. Planners never lock the view for the
-// duration of a search: they take an immutable Snapshot (epoch + per-worker free slots +
-// usable mask), plan against it, and then commit their reservation optimistically:
+// planner threads compute placements concurrently. The service's dispatcher thread is its
+// only writer: it takes an immutable Snapshot (epoch + per-worker free slots + usable
+// mask) for each planning session, hands it to a planner, and commits the plan the
+// planner posts back:
 //
 //   - kCommitted        epoch unchanged since the snapshot — the plan's assumptions hold
 //                       verbatim and the reservation is applied; the epoch is bumped.
@@ -11,8 +12,10 @@
 //                       reservation still fits the current free slots of usable workers
 //                       (another job's commit did not intersect ours). Applied; epoch
 //                       bumped.
-//   - kConflict         the reservation no longer fits — the planner must take a fresh
-//                       snapshot and re-plan (with backoff; see PlacementService).
+//   - kConflict         the reservation no longer fits — the session is replanned on a
+//                       fresh snapshot (see PlacementService).
+//
+// The view locks internally because other threads read it (PlacementService::view()).
 //
 // Every mutation (commit, release, worker death/restore, spec change) bumps the epoch, so
 // an epoch value uniquely identifies one slot-accounting state. Two snapshots with equal
@@ -103,10 +106,6 @@ class ClusterView {
   // Returns an error description or "" when consistent.
   std::string CheckInvariants() const;
 
-  uint64_t commits() const;
-  uint64_t stale_commits() const;
-  uint64_t conflicts() const;
-
  private:
   // Requires mu_ held.
   bool FitsLocked(const SlotReservation& reservation, JobId ignore_job) const;
@@ -117,9 +116,6 @@ class ClusterView {
   std::vector<int> reserved_;  // per worker, summed over jobs
   std::vector<bool> usable_;
   std::map<JobId, SlotReservation> by_job_;
-  uint64_t commits_ = 0;
-  uint64_t stale_commits_ = 0;
-  uint64_t conflicts_ = 0;
 };
 
 }  // namespace capsys

@@ -2,18 +2,22 @@
 //
 // State machine (driven exclusively by the service's serialized event dispatcher):
 //
-//   Submitted --admit--> Planning --commit--> Deploying --> Running
-//       |                   |  ^                               |  |
-//       |  (no capacity     |  |(capacity freed /              |  +--rescale--> Rescaling
-//       |   now)            |  | conflict replan)              |                    |
-//       +----> Queued ------+  |                               v                    |
-//       |        |             +--------------------------- Recovering <--worker death
-//       |        +--cancel/impossible--+                       |
-//       +----> Rejected                +---> Terminated <---cancel/complete
+//   Submitted --admit--> Planning --commit--> Deploying --> Running --rescale--> Rescaling
+//       |                  ^  |                                   |                 |
+//       | no capacity now  |  | no capacity at plan time          | worker death    |
+//       v   capacity freed |  v                                   v                 |
+//       +-------------> Queued <----------no capacity--------- Recovering           |
+//       |                  ^                                                        |
+//       |                  +------------------no capacity---------------------------+
+//       +----> Rejected (invalid, or larger than the cluster)
 //
-// Rejected and Terminated are terminal. Queued jobs hold no reservation; Recovering jobs
-// may hold a partial reservation (their slots on surviving workers) until the replan
-// commits a fresh one.
+//   Any live state --cancel--> Terminated.
+//
+// Planning, Rescaling and Recovering each wait for one plan, which the dispatcher commits
+// to move the job on to Deploying and Running. A commit conflict replans in the same
+// state; a plan that finds no capacity queues the job. Rejected and Terminated are
+// terminal. Queued jobs hold no reservation; Recovering jobs may hold a partial
+// reservation (their slots on surviving workers) until the replan commits a fresh one.
 #ifndef SRC_SCHEDULER_JOB_H_
 #define SRC_SCHEDULER_JOB_H_
 
@@ -31,7 +35,7 @@ namespace capsys {
 enum class JobState : int {
   kSubmitted = 0,  // accepted into the event queue, admission pending
   kQueued,         // admission deferred: does not fit now, waiting for capacity
-  kPlanning,       // a planner thread is computing / committing a placement
+  kPlanning,       // waiting for or running on a planner; the dispatcher commits the plan
   kDeploying,      // reservation committed, plan handed to the runtime
   kRunning,        // live
   kRescaling,      // re-planning at a new parallelism (DS2 / user rescale)
@@ -79,8 +83,8 @@ struct JobStatus {
   int tasks = 0;                  // total tasks of the committed plan
   bool degraded = false;          // running below submitted parallelism
   bool plan_from_cache = false;   // last committed plan was a plan-cache hit
-  int plan_attempts = 0;          // planning rounds incl. conflict retries
-  int commit_conflicts = 0;       // reservation commits that had to retry
+  int plan_attempts = 0;          // plans made, replans after a conflict included
+  int commit_conflicts = 0;       // commits that conflicted and were replanned
   int recoveries = 0;             // worker-death replans
   double submit_time_s = 0.0;     // service wall clock, seconds since service start
   double running_time_s = -1.0;   // first entered Running (-1 = never)

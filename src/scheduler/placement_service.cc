@@ -1,7 +1,6 @@
 #include "src/scheduler/placement_service.h"
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <cmath>
 #include <utility>
@@ -18,10 +17,6 @@ namespace capsys {
 
 namespace {
 
-// Conflict retries per planning session, with exponential backoff between them.
-constexpr int kMaxPlanAttempts = 10;
-constexpr double kBackoffBaseS = 0.001;  // doubles per conflict
-constexpr double kBackoffMaxS = 0.064;
 constexpr size_t kPlanCacheCapacity = 512;
 
 struct JobDemand {
@@ -57,6 +52,16 @@ std::string SourceRatesError(const LogicalGraph& graph,
   return "";
 }
 
+// False, with a warning, when `w` names no worker of `cluster`.
+bool KnownWorker(const Cluster& cluster, WorkerId w, const char* event) {
+  if (w >= 0 && w < cluster.num_workers()) {
+    return true;
+  }
+  CAPSYS_LOG_WARN("scheduler", Sprintf("worker %s ignored: no worker %d in a %d-worker cluster",
+                                       event, w, cluster.num_workers()));
+  return false;
+}
+
 }  // namespace
 
 // One queue entry. Client calls and planner completions use the same queue, so every job
@@ -68,41 +73,37 @@ struct PlacementService::EventItem {
     kRescale,
     kWorkerDead,
     kWorkerRestored,
-    kPlanCommitted,
-    kPlanFailed,
+    kPlanned,
   };
   Kind kind = Kind::kSubmit;
   JobId job = kInvalidJobId;
   WorkerId worker = kInvalidId;
   std::vector<int> parallelism;               // kRescale
-  std::unique_ptr<PlanOutcome> plan;          // kPlanCommitted / kPlanFailed
+  std::unique_ptr<PlanOutcome> plan;          // kPlanned
 };
 
-// Everything a planner produced, posted back to the dispatcher.
-struct PlacementService::PlanOutcome {
-  enum class Fail : int { kNone = 0, kNoCapacity, kCancelled };
-  Fail fail = Fail::kNone;
-  PlannedPlacement planned;
-  SlotReservation reservation;
-  std::vector<int> parallelism;
-  bool from_cache = false;
-  bool recovering = false;
-  int attempts = 0;
-  int conflicts = 0;
-  int downscale_steps = 0;  // slots shed by FitParallelism; > 0 means degraded
-  double planning_time_s = 0.0;
-  CommitResult commit = CommitResult::kCommitted;
-};
-
-// Immutable inputs a planner task works from (copied at spawn time so the dispatcher can
-// keep mutating the job record without racing the planner).
+// One planning session: the inputs a planner works from, copied by the dispatcher so it
+// can keep mutating the job record without racing the planner.
 struct PlacementService::PlanRequest {
   JobId job = kInvalidJobId;
-  LogicalGraph graph;
+  LogicalGraph graph;  // parallelism to plan; a degraded recovery shrinks it further
   std::map<OperatorId, double> source_rates;
   bool recovering = false;
   bool allow_degraded = false;
-  std::atomic<bool>* cancelled = nullptr;  // owned by the JobRecord, never destroyed early
+  // Thresholds tuned for `graph` by an earlier plan of this session; a replan after a
+  // commit conflict reuses them and pays only for the search.
+  std::optional<ResourceVector> tuned_alpha;
+  ClusterSnapshot snap;  // taken by the dispatcher when it hands the session out
+};
+
+// What a planner produced, posted back to the dispatcher, which commits it. `request` is
+// the session advanced to the planned graph and α, ready to replan on a conflict.
+struct PlacementService::PlanOutcome {
+  PlanRequest request;
+  bool no_capacity = false;  // the graph does not fit the snapshot and may not degrade
+  PlannedPlacement planned;
+  bool from_cache = false;
+  double planning_time_s = 0.0;
 };
 
 struct PlacementService::JobRecord {
@@ -111,7 +112,6 @@ struct PlacementService::JobRecord {
   LogicalGraph graph;  // current (possibly rescaled/degraded) parallelism
   bool demand_accounted = false;  // status.demand is counted in admitted_demand_
   int tasks = 0;                  // of the requested parallelism (admission accounting)
-  std::atomic<bool> cancelled{false};
   JobStatus status;  // lifecycle state, admission verdict, demand, plan and counters
 };
 
@@ -257,13 +257,11 @@ void PlacementService::DispatcherLoop() {
       case EventItem::Kind::kWorkerRestored:
         HandleWorkerRestored(ev.worker);
         break;
-      case EventItem::Kind::kPlanCommitted:
-        HandlePlanCommitted(ev.job, std::move(*ev.plan));
-        break;
-      case EventItem::Kind::kPlanFailed:
-        HandlePlanFailed(ev.job, std::move(*ev.plan));
+      case EventItem::Kind::kPlanned:
+        HandlePlanned(ev.job, std::move(*ev.plan));
         break;
     }
+    DispatchPlansLocked();
     idle_cv_.notify_all();
   }
 }
@@ -279,13 +277,18 @@ void PlacementService::Transition(JobRecord& rec, JobState to, const std::string
                                         JobStateName(to), detail.c_str()));
 }
 
-AdmissionOutcome PlacementService::AdmitLocked(JobRecord& rec) {
-  ResourceVector ceiling = view_.TotalCapacity() * options_.admission_headroom;
-  if (rec.tasks > view_.TotalSlots() || !rec.status.demand.AllLeq(ceiling)) {
+bool PlacementService::ExceedsClusterLocked(int tasks, const ResourceVector& demand) const {
+  return tasks > view_.TotalSlots() ||
+         !demand.AllLeq(view_.TotalCapacity() * options_.admission_headroom);
+}
+
+AdmissionOutcome PlacementService::AdmitLocked(const JobRecord& rec) {
+  if (ExceedsClusterLocked(rec.tasks, rec.status.demand)) {
     return AdmissionOutcome::kRejectedCapacity;
   }
   if (rec.tasks > view_.TotalFreeSlots() ||
-      !(admitted_demand_ + rec.status.demand).AllLeq(ceiling)) {
+      !(admitted_demand_ + rec.status.demand)
+           .AllLeq(view_.TotalCapacity() * options_.admission_headroom)) {
     return AdmissionOutcome::kQueuedCapacity;
   }
   return AdmissionOutcome::kAdmitted;
@@ -297,10 +300,6 @@ void PlacementService::HandleSubmit(JobId job) {
     return;
   }
   JobRecord& rec = *it->second;
-  if (rec.cancelled.load()) {
-    Transition(rec, JobState::kTerminated, "cancelled before admission");
-    return;
-  }
   std::string spec_error =
       rec.graph.num_operators() == 0 ? "empty graph" : rec.graph.Validate();
   if (spec_error.empty() && !CapsSearchable(rec.graph)) {
@@ -336,7 +335,7 @@ void PlacementService::HandleSubmit(JobId job) {
       admitted_demand_ += rec.status.demand;
       rec.demand_accounted = true;
       Transition(rec, JobState::kPlanning, "admitted");
-      SpawnPlanner(rec, /*recovering=*/false);
+      RequestPlanLocked(rec, /*recovering=*/false);
       break;
     case AdmissionOutcome::kQueuedCapacity:
       ++stats_.queued;
@@ -366,7 +365,6 @@ void PlacementService::HandleCancel(JobId job) {
   if (rec.status.state == JobState::kTerminated || rec.status.state == JobState::kRejected) {
     return;
   }
-  rec.cancelled.store(true);
   ++stats_.cancelled;
   if (rec.status.state == JobState::kQueued) {
     admission_queue_.erase(
@@ -407,11 +405,18 @@ void PlacementService::HandleRescale(JobId job, std::vector<int> parallelism) {
                                          static_cast<long long>(job)));
     return;
   }
-  int slots_before = rec.graph.total_parallelism();
-  rec.graph = std::move(resized);
   // Demand totals change only through rounding (per-task demand is total/p), but the task
   // count does; refresh both for admission accounting.
-  JobDemand estimate = EstimateDemand(rec.graph, rec.spec.source_rates);
+  JobDemand estimate = EstimateDemand(resized, rec.spec.source_rates);
+  if (ExceedsClusterLocked(estimate.tasks, estimate.demand)) {
+    // The job keeps running on its plan rather than queue for a cluster it cannot fit.
+    CAPSYS_LOG_WARN("scheduler",
+                    Sprintf("rescale of job %lld ignored: %d tasks exceed the cluster",
+                            static_cast<long long>(job), estimate.tasks));
+    return;
+  }
+  int slots_before = rec.graph.total_parallelism();
+  rec.graph = std::move(resized);
   if (rec.demand_accounted) {
     admitted_demand_ -= rec.status.demand;
     admitted_demand_ += estimate.demand;
@@ -426,10 +431,13 @@ void PlacementService::HandleRescale(JobId job, std::vector<int> parallelism) {
                     rec.graph.total_parallelism(), parallelism_str);
   Transition(rec, JobState::kRescaling,
              Sprintf("%d -> %d slots", slots_before, rec.graph.total_parallelism()));
-  SpawnPlanner(rec, /*recovering=*/false);
+  RequestPlanLocked(rec, /*recovering=*/false);
 }
 
 void PlacementService::HandleWorkerDead(WorkerId w) {
+  if (!KnownWorker(cluster_, w, "death")) {
+    return;
+  }
   std::map<JobId, int> affected = view_.MarkWorkerDown(w);
   CAPSYS_LOG_INFO("scheduler", Sprintf("worker %d down; %zu jobs affected", w,
                                        affected.size()));
@@ -440,9 +448,8 @@ void PlacementService::HandleWorkerDead(WorkerId w) {
     }
     JobRecord& rec = *it->second;
     if (rec.status.state != JobState::kRunning && rec.status.state != JobState::kDeploying) {
-      // A planner is already in flight (Planning/Rescaling/Recovering): its commit will
-      // re-validate against the new view and replan on conflict; a commit that lands
-      // before this event is caught by HandlePlanCommitted.
+      // A plan is pending (Planning/Rescaling/Recovering): its commit comes after this
+      // event, so it re-validates against the new view and replans on a conflict.
       continue;
     }
     BeginRecoveryLocked(rec, Sprintf("worker %d died, lost %d slots", w, lost_slots));
@@ -453,10 +460,13 @@ void PlacementService::BeginRecoveryLocked(JobRecord& rec, const std::string& ca
   ++stats_.recoveries;
   ++rec.status.recoveries;
   Transition(rec, JobState::kRecovering, cause);
-  SpawnPlanner(rec, /*recovering=*/true);
+  RequestPlanLocked(rec, /*recovering=*/true);
 }
 
 void PlacementService::HandleWorkerRestored(WorkerId w) {
+  if (!KnownWorker(cluster_, w, "restore")) {
+    return;
+  }
   view_.MarkWorkerUp(w);
   CAPSYS_LOG_INFO("scheduler", Sprintf("worker %d restored", w));
   ReleaseQueuedLocked();
@@ -485,23 +495,32 @@ void PlacementService::ReleaseQueuedLocked() {
     EmitAdmissionDecision(EventLog::Global().now(), job, "readmitted", rec.tasks,
                           view_.TotalFreeSlots());
     Transition(rec, JobState::kPlanning, "capacity freed; re-admitted");
-    SpawnPlanner(rec, /*recovering=*/false);
+    RequestPlanLocked(rec, /*recovering=*/false);
   }
 }
 
-void PlacementService::SpawnPlanner(JobRecord& rec, bool recovering) {
-  if (stopping_) {
-    return;
-  }
+void PlacementService::RequestPlanLocked(const JobRecord& rec, bool recovering) {
   PlanRequest req;
   req.job = rec.id;
   req.graph = rec.graph;
   req.source_rates = rec.spec.source_rates;
   req.recovering = recovering;
   req.allow_degraded = rec.spec.allow_degraded_recovery;
-  req.cancelled = &rec.cancelled;
-  ++planners_in_flight_;
-  planner_pool_->Submit([this, req = std::move(req)]() mutable { RunPlanner(std::move(req)); });
+  plan_queue_.push_back(std::move(req));
+}
+
+void PlacementService::DispatchPlansLocked() {
+  while (!stopping_ && !plan_queue_.empty() &&
+         planners_in_flight_ < planner_pool_->num_threads()) {
+    PlanRequest req = std::move(plan_queue_.front());
+    plan_queue_.pop_front();
+    if (jobs_.at(req.job)->status.state == JobState::kTerminated) {
+      continue;  // cancelled while waiting for a planner
+    }
+    req.snap = view_.SnapshotFor(req.job);
+    ++planners_in_flight_;
+    planner_pool_->Submit([this, req = std::move(req)]() mutable { RunPlanner(std::move(req)); });
+  }
 }
 
 void PlacementService::RunPlanner(PlanRequest req) {
@@ -509,144 +528,113 @@ void PlacementService::RunPlanner(PlanRequest req) {
   span.AddAttr("job", static_cast<int>(req.job));
   auto t0 = std::chrono::steady_clock::now();
   auto outcome = std::make_unique<PlanOutcome>();
-  outcome->recovering = req.recovering;
-  EventItem ev;
-  ev.job = req.job;
-  ev.kind = EventItem::Kind::kPlanFailed;
-
-  LogicalGraph graph = req.graph;
-  // Tuned thresholds depend on the job's demand shape, not on which slots happen to be
-  // free, so one auto-tune per planning session is enough: conflict retries reuse it and
-  // pay only for the (much cheaper) re-search. Re-tuned only when degradation changes the
-  // graph.
-  std::optional<ResourceVector> tuned_alpha;
-  while (outcome->attempts < kMaxPlanAttempts) {
-    ++outcome->attempts;
-    if (req.cancelled->load()) {
-      outcome->fail = PlanOutcome::Fail::kCancelled;
-      break;
+  if (req.graph.total_parallelism() > req.snap.total_free) {
+    if (req.recovering && req.allow_degraded && FitParallelism(req.graph, req.snap.total_free)) {
+      req.tuned_alpha.reset();  // parallelism changed; thresholds must be re-tuned
+    } else {
+      outcome->no_capacity = true;
     }
-    ClusterSnapshot snap = view_.SnapshotFor(req.job);
-    if (graph.total_parallelism() > snap.total_free) {
-      LogicalGraph shrunk = req.graph;  // re-derive from the requested parallelism
-      if (!req.recovering || !req.allow_degraded || !FitParallelism(shrunk, snap.total_free)) {
-        outcome->fail = PlanOutcome::Fail::kNoCapacity;
-        break;
-      }
-      outcome->downscale_steps = req.graph.total_parallelism() - shrunk.total_parallelism();
-      graph = std::move(shrunk);
-      tuned_alpha.reset();  // parallelism changed; thresholds must be re-tuned
-    }
-    PhysicalGraph physical = PhysicalGraph::Expand(graph);
-    auto rates = PropagateRates(graph, req.source_rates);
-    auto demands = TaskDemands(physical, rates);
-    Cluster residual = snap.ResidualCluster(cluster_);
+  }
+  if (!outcome->no_capacity) {
+    PhysicalGraph physical = PhysicalGraph::Expand(req.graph);
+    Cluster residual = req.snap.ResidualCluster(cluster_);
     std::string key;
-    std::optional<PlannedPlacement> planned;
     if (options_.enable_plan_cache) {
-      key = PlanCache::Key(graph, req.source_rates, residual);
+      key = PlanCache::Key(req.graph, req.source_rates, residual);
       auto cached = cache_.Lookup(key);
       if (cached.has_value() && cached->placement.num_tasks() == physical.num_tasks()) {
-        planned = PlannedPlacement{cached->placement, cached->cost, cached->alpha, {}};
+        outcome->planned = PlannedPlacement{cached->placement, cached->cost, cached->alpha, {}};
+        outcome->from_cache = true;
       }
     }
-    const bool hit = planned.has_value();
-    if (!hit) {
+    if (!outcome->from_cache) {
       Span search_span("scheduler.search");
-      CostModel model(physical, residual, demands);
-      planned = PlanPlacement(model, tuned_alpha, options_.autotune, options_.search_threads,
-                              options_.search_timeout_s, options_.find_first_above_tasks);
-      tuned_alpha = planned->alpha;
+      CostModel model(physical, residual,
+                      TaskDemands(physical, PropagateRates(req.graph, req.source_rates)));
+      outcome->planned = PlanPlacement(model, req.tuned_alpha, options_.autotune,
+                                       options_.search_threads, options_.search_timeout_s,
+                                       options_.find_first_above_tasks);
+      if (options_.enable_plan_cache) {
+        cache_.Insert(key, CachedPlan{outcome->planned.placement, outcome->planned.alpha,
+                                      outcome->planned.cost});
+      }
     }
-    SlotReservation reservation = planned->placement.LoadByWorker(cluster_);
-    CommitResult cr = view_.TryCommit(req.job, snap.epoch, reservation);
-    if (cr == CommitResult::kConflict) {
-      ++outcome->conflicts;
-      double backoff =
-          std::min(kBackoffMaxS, kBackoffBaseS * std::pow(2.0, outcome->conflicts - 1));
-      std::this_thread::sleep_for(std::chrono::duration<double>(backoff));
-      continue;
-    }
-    if (!hit && options_.enable_plan_cache) {
-      cache_.Insert(key, CachedPlan{planned->placement, planned->alpha, planned->cost});
-    }
-    outcome->fail = PlanOutcome::Fail::kNone;
-    outcome->commit = cr;
-    outcome->planned = std::move(*planned);
-    outcome->reservation = std::move(reservation);
-    outcome->from_cache = hit;
-    outcome->parallelism = graph.Parallelism();
-    ev.kind = EventItem::Kind::kPlanCommitted;
-    break;
-  }
-  if (ev.kind == EventItem::Kind::kPlanFailed &&
-      outcome->fail == PlanOutcome::Fail::kNone) {
-    outcome->fail = PlanOutcome::Fail::kNoCapacity;  // attempts exhausted on conflicts
+    req.tuned_alpha = outcome->planned.alpha;
   }
   outcome->planning_time_s =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
-  span.AddAttr("attempts", outcome->attempts);
+  EventItem ev;
+  ev.kind = EventItem::Kind::kPlanned;
+  ev.job = req.job;
+  outcome->request = std::move(req);
   ev.plan = std::move(outcome);
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    queue_.push_back(std::move(ev));
-    --planners_in_flight_;
-  }
-  queue_cv_.notify_one();
-  idle_cv_.notify_all();
+  Enqueue(std::move(ev));
 }
 
-void PlacementService::HandlePlanCommitted(JobId job, PlanOutcome outcome) {
-  auto it = jobs_.find(job);
-  if (it == jobs_.end()) {
+void PlacementService::HandlePlanned(JobId job, PlanOutcome outcome) {
+  --planners_in_flight_;
+  JobRecord& rec = *jobs_.at(job);
+  ++rec.status.plan_attempts;
+  rec.status.planning_time_s += outcome.planning_time_s;
+  if (rec.status.state == JobState::kTerminated) {
+    return;  // cancelled while planning; HandleCancel released everything
+  }
+  const PlanRequest& req = outcome.request;
+  if (outcome.no_capacity) {
+    // No capacity at plan time: back to the admission queue until capacity frees.
+    // Structured — never a CHECK abort.
     view_.Release(job);
+    if (rec.demand_accounted) {
+      admitted_demand_ -= rec.status.demand;
+      rec.demand_accounted = false;
+    }
+    ++stats_.queued;
+    rec.status.admission = AdmissionOutcome::kQueuedCapacity;
+    admission_queue_.push_back(job);
+    if (req.recovering) {
+      EmitRecoveryVerdict(EventLog::Global().now(), "unplaceable",
+                          view_.TotalSlots() / std::max(1, cluster_.slots_per_worker()));
+    }
+    Transition(rec, JobState::kQueued,
+               req.recovering ? "recovery unplaceable; queued for capacity"
+                              : "no capacity at plan time; queued");
+    ReleaseQueuedLocked();
     return;
   }
-  JobRecord& rec = *it->second;
-  stats_.commit_conflicts += static_cast<uint64_t>(outcome.conflicts);
-  rec.status.plan_attempts += outcome.attempts;
-  rec.status.commit_conflicts += outcome.conflicts;
-  rec.status.planning_time_s += outcome.planning_time_s;
-  if (rec.cancelled.load() || rec.status.state == JobState::kTerminated ||
-      rec.status.state == JobState::kRejected) {
-    // Lost the race with a cancel: the commit went through, take it back.
-    view_.Release(job);
+  CommitResult commit = view_.TryCommit(job, req.snap.epoch,
+                                        outcome.planned.placement.LoadByWorker(cluster_));
+  if (commit == CommitResult::kConflict) {
+    // Another commit or a worker death took slots this plan used. Replan first, ahead of
+    // sessions that have not been planned yet, with the same graph and α.
+    ++stats_.commit_conflicts;
+    ++rec.status.commit_conflicts;
+    plan_queue_.push_front(std::move(outcome.request));
     return;
   }
   ++stats_.plans_committed;
   if (outcome.from_cache) {
     ++stats_.plans_from_cache;
   }
-  if (outcome.commit == CommitResult::kCommittedStale) {
+  if (commit == CommitResult::kCommittedStale) {
     ++stats_.stale_commits;
   }
-  stats_.downscales += static_cast<uint64_t>(outcome.downscale_steps);
-  rec.graph.SetParallelism(outcome.parallelism);
+  int downscale_steps = rec.graph.total_parallelism() - req.graph.total_parallelism();
+  stats_.downscales += static_cast<uint64_t>(downscale_steps);
+  rec.graph = req.graph;
   rec.tasks = outcome.planned.placement.num_tasks();
   rec.status.tasks = rec.tasks;
-  rec.status.parallelism = outcome.parallelism;
+  rec.status.parallelism = rec.graph.Parallelism();
   rec.status.placement = outcome.planned.placement;
   rec.status.alpha = outcome.planned.alpha;
   rec.status.plan_cost = outcome.planned.cost;
-  rec.status.degraded = outcome.downscale_steps > 0;
+  rec.status.degraded = downscale_steps > 0;
   rec.status.plan_from_cache = outcome.from_cache;
   EmitPlacementDecision(EventLog::Global().now(), "scheduler", rec.tasks,
                         cluster_.num_workers(), outcome.planned.alpha, outcome.planned.cost,
                         outcome.planning_time_s);
-  SlotReservation held = view_.ReservationOf(job);
-  if (held != outcome.reservation) {
-    // A worker died after the commit landed but while the job was still planning, so
-    // HandleWorkerDead left it to this handler: the tasks placed there are gone.
-    int lost = 0;
-    for (size_t w = 0; w < held.size(); ++w) {
-      lost += outcome.reservation[w] - held[w];
-    }
-    BeginRecoveryLocked(rec, Sprintf("a worker died under the new plan, lost %d slots", lost));
-    return;
-  }
   Transition(rec, JobState::kDeploying,
-             Sprintf("%s commit (%d attempts%s)", CommitResultName(outcome.commit),
-                     outcome.attempts, outcome.from_cache ? ", cached plan" : ""));
+             Sprintf("%s commit%s", CommitResultName(commit),
+                     outcome.from_cache ? " (cached plan)" : ""));
   // The runtime hand-off is immediate in this reproduction (the simulator-side runtime is
   // attached out-of-band); the two transitions are kept distinct for the state machine.
   Transition(rec, JobState::kRunning,
@@ -655,50 +643,12 @@ void PlacementService::HandlePlanCommitted(JobId job, PlanOutcome outcome) {
     rec.status.running_time_s = NowS();
     rec.status.decision_latency_s = rec.status.running_time_s - rec.status.submit_time_s;
   }
-  if (outcome.recovering) {
+  if (req.recovering) {
     EmitRecoveryVerdict(EventLog::Global().now(),
                         rec.status.degraded ? "recovered_degraded" : "recovered_full",
                         view_.TotalSlots() / std::max(1, cluster_.slots_per_worker()));
   }
   // A downscale or a rescale to fewer slots frees capacity for queued jobs.
-  ReleaseQueuedLocked();
-}
-
-void PlacementService::HandlePlanFailed(JobId job, PlanOutcome outcome) {
-  auto it = jobs_.find(job);
-  if (it == jobs_.end()) {
-    return;
-  }
-  JobRecord& rec = *it->second;
-  stats_.commit_conflicts += static_cast<uint64_t>(outcome.conflicts);
-  rec.status.plan_attempts += outcome.attempts;
-  rec.status.commit_conflicts += outcome.conflicts;
-  rec.status.planning_time_s += outcome.planning_time_s;
-  view_.Release(job);
-  if (rec.demand_accounted) {
-    admitted_demand_ -= rec.status.demand;
-    rec.demand_accounted = false;
-  }
-  if (outcome.fail == PlanOutcome::Fail::kCancelled || rec.cancelled.load() ||
-      rec.status.state == JobState::kTerminated || rec.status.state == JobState::kRejected) {
-    if (rec.status.state != JobState::kTerminated && rec.status.state != JobState::kRejected) {
-      Transition(rec, JobState::kTerminated, "cancelled while planning");
-    }
-    ReleaseQueuedLocked();
-    return;
-  }
-  // No capacity at plan time (or conflict retries exhausted): back to the admission queue
-  // until capacity frees. Structured — never a CHECK abort.
-  ++stats_.queued;
-  rec.status.admission = AdmissionOutcome::kQueuedCapacity;
-  admission_queue_.push_back(job);
-  if (outcome.recovering) {
-    EmitRecoveryVerdict(EventLog::Global().now(), "unplaceable",
-                        view_.TotalSlots() / std::max(1, cluster_.slots_per_worker()));
-  }
-  Transition(rec, JobState::kQueued,
-             outcome.recovering ? "recovery unplaceable; queued for capacity"
-                                : "no capacity at plan time; queued");
   ReleaseQueuedLocked();
 }
 
@@ -724,7 +674,6 @@ std::vector<JobStatus> PlacementService::AllStatuses() const {
 SchedulerStats PlacementService::stats() const {
   std::lock_guard<std::mutex> lock(mu_);
   SchedulerStats s = stats_;
-  s.stale_commits = view_.stale_commits();
   s.epoch = view_.epoch();
   s.cache_hits = cache_.hits();
   s.cache_misses = cache_.misses();

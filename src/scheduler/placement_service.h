@@ -8,9 +8,12 @@
 //     FailureDetector verdicts, DS2 scale decisions, and planner completions all flow
 //     through the same queue) and drives the per-job state machines in job.h. All job
 //     bookkeeping happens on this thread, so the lifecycle logic needs no per-job locks.
-//   - A planner ThreadPool runs CAPS searches concurrently. Planners work against
-//     immutable ClusterView snapshots and commit slot reservations optimistically (epoch
-//     check; retry with exponential backoff on conflict) — see cluster_view.h.
+//     It is also the only writer of the ClusterView (see cluster_view.h).
+//   - A planner ThreadPool runs CAPS searches concurrently. The dispatcher hands each
+//     planning session to an idle planner together with a ClusterView snapshot; sessions
+//     beyond the pool size wait in a FIFO. A planner only plans: it posts the plan back,
+//     and the dispatcher commits it. A commit that conflicts sends the session back to
+//     the front of the FIFO, to replan with the same graph and tuned thresholds.
 //   - Admission control estimates a job's aggregate CPU/IO/net demand from the cost model
 //     and either admits, queues (fits the cluster but not the current free capacity), or
 //     rejects it with a structured kRejectedCapacity — never a CHECK abort. Queued jobs
@@ -128,18 +131,25 @@ class PlacementService {
   void HandleRescale(JobId job, std::vector<int> parallelism);
   void HandleWorkerDead(WorkerId w);
   void HandleWorkerRestored(WorkerId w);
-  void HandlePlanCommitted(JobId job, PlanOutcome outcome);
-  void HandlePlanFailed(JobId job, PlanOutcome outcome);
+  // Commits a planner's outcome, replans it on a conflict, or queues the job when it did
+  // not fit.
+  void HandlePlanned(JobId job, PlanOutcome outcome);
+  // Whether a job of `tasks` tasks and `demand` cannot fit the usable cluster even when it
+  // is empty: the admission ceiling (dispatcher thread, mu_ held).
+  bool ExceedsClusterLocked(int tasks, const ResourceVector& demand) const;
   // Admission decision for a submitted/queued job (dispatcher thread, mu_ held).
-  AdmissionOutcome AdmitLocked(JobRecord& rec);
+  AdmissionOutcome AdmitLocked(const JobRecord& rec);
   // Re-examines queued jobs after capacity freed (dispatcher thread, mu_ held).
   void ReleaseQueuedLocked();
-  // Spawns a planner task for `rec` (dispatcher thread, mu_ held).
-  void SpawnPlanner(JobRecord& rec, bool recovering);
-  // Moves `rec` to Recovering after it lost slots on a dead worker and spawns a recovery
-  // planner (dispatcher thread, mu_ held).
+  // Appends a planning session for `rec` to the plan FIFO (dispatcher thread, mu_ held).
+  void RequestPlanLocked(const JobRecord& rec, bool recovering);
+  // Hands queued sessions, each with a fresh snapshot, to idle planners (dispatcher
+  // thread, mu_ held).
+  void DispatchPlansLocked();
+  // Moves `rec` to Recovering after it lost slots on a dead worker and requests a recovery
+  // plan (dispatcher thread, mu_ held).
   void BeginRecoveryLocked(JobRecord& rec, const std::string& cause);
-  // Runs in a planner thread; plans + commits, then posts kPlanCommitted/kPlanFailed.
+  // Runs in a planner thread; plans against the session's snapshot, then posts kPlanned.
   void RunPlanner(PlanRequest req);
   void Transition(JobRecord& rec, JobState to, const std::string& detail);
   double NowS() const;
@@ -157,9 +167,10 @@ class PlacementService {
   std::deque<EventItem> queue_;
   std::map<JobId, std::unique_ptr<JobRecord>> jobs_;
   std::deque<JobId> admission_queue_;  // jobs in kQueued, FIFO with fit-based bypass
+  std::deque<PlanRequest> plan_queue_;  // sessions waiting for an idle planner
   ResourceVector admitted_demand_;     // summed demand of admitted (non-queued) jobs
   JobId next_job_id_ = 1;
-  int planners_in_flight_ = 0;
+  int planners_in_flight_ = 0;  // sessions handed out whose outcome is not yet handled
   bool stopping_ = false;
   SchedulerStats stats_;
 

@@ -86,7 +86,6 @@ TEST(ClusterViewTest, StaleCommitRevalidates) {
   ASSERT_EQ(view.TryCommit(1, snap_b.epoch, {2, 0}), CommitResult::kCommitted);
   // Non-intersecting reservation still fits: committed as stale.
   EXPECT_EQ(view.TryCommit(2, snap_b.epoch, {0, 3}), CommitResult::kCommittedStale);
-  EXPECT_EQ(view.stale_commits(), 1u);
   // Overlapping reservation that no longer fits: conflict, never a double-booking.
   EXPECT_EQ(view.TryCommit(3, snap_b.epoch, {3, 1}), CommitResult::kConflict);
   EXPECT_EQ(view.CheckInvariants(), "");
@@ -613,6 +612,116 @@ TEST(PlacementServiceTest, CrashStormInterleavedWithSubmissions) {
   for (size_t w = 0; w < per_worker.size(); ++w) {
     EXPECT_LE(per_worker[w], 4) << "worker " << w << " double-booked";
   }
+}
+
+// Worker ids outside the cluster name nothing to kill or restore: the events are ignored
+// instead of indexing past the view's per-worker vectors.
+TEST(PlacementServiceTest, OutOfRangeWorkerIdsAreIgnored) {
+  Cluster cluster(4, WorkerSpec{.slots = 4});
+  PlacementService service(cluster, FastOptions());
+  JobId running = service.Submit(MakePipelineJob("resident", 2, 1e3));
+  ASSERT_TRUE(service.WaitIdle(20.0));
+  ASSERT_EQ(service.Status(running).state, JobState::kRunning);
+  for (WorkerId w : {WorkerId{-1}, WorkerId{4}}) {
+    service.OnWorkerDead(w);
+    service.OnWorkerRestored(w);
+  }
+  ASSERT_TRUE(service.WaitIdle(20.0));
+  EXPECT_EQ(service.view().TotalSlots(), 16);
+  EXPECT_EQ(service.view().CheckInvariants(), "");
+  EXPECT_EQ(service.Status(running).state, JobState::kRunning);
+  EXPECT_EQ(service.Status(running).recoveries, 0);
+  JobId later = service.Submit(MakePipelineJob("later", 2, 1e3));
+  ASSERT_TRUE(service.WaitIdle(20.0));
+  EXPECT_EQ(service.Status(later).state, JobState::kRunning);
+  EXPECT_EQ(service.view().CheckInvariants(), "");
+}
+
+// A rescale the cluster could never host would release the job's slots and queue it
+// forever; the service ignores it and the job keeps running on its plan.
+TEST(PlacementServiceTest, RescaleBeyondClusterIsIgnored) {
+  PlacementService service(Cluster(4, WorkerSpec{.slots = 4}), FastOptions());
+  JobId id = service.Submit(MakePipelineJob("rescale", 2, 1e4));
+  ASSERT_TRUE(service.WaitIdle(20.0));
+  ASSERT_EQ(service.Status(id).state, JobState::kRunning);
+  service.Rescale(id, {1, 40, 1});  // 42 tasks on 16 slots
+  ASSERT_TRUE(service.WaitIdle(20.0));
+  JobStatus status = service.Status(id);
+  EXPECT_EQ(status.state, JobState::kRunning);
+  EXPECT_EQ(status.parallelism, (std::vector<int>{1, 2, 1}));
+  EXPECT_EQ(SumReservation(service.view().ReservationOf(id)), 4);
+  EXPECT_EQ(service.view().CheckInvariants(), "");
+}
+
+// A cancel that lands while the job's plan is pending or out frees its slots and its
+// admitted demand: a job that needs the whole cluster is admitted afterwards.
+TEST(PlacementServiceTest, CancelWhilePlanningReleasesEverything) {
+  Cluster cluster(2, WorkerSpec{.slots = 4});
+  PlacementService service(cluster, FastOptions());
+  // 8 tasks and 7e5 records/s: every slot and more than half of the cluster's CPU.
+  JobId cancelled = service.Submit(MakePipelineJob("cancelled", 6, 7e5));
+  service.Cancel(cancelled);
+  ASSERT_TRUE(service.WaitIdle(20.0));
+  EXPECT_EQ(service.Status(cancelled).state, JobState::kTerminated);
+  EXPECT_TRUE(service.view().ReservationOf(cancelled).empty());
+  EXPECT_EQ(service.view().CheckInvariants(), "");
+  JobId whole = service.Submit(MakePipelineJob("whole", 6, 7e5));
+  ASSERT_TRUE(service.WaitIdle(20.0));
+  JobStatus status = service.Status(whole);
+  ASSERT_GT(status.demand.cpu, 0.5 * service.view().TotalCapacity().cpu);
+  EXPECT_EQ(status.state, JobState::kRunning) << status.ToString();
+  EXPECT_EQ(SumReservation(service.view().ReservationOf(whole)), 8);
+  EXPECT_EQ(service.view().CheckInvariants(), "");
+}
+
+// Workers die, and stay dead, while plans are being made and committed. A plan that used
+// a worker that died before its commit conflicts and is replanned, so no running job is
+// left with slots or tasks on a dead worker.
+TEST(PlacementServiceTest, DeadWorkersDuringSubmissionsHostNothing) {
+  const int kThreads = 3;
+  const int kJobsPerThread = 4;
+  const std::vector<WorkerId> kDead = {0, 3, 5};
+  Cluster cluster(8, WorkerSpec{.slots = 4});
+  PlacementService service(cluster, FastOptions(4));
+  std::vector<std::thread> submitters;
+  submitters.reserve(kThreads);
+  for (int t = 0; t < kThreads; ++t) {
+    submitters.emplace_back([&service] {
+      for (int j = 0; j < kJobsPerThread; ++j) {
+        service.Submit(MakePipelineJob("doomed", 2, 2e3));
+        std::this_thread::sleep_for(std::chrono::milliseconds(2));
+      }
+    });
+  }
+  for (WorkerId w : kDead) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(3));
+    service.OnWorkerDead(w);
+  }
+  for (auto& t : submitters) {
+    t.join();
+  }
+  ASSERT_TRUE(service.WaitIdle(60.0));
+  EXPECT_EQ(service.view().CheckInvariants(), "");
+  std::vector<JobStatus> statuses = service.AllStatuses();
+  EXPECT_EQ(statuses.size(), static_cast<size_t>(kThreads * kJobsPerThread));
+  int running = 0;
+  for (const JobStatus& s : statuses) {
+    ASSERT_TRUE(s.state == JobState::kRunning || s.state == JobState::kQueued)
+        << s.ToString();
+    if (s.state != JobState::kRunning) {
+      continue;
+    }
+    ++running;
+    SlotReservation r = service.view().ReservationOf(s.id);
+    EXPECT_EQ(SumReservation(r), s.tasks) << s.ToString();
+    for (WorkerId w : kDead) {
+      EXPECT_EQ(r[static_cast<size_t>(w)], 0) << s.ToString();
+      for (TaskId t = 0; t < s.placement.num_tasks(); ++t) {
+        EXPECT_NE(s.placement.WorkerOf(t), w) << s.ToString();
+      }
+    }
+  }
+  EXPECT_GT(running, 0);
 }
 
 TEST(PlacementServiceTest, StatsAndStatusRenderings) {
