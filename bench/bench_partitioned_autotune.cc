@@ -65,7 +65,6 @@ int Main() {
       AutoTuneOptions tune;
       tune.timeout_s = 60.0;
       tune.probe_timeout_s = 1.0;
-      tune.num_threads = 4;
       AutoTuneResult tuned = AutoTuneThresholds(model, tune);
       SearchOptions options;
       options.alpha = tuned.feasible ? tuned.alpha : ResourceVector{1.0, 1.0, 1.0};

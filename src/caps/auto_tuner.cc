@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <optional>
 
 #include "src/common/logging.h"
 #include "src/common/str.h"
@@ -20,16 +21,29 @@ constexpr double kMinStep = 0.01;
 // Tightest initial bound (a strictly positive cost floor to start relaxing from).
 constexpr double kInitialAlpha = 0.005;
 
-// Runs a find-first feasibility probe with the given thresholds and remaining budget.
-SearchResult Probe(const CostModel& model, const ResourceVector& alpha, int num_threads,
-                   double budget_s) {
+// Runs a find-first feasibility probe with the given thresholds and remaining budget, on
+// one thread: a parallel find-first stops at whichever leaf some thread reaches first, so
+// its plan, and with it the witness bracket of phase 1, would depend on thread timing.
+SearchResult Probe(const CostModel& model, const ResourceVector& alpha, double budget_s) {
   SearchOptions options;
   options.alpha = alpha;
   options.find_first = true;
   options.reorder = true;
-  options.num_threads = num_threads;
   options.timeout_s = budget_s;
   return CapsSearch(model, options).Run();
+}
+
+// Slack on a witness, in cost units. The search tracks loads incrementally, so a plan's
+// load, and the cost CostOfLoad makes of it, can differ by rounding errors between the walk
+// that found it and a later walk under LoadBound(witness); without the slack that walk can
+// prune the very plan that set the bound.
+constexpr double kWitnessSlack = 1e-9;
+
+// The upper end of a phase-1 bracket after a feasible probe at `probed`: the cost, in the
+// probed dimension, of the plan the probe found, which is at most `probed`. A perfectly
+// balanced load can come out of CostOfLoad a rounding error below 0, hence the clamp.
+double WitnessBracket(double probed, double witness) {
+  return std::min(probed, std::max(0.0, witness) + kWitnessSlack);
 }
 
 }  // namespace
@@ -59,27 +73,31 @@ AutoTuneResult AutoTuneThresholds(const CostModel& model, const AutoTuneOptions&
     return result;
   };
   // Each feasibility probe is one tuning iteration: a find-first search under the candidate
-  // thresholds within `budget_s`, traced as its own (nested) span. A probe that runs out of
-  // budget before it finds a plan counts as infeasible.
-  auto probe = [&](const ResourceVector& alpha, double budget_s) {
+  // thresholds within `budget_s`, traced as its own (nested) span. It returns the cost of
+  // the plan it found, the witness; a probe that runs out of budget before it finds a plan
+  // counts as infeasible and returns nothing.
+  auto probe = [&](const ResourceVector& alpha,
+                   double budget_s) -> std::optional<ResourceVector> {
     Span probe_span("caps.autotune.probe");
     probe_span.AddAttr("iteration", result.iterations);
     probe_span.AddAttr("alpha", alpha.ToString());
     ++result.iterations;
-    bool feasible = false;
+    std::optional<ResourceVector> witness;
     bool timed_out = budget_s <= 0.0;
     if (!timed_out) {
-      SearchResult search = Probe(model, alpha, options.num_threads, budget_s);
+      SearchResult search = Probe(model, alpha, budget_s);
       result.nodes += search.stats.nodes;
-      feasible = search.found;
-      timed_out = !feasible && search.stats.timed_out;
+      if (search.found) {
+        witness = search.best.cost;
+      }
+      timed_out = !search.found && search.stats.timed_out;
     }
     if (timed_out) {
       ++result.probes_timed_out;
       probe_span.AddAttr("timed_out", "true");
     }
-    probe_span.AddAttr("feasible", feasible ? "true" : "false");
-    return feasible;
+    probe_span.AddAttr("feasible", witness.has_value() ? "true" : "false");
+    return witness;
   };
   auto probe_budget = [&] {
     return std::min(options.probe_timeout_s, options.timeout_s - elapsed());
@@ -89,7 +107,9 @@ AutoTuneResult AutoTuneThresholds(const CostModel& model, const AutoTuneOptions&
   // Phase 1: per-dimension minimum with the other dimensions disabled. Starting from the
   // tightest bound, the threshold is relaxed with geometrically growing steps until a valid
   // plan exists, then refined by bisection — logarithmically many probes, each of which may
-  // cost up to probe_timeout_s when it must prove (or give up on) infeasibility.
+  // cost up to probe_timeout_s when it must prove (or give up on) infeasibility. A feasible
+  // probe closes the bracket at its witness, not at the probed threshold, so every bracket
+  // ends at the cost of a plan that exists.
   for (Resource r : kAllResources) {
     double lo = 0.0;
     double hi = kInitialAlpha;
@@ -102,7 +122,8 @@ AutoTuneResult AutoTuneThresholds(const CostModel& model, const AutoTuneOptions&
       }
       ResourceVector alpha{1.0, 1.0, 1.0};
       alpha[r] = std::min(hi, 1.0);
-      if (probe(alpha, probe_budget())) {
+      if (auto witness = probe(alpha, probe_budget())) {
+        hi = WitnessBracket(alpha[r], (*witness)[r]);
         found = true;
         break;
       }
@@ -121,8 +142,8 @@ AutoTuneResult AutoTuneThresholds(const CostModel& model, const AutoTuneOptions&
       double mid = 0.5 * (lo + hi);
       ResourceVector alpha{1.0, 1.0, 1.0};
       alpha[r] = mid;
-      if (probe(alpha, probe_budget())) {
-        hi = mid;
+      if (auto witness = probe(alpha, probe_budget())) {
+        hi = WitnessBracket(mid, (*witness)[r]);
       } else {
         lo = mid;
       }

@@ -1,13 +1,16 @@
 // Threshold auto-tuning (paper §5.2).
 //
 // Identifies the minimum feasible pruning-threshold vector for a deployment in two phases:
-//   Phase 1: per dimension, starting from the tightest bound (perfectly balanced placement)
-//            and relaxing multiplicatively until a valid plan exists with the other
-//            dimensions disabled.
+//   Phase 1: per dimension, with the other dimensions disabled, relax from the tightest
+//            bound (perfectly balanced placement) in doubling steps until a valid plan
+//            exists, then bisect. Witnesses bracket the bisection: a feasible probe lowers
+//            the bracket's upper end to the cost, in that dimension, of the plan it found.
 //   Phase 2: starting from the per-dimension minima, relax all dimensions jointly until a
 //            plan satisfying the full vector exists.
-// A timeout allows exiting early for infeasible configurations. Results depend only on the
-// query graph and resources, so they can be precomputed offline per scaling scenario.
+// Every probe is a find-first search on one thread, so the plan it finds, and with it α,
+// does not depend on thread timing. A timeout allows exiting early for infeasible
+// configurations. Results depend only on the query graph and resources, so they can be
+// precomputed offline per scaling scenario.
 #ifndef SRC_CAPS_AUTO_TUNER_H_
 #define SRC_CAPS_AUTO_TUNER_H_
 
@@ -26,8 +29,6 @@ struct AutoTuneOptions {
   // over-relaxing the result) instead of eating the entire budget proving infeasibility of
   // one threshold vector on a large instance.
   double probe_timeout_s = 0.25;
-  // Threads handed to each feasibility-probe search.
-  int num_threads = 1;
 };
 
 struct AutoTuneResult {

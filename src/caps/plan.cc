@@ -8,9 +8,7 @@ PlannedPlacement PlanPlacement(const CostModel& model, std::optional<ResourceVec
                                const AutoTuneOptions& autotune, int search_threads,
                                double search_timeout_s, int find_first_above_tasks) {
   if (!alpha.has_value()) {
-    AutoTuneOptions tune = autotune;
-    tune.num_threads = search_threads;
-    AutoTuneResult tuned = AutoTuneThresholds(model, tune);
+    AutoTuneResult tuned = AutoTuneThresholds(model, autotune);
     alpha = tuned.feasible ? tuned.alpha : ResourceVector{1.0, 1.0, 1.0};
   }
   SearchOptions search_options;

@@ -2,8 +2,12 @@
 // threshold auto-tuner / greedy placement helpers.
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <optional>
+
 #include "src/caps/auto_tuner.h"
 #include "src/caps/greedy.h"
+#include "src/caps/plan.h"
 #include "src/controller/deployment.h"
 #include "src/controller/ds2.h"
 #include "src/controller/profiler.h"
@@ -191,9 +195,9 @@ TEST(AutoTunerTest, EveryProbeIsTracedAndCounted) {
 
 // Auto-tune of the DS2-sized Q2 and Q3 on the deploy_tight cluster (8 m5d.2xlarge workers
 // with 8 slots), with budgets large enough that no probe is answered by the wall clock. α
-// and the probe count are pinned to the values of the search without lookahead cuts; the
-// node totals of that search are the `nodes_before` column, and the cuts must at least
-// halve them.
+// and the probe count are pinned to the values of the witness-bracketed phase 1; the node
+// totals of the search without lookahead cuts and without witness brackets are the
+// `nodes_before` column, and the tune must at least halve them.
 struct TuneGolden {
   const char* query;
   double scale;
@@ -204,25 +208,32 @@ struct TuneGolden {
 
 void PrintTo(const TuneGolden& g, std::ostream* os) { *os << g.query << " @ " << g.scale; }
 
-class AutoTuneGoldenTest : public ::testing::TestWithParam<TuneGolden> {};
+class AutoTuneGoldenTest : public ::testing::TestWithParam<TuneGolden> {
+ protected:
+  void SetUp() override {
+    QuerySpec q = BuildQueryByName(GetParam().query);
+    q.ScaleRates(GetParam().scale);
+    DeployOptions options;
+    options.policy = PlacementPolicy::kFlinkDefault;  // only the DS2-sized graph is needed
+    options.use_ds2_sizing = true;
+    deployment_ = CapsysController(cluster_, options).Deploy(q);
+    model_ = std::make_unique<CostModel>(
+        deployment_.physical, cluster_,
+        DemandsFromMeasuredCosts(deployment_.physical, deployment_.costs,
+                                 PropagateRates(deployment_.graph, deployment_.source_rates)));
+    tune_.timeout_s = 600.0;
+    tune_.probe_timeout_s = 60.0;
+  }
+
+  Cluster cluster_{8, WorkerSpec::M5d2xlarge(8)};
+  Deployment deployment_;
+  std::unique_ptr<CostModel> model_;
+  AutoTuneOptions tune_;
+};
 
 TEST_P(AutoTuneGoldenTest, SameAlphaFromFewerNodes) {
   const TuneGolden& g = GetParam();
-  QuerySpec q = BuildQueryByName(g.query);
-  q.ScaleRates(g.scale);
-  Cluster cluster(8, WorkerSpec::M5d2xlarge(8));
-  DeployOptions options;
-  options.policy = PlacementPolicy::kFlinkDefault;  // only the DS2-sized graph is needed
-  options.use_ds2_sizing = true;
-  Deployment d = CapsysController(cluster, options).Deploy(q);
-  CostModel model(d.physical, cluster,
-                  DemandsFromMeasuredCosts(d.physical, d.costs,
-                                           PropagateRates(d.graph, d.source_rates)));
-  AutoTuneOptions tune;
-  tune.timeout_s = 600.0;
-  tune.probe_timeout_s = 60.0;
-  tune.num_threads = 1;
-  AutoTuneResult r = AutoTuneThresholds(model, tune);
+  AutoTuneResult r = AutoTuneThresholds(*model_, tune_);
   ASSERT_TRUE(r.feasible);
   EXPECT_EQ(r.probes_timed_out, 0);
   EXPECT_EQ(r.alpha.cpu, g.alpha.cpu);
@@ -232,19 +243,51 @@ TEST_P(AutoTuneGoldenTest, SameAlphaFromFewerNodes) {
   EXPECT_LE(r.nodes, g.nodes_before / 2);
 }
 
+// Probes run on one thread whatever the final search gets: a parallel find-first stops at
+// whichever leaf a thread reaches first, so its witness, and with it α, would depend on
+// thread timing.
+TEST_P(AutoTuneGoldenTest, AlphaDoesNotDependOnSearchThreads) {
+  const TuneGolden& g = GetParam();
+  for (int threads : {1, 2, 4}) {
+    PlannedPlacement planned = PlanPlacement(*model_, std::nullopt, tune_, threads,
+                                             /*search_timeout_s=*/60.0,
+                                             /*find_first_above_tasks=*/0);
+    EXPECT_EQ(planned.alpha.cpu, g.alpha.cpu) << threads << " threads";
+    EXPECT_EQ(planned.alpha.io, g.alpha.io) << threads << " threads";
+    EXPECT_EQ(planned.alpha.net, g.alpha.net) << threads << " threads";
+  }
+}
+
+// Each phase-1 minimum is the cost of a plan a probe found, so a probe at exactly that
+// threshold finds a plan again: the LoadBound / CostOfLoad round trip loses nothing.
+TEST_P(AutoTuneGoldenTest, PhaseOneMinimaArePlansThatExist) {
+  AutoTuneResult r = AutoTuneThresholds(*model_, tune_);
+  ASSERT_TRUE(r.feasible);
+  for (Resource res : kAllResources) {
+    double minimum = r.phase1_alpha[res];
+    EXPECT_GE(minimum, 0.0) << ResourceName(res);
+    EXPECT_LE(minimum, 1.0) << ResourceName(res);
+    SearchOptions probe;
+    probe.alpha[res] = minimum;
+    probe.find_first = true;
+    EXPECT_TRUE(CapsSearch(*model_, probe).Run().found) << ResourceName(res);
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(
     DeployTight, AutoTuneGoldenTest,
     ::testing::Values(
         TuneGolden{"q2-join", 4.8,
-                   {0x1.51eb851eb851ep-3, 0x1.10e5604189375p-2, 0x1.32b020c49ba5fp-2}, 24,
+                   {0x1.53c99abca62a4p-3, 0x1.0c83fb85d03bcp-2, 0x1.324924a52efe8p-2}, 22,
                    1626836},
-        TuneGolden{"q2-join", 5.3, {0x1.851eb851eb852p-4, 0x1p-3, 0x1.7ae147ae147afp-3}, 26,
+        TuneGolden{"q2-join", 5.3,
+                   {0x1.7becb3d740d67p-4, 0x1.fd4b8b9232198p-4, 0x1.7a2a63b0a18c2p-3}, 22,
                    6573944},
         TuneGolden{"q3-inf", 4.8,
-                   {0x1.2c083126e978ep-3, 0x1.1eb851eb851ecp-5, 0x1.54bc6a7ef9db4p-2}, 21,
+                   {0x1.2dcc93ac1c571p-3, 0x1.eb851fcb32aap-6, 0x1.4f748c89920b1p-2}, 20,
                    2869879},
         TuneGolden{"q3-inf", 5.3,
-                   {0x1.d70a3d70a3d71p-4, 0x1.47ae147ae147bp-8, 0x1.199999999999ap-2}, 19,
+                   {0x1.ccc6ef360bf8p-4, 0x1.12e0be826d695p-30, 0x1.152fab528106fp-2}, 18,
                    2888173}));
 
 // --- Greedy ------------------------------------------------------------------------------------
