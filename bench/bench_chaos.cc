@@ -6,8 +6,8 @@
 // reconfigurations. Reports MTTR, reconfiguration count, throughput-loss integral, and
 // detector false positives per policy. The schedule and all randomness are seeded, so the
 // comparison across policies is exact.
-// Each policy's run additionally exports a full telemetry bundle (metrics.prom,
-// metrics.json, trace.json, events.jsonl) under $CAPSYS_TELEMETRY_DIR/<policy>/ (default
+// Each policy's run additionally exports a full telemetry bundle (metrics.json,
+// trace.json, events.jsonl) under $CAPSYS_TELEMETRY_DIR/<policy>/ (default
 // ./chaos_telemetry) — see EXPERIMENTS.md "Inspecting a run".
 #include <cstdio>
 #include <cstdlib>

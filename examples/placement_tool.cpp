@@ -9,7 +9,8 @@
 //     rate_scale multiplier on the query's default target rate (default 1.0)
 //
 // Prints the DS2-sized parallelism, the chosen plan, its cost vector, decision time, and
-// the simulated performance.
+// the simulated performance. A cluster with fewer slots than DS2 sizes for runs the query
+// down-scaled to fit; one with fewer slots than the query has operators prints the usage.
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -30,7 +31,11 @@ int main(int argc, char** argv) {
   std::string policy_name = argc > 4 ? argv[4] : "capsys";
   double rate_scale = argc > 5 ? std::atof(argv[5]) : 1.0;
   std::optional<QuerySpec> found = FindQueryByName(query_name);
-  if (!found || workers < 1 || slots < 1 || !std::isfinite(rate_scale) || rate_scale <= 0) {
+  // Every operator needs a slot; a query DS2 sizes wider than the cluster is down-scaled.
+  bool has_slot_per_operator =
+      found && static_cast<long long>(workers) * slots >= found->graph.num_operators();
+  if (!found || workers < 1 || slots < 1 || !has_slot_per_operator ||
+      !std::isfinite(rate_scale) || rate_scale <= 0) {
     std::fprintf(stderr, "usage: %s [q1..q6] [workers] [slots] [capsys|default|evenly|odrp] "
                          "[rate_scale]\n",
                  argv[0]);

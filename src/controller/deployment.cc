@@ -7,6 +7,7 @@
 #include "src/caps/plan.h"
 #include "src/common/logging.h"
 #include "src/common/str.h"
+#include "src/dataflow/logical_graph.h"
 #include "src/dataflow/rates.h"
 #include "src/obs/events.h"
 #include "src/obs/trace.h"
@@ -71,6 +72,16 @@ Deployment CapsysController::DeployGraph(const LogicalGraph& graph,
     if (decision.changed) {
       EmitScaleDecision(EventLog::Global().now(), "ds2_sizing", slots_before,
                         d.graph.total_parallelism(), decision.ToString());
+    }
+  }
+
+  // A graph wider than the cluster shrinks by the down-scale rule recovery and the service
+  // use; only one that does not fit at parallelism 1 fails the check below.
+  if (d.graph.total_parallelism() > cluster_.total_slots()) {
+    int slots_before = d.graph.total_parallelism();
+    if (FitParallelism(d.graph, cluster_.total_slots())) {
+      EmitScaleDecision(EventLog::Global().now(), "fit_cluster", slots_before,
+                        d.graph.total_parallelism(), d.graph.ToString());
     }
   }
 

@@ -55,7 +55,9 @@ class CapsysController {
   Deployment Deploy(const QuerySpec& query);
 
   // Pipeline on an explicit graph + rates (used by the multi-tenant experiment, which
-  // merges all queries into one graph).
+  // merges all queries into one graph). A graph wider than the cluster, as given or as DS2
+  // sizes it, is down-scaled to fit (FitParallelism); CHECK-fails only when parallelism 1
+  // per operator does not fit.
   Deployment DeployGraph(const LogicalGraph& graph,
                          const std::map<OperatorId, double>& source_rates);
 

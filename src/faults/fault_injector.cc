@@ -21,10 +21,6 @@ const char* FaultKindName(PrimitiveFault::Kind kind) {
       return "degrade";
     case Kind::kSetDropout:
       return "metric_dropout_p";
-    case Kind::kSetStaleness:
-      return "metric_staleness_s";
-    case Kind::kSetNoise:
-      return "metric_noise_frac";
     case Kind::kSetCheckpointFail:
       return "checkpoint_fail";
   }
@@ -37,7 +33,6 @@ FaultInjector::FaultInjector(const FaultSchedule& schedule, int num_workers, uin
     : timeline_(schedule.Expand()),
       crashed_(static_cast<size_t>(num_workers), false),
       degrade_(static_cast<size_t>(num_workers), 1.0),
-      corruption_seed_(seed ^ 0x9e3779b97f4a7c15ULL),
       heartbeat_rng_(seed) {
   CAPSYS_CHECK(num_workers > 0);
   next_beat_s_.assign(static_cast<size_t>(num_workers), kHeartbeatIntervalS);
@@ -45,7 +40,6 @@ FaultInjector::FaultInjector(const FaultSchedule& schedule, int num_workers, uin
 
 void FaultInjector::AdvanceTo(double now, FluidSimulator* sim) {
   CAPSYS_CHECK_MSG(now + 1e-9 >= now_, "injector time must not go backwards");
-  bool corruption_changed = false;
   while (next_ < timeline_.size() && timeline_[next_].time_s <= now + 1e-9) {
     const PrimitiveFault& f = timeline_[next_];
     EmitFaultInjected(f.time_s, FaultKindName(f.kind), f.worker, f.value);
@@ -70,25 +64,13 @@ void FaultInjector::AdvanceTo(double now, FluidSimulator* sim) {
         }
         break;
       case Kind::kSetDropout:
-        corruption_.dropout_p = f.value;
-        corruption_changed = true;
-        break;
-      case Kind::kSetStaleness:
-        corruption_.staleness_s = f.value;
-        corruption_changed = true;
-        break;
-      case Kind::kSetNoise:
-        corruption_.noise_frac = f.value;
-        corruption_changed = true;
+        heartbeat_loss_p_ = f.value;
         break;
       case Kind::kSetCheckpointFail:
         checkpoint_failing_ = f.value > 0.0;
         break;
     }
     ++next_;
-  }
-  if (corruption_changed && sim != nullptr) {
-    sim->SetMetricCorruption(corruption_, corruption_seed_);
   }
   now_ = std::max(now_, now);
 }
@@ -103,7 +85,6 @@ void FaultInjector::ApplyCurrentState(FluidSimulator* sim) const {
       sim->DegradeWorker(static_cast<WorkerId>(w), degrade_[w]);
     }
   }
-  sim->SetMetricCorruption(corruption_, corruption_seed_);
 }
 
 std::vector<WorkerId> FaultInjector::CollectHeartbeats(double now) {
@@ -114,7 +95,7 @@ std::vector<WorkerId> FaultInjector::CollectHeartbeats(double now) {
       // entirely but its cadence keeps advancing so beats resume promptly after a restore.
       double interval = kHeartbeatIntervalS / std::max(degrade_[w], 0.05);
       bool emitted = !crashed_[w];
-      bool lost = corruption_.dropout_p > 0.0 && heartbeat_rng_.Bernoulli(corruption_.dropout_p);
+      bool lost = heartbeat_loss_p_ > 0.0 && heartbeat_rng_.Bernoulli(heartbeat_loss_p_);
       if (emitted && !lost) {
         delivered.push_back(static_cast<WorkerId>(w));
       }
@@ -135,9 +116,8 @@ std::string FaultInjector::ToString() const {
       slow.push_back(Sprintf("w%zu@%.2f", w, degrade_[w]));
     }
   }
-  return Sprintf("t=%.1f down=[%s] slow=[%s] dropout=%.2f stale=%.1f noise=%.2f", now_,
-                 Join(down, ",").c_str(), Join(slow, ",").c_str(), corruption_.dropout_p,
-                 corruption_.staleness_s, corruption_.noise_frac);
+  return Sprintf("t=%.1f down=[%s] slow=[%s] dropout=%.2f", now_, Join(down, ",").c_str(),
+                 Join(slow, ",").c_str(), heartbeat_loss_p_);
 }
 
 }  // namespace capsys

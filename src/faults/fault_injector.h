@@ -1,8 +1,8 @@
 // Replays a FaultSchedule against a running FluidSimulator and models the telemetry the
-// controller sees while faults are active: worker heartbeats (delayed by slowdowns, lost to
-// crashes and metric dropout) and corrupted metric reads. The injector is also the ground
-// truth oracle — chaos drivers compare the failure detector's verdicts against IsCrashed()
-// to count false positives.
+// controller sees while faults are active: worker heartbeats, delayed by slowdowns and lost
+// to crashes and metric dropout. The injector is also the ground truth oracle — chaos
+// drivers compare the failure detector's verdicts against IsCrashed() to count false
+// positives.
 #ifndef SRC_FAULTS_FAULT_INJECTOR_H_
 #define SRC_FAULTS_FAULT_INJECTOR_H_
 
@@ -28,12 +28,12 @@ class FaultInjector {
   // non-null) to the simulator. `now` must be monotonically non-decreasing across calls.
   void AdvanceTo(double now, FluidSimulator* sim);
 
-  // Re-applies the current truth state to a freshly constructed simulator — call after a
-  // reconfiguration replaces the runtime mid-run.
+  // Re-applies the current crashes and slowdowns to a freshly constructed simulator — call
+  // after a reconfiguration replaces the runtime mid-run.
   void ApplyCurrentState(FluidSimulator* sim) const;
 
   // Heartbeats due in (previous call, now] that actually reach the controller. Crashed
-  // workers emit nothing; active metric dropout loses beats with probability dropout_p;
+  // workers emit nothing; active metric dropout loses each beat with its probability;
   // degraded workers emit at a slowed cadence. Deterministic for a fixed seed and call
   // pattern.
   std::vector<WorkerId> CollectHeartbeats(double now);
@@ -54,8 +54,7 @@ class FaultInjector {
   std::vector<bool> crashed_;
   std::vector<double> degrade_;
   bool checkpoint_failing_ = false;
-  MetricCorruption corruption_;
-  uint64_t corruption_seed_;
+  double heartbeat_loss_p_ = 0.0;  // set by metric dropout episodes
 
   std::vector<double> next_beat_s_;
   Rng heartbeat_rng_;

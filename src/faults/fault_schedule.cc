@@ -1,6 +1,7 @@
 #include "src/faults/fault_schedule.h"
 
 #include <algorithm>
+#include <iterator>
 
 #include "src/common/logging.h"
 #include "src/common/rng.h"
@@ -16,7 +17,6 @@ constexpr double kSlowdownDurationS = 40.0;
 constexpr double kFlapPeriodS = 10.0;
 constexpr int kFlapCycles = 3;
 constexpr double kDropoutP = 0.3;
-constexpr double kNoiseStddev = 0.2;
 constexpr double kMetricDurationS = 30.0;
 
 }  // namespace
@@ -33,10 +33,6 @@ const char* FaultTypeName(FaultType type) {
       return "flap";
     case FaultType::kMetricDropout:
       return "metric_dropout";
-    case FaultType::kMetricStaleness:
-      return "metric_staleness";
-    case FaultType::kMetricNoise:
-      return "metric_noise";
     case FaultType::kCheckpointFailure:
       return "checkpoint_failure";
   }
@@ -55,8 +51,6 @@ std::string FaultEvent::ToString() const {
       return Sprintf("t=%.1f flap w%d period=%.1fs cycles=%d", time_s, worker, period_s,
                      cycles);
     case FaultType::kMetricDropout:
-    case FaultType::kMetricStaleness:
-    case FaultType::kMetricNoise:
       return Sprintf("t=%.1f %s %.2f dur=%.1fs", time_s, FaultTypeName(type), factor,
                      duration_s);
     case FaultType::kCheckpointFailure:
@@ -75,10 +69,6 @@ std::string PrimitiveFault::ToString() const {
       return Sprintf("t=%.1f degrade w%d %.2f", time_s, worker, value);
     case Kind::kSetDropout:
       return Sprintf("t=%.1f dropout %.2f", time_s, value);
-    case Kind::kSetStaleness:
-      return Sprintf("t=%.1f staleness %.1fs", time_s, value);
-    case Kind::kSetNoise:
-      return Sprintf("t=%.1f noise %.2f", time_s, value);
     case Kind::kSetCheckpointFail:
       return Sprintf("t=%.1f checkpoint_fail %s", time_s, value > 0.0 ? "on" : "off");
   }
@@ -128,23 +118,6 @@ FaultSchedule& FaultSchedule::MetricDropout(double time_s, double probability,
   return *this;
 }
 
-FaultSchedule& FaultSchedule::MetricStaleness(double time_s, double staleness_s,
-                                              double duration_s) {
-  events_.push_back(FaultEvent{.time_s = time_s,
-                               .type = FaultType::kMetricStaleness,
-                               .factor = staleness_s,
-                               .duration_s = duration_s});
-  return *this;
-}
-
-FaultSchedule& FaultSchedule::MetricNoise(double time_s, double stddev, double duration_s) {
-  events_.push_back(FaultEvent{.time_s = time_s,
-                               .type = FaultType::kMetricNoise,
-                               .factor = stddev,
-                               .duration_s = duration_s});
-  return *this;
-}
-
 FaultSchedule& FaultSchedule::CheckpointFailureStorm(double time_s, double duration_s) {
   CAPSYS_CHECK_MSG(duration_s > 0.0, "checkpoint failure storm needs a positive duration");
   events_.push_back(FaultEvent{.time_s = time_s,
@@ -178,14 +151,6 @@ std::vector<PrimitiveFault> FaultSchedule::Expand() const {
       case FaultType::kMetricDropout:
         out.push_back({e.time_s, Kind::kSetDropout, kInvalidId, e.factor});
         out.push_back({e.time_s + e.duration_s, Kind::kSetDropout, kInvalidId, 0.0});
-        break;
-      case FaultType::kMetricStaleness:
-        out.push_back({e.time_s, Kind::kSetStaleness, kInvalidId, e.factor});
-        out.push_back({e.time_s + e.duration_s, Kind::kSetStaleness, kInvalidId, 0.0});
-        break;
-      case FaultType::kMetricNoise:
-        out.push_back({e.time_s, Kind::kSetNoise, kInvalidId, e.factor});
-        out.push_back({e.time_s + e.duration_s, Kind::kSetNoise, kInvalidId, 0.0});
         break;
       case FaultType::kCheckpointFailure:
         out.push_back({e.time_s, Kind::kSetCheckpointFail, kInvalidId, 1.0});
@@ -231,21 +196,12 @@ FaultSchedule FaultSchedule::Random(int num_workers, const RandomOptions& option
     return n;
   };
 
-  std::vector<FaultType> mix = {FaultType::kCrash};
-  if (options.allow_slowdowns) {
-    mix.push_back(FaultType::kSlowdown);
-  }
-  if (options.allow_flaps) {
-    mix.push_back(FaultType::kFlap);
-  }
-  if (options.allow_metric_faults) {
-    mix.push_back(FaultType::kMetricDropout);
-    mix.push_back(FaultType::kMetricNoise);
-  }
+  constexpr FaultType kMix[] = {FaultType::kCrash, FaultType::kSlowdown, FaultType::kFlap,
+                                FaultType::kMetricDropout};
 
   for (int i = 0; i < options.num_faults; ++i) {
     double t = rng.Uniform(options.min_time_s, options.horizon_s);
-    FaultType type = mix[static_cast<size_t>(rng.NextBounded(mix.size()))];
+    FaultType type = kMix[rng.NextBounded(std::size(kMix))];
     WorkerId w = static_cast<WorkerId>(rng.NextBounded(static_cast<uint64_t>(num_workers)));
     switch (type) {
       case FaultType::kCrash: {
@@ -272,10 +228,6 @@ FaultSchedule FaultSchedule::Random(int num_workers, const RandomOptions& option
       case FaultType::kMetricDropout:
         schedule.MetricDropout(t, kDropoutP, kMetricDurationS);
         break;
-      case FaultType::kMetricNoise:
-        schedule.MetricNoise(t, kNoiseStddev, kMetricDurationS);
-        break;
-      case FaultType::kMetricStaleness:
       case FaultType::kRestore:
       case FaultType::kCheckpointFailure:
         break;  // never drawn

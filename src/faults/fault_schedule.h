@@ -1,9 +1,9 @@
 // Deterministic, seedable fault schedules (robustness extension; StreamShield-style chaos
 // testing, see PAPERS.md). A FaultSchedule is a list of timed FaultEvents — worker crashes
-// and restores, transient slowdowns (stragglers), flapping workers, and metric corruption
-// episodes — that the FaultInjector replays tick-by-tick against a FluidSimulator. The same
-// schedule + seed always yields the same fault timeline, so chaos experiments are exactly
-// reproducible across placement policies.
+// and restores, transient slowdowns (stragglers), flapping workers, heartbeat-loss episodes
+// and checkpoint-failure storms — that the FaultInjector replays tick-by-tick against a
+// FluidSimulator. The same schedule + seed always yields the same fault timeline, so chaos
+// experiments are exactly reproducible across placement policies.
 #ifndef SRC_FAULTS_FAULT_SCHEDULE_H_
 #define SRC_FAULTS_FAULT_SCHEDULE_H_
 
@@ -20,17 +20,15 @@ enum class FaultType : int {
   kRestore,             // worker comes back
   kSlowdown,            // capacity degraded to `factor` for `duration_s`, then restored
   kFlap,                // `cycles` crash/restore cycles of `period_s` each (half down, half up)
-  kMetricDropout,       // controller-facing metric reads and heartbeats lost w.p. `factor`
-  kMetricStaleness,     // controller-facing metric reads lag `factor` seconds behind
-  kMetricNoise,         // controller-facing metric reads get multiplicative noise (stddev `factor`)
+  kMetricDropout,       // worker heartbeats lost w.p. `factor` for `duration_s`
   kCheckpointFailure,   // every checkpoint attempted during the episode fails (storm)
 };
 
 const char* FaultTypeName(FaultType type);
 
-// One scheduled fault. `worker` is kInvalidId for cluster-wide faults (the metric family).
-// `factor` is overloaded per type: slowdown capacity fraction in (0, 1], dropout
-// probability, staleness seconds, or noise stddev. Metric faults last `duration_s` and then
+// One scheduled fault. `worker` is kInvalidId for cluster-wide faults (metric dropout and
+// checkpoint-failure storms). `factor` is overloaded per type: slowdown capacity fraction
+// in (0, 1], or heartbeat-loss probability. Cluster-wide faults last `duration_s` and then
 // switch off.
 struct FaultEvent {
   double time_s = 0.0;
@@ -45,15 +43,13 @@ struct FaultEvent {
 };
 
 // A primitive state transition the injector applies. Compound events (slowdowns, flaps,
-// timed metric episodes) expand into pairs/series of these.
+// timed cluster-wide episodes) expand into pairs/series of these.
 struct PrimitiveFault {
   enum class Kind : int {
     kCrash = 0,
     kRestore,
     kSetDegrade,    // value = capacity factor (1.0 restores full speed)
-    kSetDropout,    // value = loss probability (0 switches off)
-    kSetStaleness,  // value = lag seconds (0 switches off)
-    kSetNoise,      // value = stddev (0 switches off)
+    kSetDropout,    // value = heartbeat-loss probability (0 switches off)
     kSetCheckpointFail,  // value = 1 storms on / 0 off (checkpoints fail while on)
   };
   double time_s = 0.0;
@@ -75,9 +71,8 @@ class FaultSchedule {
   FaultSchedule& Slowdown(double time_s, WorkerId worker, double factor, double duration_s);
   // `cycles` crash/restore cycles: down for period_s/2, up for period_s/2, repeated.
   FaultSchedule& Flap(double time_s, WorkerId worker, double period_s, int cycles);
+  // Every worker heartbeat due in [time_s, time_s + duration_s) is lost w.p. `probability`.
   FaultSchedule& MetricDropout(double time_s, double probability, double duration_s);
-  FaultSchedule& MetricStaleness(double time_s, double staleness_s, double duration_s);
-  FaultSchedule& MetricNoise(double time_s, double stddev, double duration_s);
   // Checkpoint-failure storm: the durable checkpoint storage is unavailable for
   // `duration_s` — every checkpoint attempted in the window fails, so recovery falls back
   // to ever-older completed checkpoints (and ever-longer source replay).
@@ -92,15 +87,12 @@ class FaultSchedule {
 
   std::string ToString() const;
 
-  // Options for generating a random (but seed-deterministic) schedule. Crashes are always
-  // in the mix; the shapes of the drawn faults are fixed in fault_schedule.cc.
+  // Options for generating a random (but seed-deterministic) schedule. Each draw is a
+  // crash, slowdown, flap or metric dropout; their shapes are fixed in fault_schedule.cc.
   struct RandomOptions {
     int num_faults = 8;
     double min_time_s = 30.0;    // no faults before the query warms up
     double horizon_s = 300.0;    // faults drawn uniformly in [min_time_s, horizon_s]
-    bool allow_slowdowns = true;
-    bool allow_flaps = true;
-    bool allow_metric_faults = true;
   };
 
   // Generated crashes and flaps never overlap more than this many at a time; guards

@@ -41,8 +41,7 @@ class TimeSeries {
   std::vector<double> cumsum_;  // cumsum_[i] = sum of values[0..i]
 };
 
-// Monotonically increasing count (events, ticks, retries). Prometheus-exported as a
-// counter.
+// Monotonically increasing count (events, ticks, retries).
 class Counter {
  public:
   void Add(uint64_t n = 1) { value_ += n; }
@@ -53,7 +52,7 @@ class Counter {
 };
 
 // Fixed-bucket histogram of an observed quantity (latencies, decision times). Bucket counts
-// and the sum export in Prometheus histogram format; exact p50/p95/p99 come from the
+// and the sum export with the registry (MetricsJson); exact p50/p95/p99 come from the
 // retained sample distribution (src/common/stats) — fine at the experiment scales here.
 class Histogram {
  public:

@@ -22,10 +22,6 @@ const char* EventTypeName(EventType type) {
       return "BackpressureOnset";
     case EventType::kBackpressureCleared:
       return "BackpressureCleared";
-    case EventType::kMetricDropout:
-      return "MetricDropout";
-    case EventType::kMetricStale:
-      return "MetricStale";
     case EventType::kWorkerDeclaredDead:
       return "WorkerDeclaredDead";
     case EventType::kReconfiguration:
@@ -177,26 +173,6 @@ void EmitBackpressureCleared(double time_s, double backpressure) {
     return;
   }
   Event e{EventType::kBackpressureCleared, time_s, {{"backpressure", Num(backpressure)}}};
-  log.Emit(std::move(e));
-}
-
-void EmitMetricDropout(double time_s, const std::string& metric, double shift_s) {
-  EventLog& log = EventLog::Global();
-  if (!log.enabled()) {
-    return;
-  }
-  Event e{EventType::kMetricDropout, time_s, {{"metric", metric}, {"shift_s", Num(shift_s)}}};
-  log.Emit(std::move(e));
-}
-
-void EmitMetricStale(double time_s, const std::string& metric, double staleness_s) {
-  EventLog& log = EventLog::Global();
-  if (!log.enabled()) {
-    return;
-  }
-  Event e{EventType::kMetricStale,
-          time_s,
-          {{"metric", metric}, {"staleness_s", Num(staleness_s)}}};
   log.Emit(std::move(e));
 }
 

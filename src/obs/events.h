@@ -1,8 +1,9 @@
 // Structured event log (observability subsystem): typed records for the decisions the
 // control plane makes — placements, scalings, fault injections, backpressure episodes,
-// metric-quality incidents — replacing ad-hoc log strings on those paths. Each record
-// serializes to one JSON object; a run's log exports as JSON Lines (events.jsonl in the
-// telemetry bundle), so chaos runs can be audited with standard tooling.
+// failure verdicts, checkpoints and restores — replacing ad-hoc log strings on those paths.
+// Each record serializes to one JSON object; a run's log exports as JSON Lines
+// (events.jsonl in the telemetry bundle), so chaos runs can be audited with standard
+// tooling.
 //
 // Events carry *domain* time (simulation/experiment seconds), not wall-clock time: the
 // fluid simulator and the chaos driver advance a virtual clock, and decision audits need to
@@ -28,8 +29,6 @@ enum class EventType : int {
   kFaultInjected,          // the injector applied a primitive fault
   kBackpressureOnset,      // query-level backpressure crossed the onset threshold
   kBackpressureCleared,    // ... and dropped back below it
-  kMetricDropout,          // a controller-facing read lost its window and saw an older one
-  kMetricStale,            // a controller-facing read was served a time-shifted window
   kWorkerDeclaredDead,     // the failure detector declared a worker dead
   kReconfiguration,        // the controller redeployed onto a new plan
   kRecoveryVerdict,        // outcome of a recovery attempt (incl. unplaceable)
@@ -98,8 +97,6 @@ void EmitScaleDecision(double time_s, const std::string& reason, int slots_befor
 void EmitFaultInjected(double time_s, const std::string& kind, WorkerId worker, double value);
 void EmitBackpressureOnset(double time_s, double backpressure);
 void EmitBackpressureCleared(double time_s, double backpressure);
-void EmitMetricDropout(double time_s, const std::string& metric, double shift_s);
-void EmitMetricStale(double time_s, const std::string& metric, double staleness_s);
 void EmitWorkerDeclaredDead(double time_s, WorkerId worker, bool actually_crashed);
 void EmitReconfiguration(double time_s, const std::string& outcome, int slots,
                          double sustainable_rate);

@@ -1,127 +1,13 @@
 #include "src/obs/exporters.h"
 
-#include <cctype>
 #include <cstdio>
 #include <filesystem>
-#include <map>
 
 #include "src/common/str.h"
 #include "src/obs/events.h"
 #include "src/obs/json_util.h"
 
 namespace capsys {
-namespace {
-
-std::string Sanitize(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    bool ok = std::isalnum(static_cast<unsigned char>(c)) != 0 || c == '_' || c == ':';
-    out += ok ? c : '_';
-  }
-  if (!out.empty() && std::isdigit(static_cast<unsigned char>(out[0])) != 0) {
-    out.insert(out.begin(), '_');
-  }
-  return out;
-}
-
-// Splits a "scope.id.metric" convention name into a Prometheus family name and a label;
-// names outside the convention become label-less sanitized families.
-struct PromName {
-  std::string family;
-  std::string labels;  // "" or `{scope="id"}` content without braces
-};
-
-PromName ToPromName(const std::string& name) {
-  size_t first = name.find('.');
-  size_t second = first == std::string::npos ? std::string::npos : name.find('.', first + 1);
-  if (second != std::string::npos) {
-    std::string scope = name.substr(0, first);
-    std::string id = name.substr(first + 1, second - first - 1);
-    std::string metric = name.substr(second + 1);
-    if (scope == "task" || scope == "worker" || scope == "op" || scope == "query" ||
-        scope == "chaos" || scope == "sim") {
-      return PromName{Sprintf("capsys_%s_%s", Sanitize(scope).c_str(),
-                              Sanitize(metric).c_str()),
-                      Sprintf("%s=\"%s\"", Sanitize(scope).c_str(), JsonEscape(id).c_str())};
-    }
-  }
-  return PromName{"capsys_" + Sanitize(name), ""};
-}
-
-std::string Sample(const PromName& n, const std::string& suffix, const std::string& extra_label,
-                   const std::string& value) {
-  std::string labels = n.labels;
-  if (!extra_label.empty()) {
-    labels += labels.empty() ? extra_label : ("," + extra_label);
-  }
-  if (labels.empty()) {
-    return Sprintf("%s%s %s\n", n.family.c_str(), suffix.c_str(), value.c_str());
-  }
-  return Sprintf("%s%s{%s} %s\n", n.family.c_str(), suffix.c_str(), labels.c_str(),
-                 value.c_str());
-}
-
-std::string FormatValue(double v) { return Sprintf("%.10g", v); }
-
-}  // namespace
-
-std::string PrometheusText(const MetricsRegistry& registry) {
-  // Group samples by family so each family gets exactly one # TYPE header.
-  struct Family {
-    std::string type;
-    std::vector<std::string> samples;
-  };
-  std::map<std::string, Family> families;
-
-  for (const std::string& name : registry.Names()) {
-    const TimeSeries* ts = registry.Find(name);
-    if (ts == nullptr || ts->Empty()) {
-      continue;
-    }
-    PromName n = ToPromName(name);
-    Family& fam = families[n.family];
-    fam.type = "gauge";
-    fam.samples.push_back(Sample(n, "", "", FormatValue(ts->Last())));
-  }
-  for (const std::string& name : registry.CounterNames()) {
-    const Counter* c = registry.FindCounter(name);
-    PromName n = ToPromName(name);
-    n.family += "_total";
-    Family& fam = families[n.family];
-    fam.type = "counter";
-    fam.samples.push_back(
-        Sample(n, "", "", Sprintf("%llu", static_cast<unsigned long long>(c->Value()))));
-  }
-  for (const std::string& name : registry.HistogramNames()) {
-    const Histogram* h = registry.FindHistogram(name);
-    PromName n = ToPromName(name);
-    Family& fam = families[n.family];
-    fam.type = "histogram";
-    uint64_t cumulative = 0;
-    for (size_t i = 0; i < h->bounds().size(); ++i) {
-      cumulative += h->bucket_counts()[i];
-      fam.samples.push_back(
-          Sample(n, "_bucket", Sprintf("le=\"%.10g\"", h->bounds()[i]),
-                 Sprintf("%llu", static_cast<unsigned long long>(cumulative))));
-    }
-    fam.samples.push_back(
-        Sample(n, "_bucket", "le=\"+Inf\"",
-               Sprintf("%llu", static_cast<unsigned long long>(h->Count()))));
-    fam.samples.push_back(Sample(n, "_sum", "", FormatValue(h->Sum())));
-    fam.samples.push_back(
-        Sample(n, "_count", "", Sprintf("%llu", static_cast<unsigned long long>(h->Count()))));
-  }
-
-  std::string out;
-  for (const auto& [family, fam] : families) {
-    out += Sprintf("# TYPE %s %s\n", family.c_str(), fam.type.c_str());
-    for (const std::string& s : fam.samples) {
-      out += s;
-    }
-  }
-  return out;
-}
 
 std::string MetricsJson(const MetricsRegistry& registry) {
   std::string out = "{\n  \"series\": {\n";
@@ -242,8 +128,7 @@ bool WriteTelemetryBundle(const std::string& dir, const MetricsRegistry* registr
     return false;
   }
   if (registry != nullptr) {
-    if (!WriteFile(dir + "/metrics.prom", PrometheusText(*registry), error) ||
-        !WriteFile(dir + "/metrics.json", MetricsJson(*registry), error)) {
+    if (!WriteFile(dir + "/metrics.json", MetricsJson(*registry), error)) {
       return false;
     }
   }

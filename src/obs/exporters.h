@@ -1,7 +1,7 @@
-// Telemetry exporters (observability subsystem): serialize a MetricsRegistry to Prometheus
-// text-exposition format and to JSON, serialize collected spans to Chrome trace_event JSON
-// (loadable in chrome://tracing / Perfetto), and write a whole run's telemetry bundle —
-// metrics.prom + metrics.json + trace.json + events.jsonl — into a directory.
+// Telemetry exporters (observability subsystem): serialize a MetricsRegistry to JSON,
+// serialize collected spans to Chrome trace_event JSON (loadable in chrome://tracing /
+// Perfetto), and write a whole run's telemetry bundle — metrics.json + trace.json +
+// events.jsonl — into a directory.
 #ifndef SRC_OBS_EXPORTERS_H_
 #define SRC_OBS_EXPORTERS_H_
 
@@ -13,15 +13,6 @@
 
 namespace capsys {
 
-// Prometheus text exposition (version 0.0.4) of the registry:
-//   - every TimeSeries exports its last value as a gauge,
-//   - counters export as counters,
-//   - histograms export cumulative `_bucket{le=...}` samples plus `_sum`/`_count`.
-// Names following the "scope.id.metric" convention map to one metric family per
-// (scope, metric) with the id as a label: "task.7.true_rate" becomes
-// `capsys_task_true_rate{task="7"}`. Other names are sanitized wholesale.
-std::string PrometheusText(const MetricsRegistry& registry);
-
 // Full JSON dump of the registry: every series with all its points, every counter, every
 // histogram with bucket bounds/counts and p50/p95/p99.
 std::string MetricsJson(const MetricsRegistry& registry);
@@ -31,7 +22,6 @@ std::string MetricsJson(const MetricsRegistry& registry);
 std::string ChromeTraceJson(const std::vector<SpanRecord>& spans);
 
 // Writes a telemetry bundle into `dir` (created if needed):
-//   metrics.prom   PrometheusText(*registry)    — omitted when registry is null
 //   metrics.json   MetricsJson(*registry)       — omitted when registry is null
 //   trace.json     ChromeTraceJson of the global Tracer's spans
 //   events.jsonl   the global EventLog as JSON Lines

@@ -218,11 +218,6 @@ void FluidSimulator::ClearCheckpointIo() {
   std::fill(checkpoint_io_bps_.begin(), checkpoint_io_bps_.end(), 0.0);
 }
 
-void FluidSimulator::SetMetricCorruption(const MetricCorruption& corruption, uint64_t seed) {
-  corruption_ = corruption;
-  corruption_rng_ = Rng(seed);
-}
-
 void FluidSimulator::SetSourceRate(OperatorId source_op, double records_per_s) {
   CAPSYS_CHECK_MSG(source_rates_.count(source_op) == 1, "not a source operator");
   source_rates_[source_op] = records_per_s;
@@ -470,10 +465,6 @@ void FluidSimulator::FlushMetrics() {
   }
   last_flush_s_ = time_s_;
   flushes_->Add();
-  if (pending_dropouts_ > 0) {
-    metrics_.GetCounter("sim.0.metric_dropouts").Add(pending_dropouts_);
-    pending_dropouts_ = 0;
-  }
   // Backpressure episode tracking: one onset event when the mean source backpressure
   // crosses the threshold, one cleared event when it drops back below.
   {
@@ -584,48 +575,20 @@ double FluidSimulator::Throughput(double from_s, double to_s) const {
   return WindowMean(kQueryThroughput, 0, from_s, to_s);
 }
 
-double FluidSimulator::CorruptedMean(Row r, size_t k, double from_s, double to_s) const {
-  const TimeSeries* ts = SeriesOf(r, k);
-  if (ts == nullptr) {
-    return 0.0;
-  }
-  if (!corruption_.Active()) {
-    return ts->MeanOver(from_s, to_s);
-  }
-  // Corrupted reads used to degrade silently; the structured events below put every
-  // dropped/shifted window on the audit trail of what the controller actually saw.
-  double event_t = telemetry_offset_s_ + time_s_;
-  double shift = corruption_.staleness_s;
-  if (shift > 0.0) {
-    EmitMetricStale(event_t, SeriesName(r, k), shift);
-  }
-  if (corruption_.dropout_p > 0.0 && corruption_rng_.Bernoulli(corruption_.dropout_p)) {
-    // The fresh window was lost; the read falls back to the previous flush interval.
-    shift += metrics_interval_s_;
-    ++pending_dropouts_;  // registry counter updated at the next flush (this path is const)
-    EmitMetricDropout(event_t, SeriesName(r, k), shift);
-  }
-  double v = ts->MeanOver(from_s - shift, to_s - shift);
-  if (corruption_.noise_frac > 0.0) {
-    v *= std::max(0.0, 1.0 + corruption_rng_.Normal(0.0, corruption_.noise_frac));
-  }
-  return v;
-}
-
 double FluidSimulator::OperatorEmitRate(OperatorId op, double from_s, double to_s) const {
-  return CorruptedMean(kOpEmitRate, static_cast<size_t>(op), from_s, to_s);
+  return WindowMean(kOpEmitRate, static_cast<size_t>(op), from_s, to_s);
 }
 
 double FluidSimulator::OperatorBackpressure(OperatorId op, double from_s, double to_s) const {
-  return CorruptedMean(kOpBackpressure, static_cast<size_t>(op), from_s, to_s);
+  return WindowMean(kOpBackpressure, static_cast<size_t>(op), from_s, to_s);
 }
 
 double FluidSimulator::OperatorInputRate(OperatorId op, double from_s, double to_s) const {
-  return CorruptedMean(kOpInRate, static_cast<size_t>(op), from_s, to_s);
+  return WindowMean(kOpInRate, static_cast<size_t>(op), from_s, to_s);
 }
 
 double FluidSimulator::OperatorOutputRate(OperatorId op, double from_s, double to_s) const {
-  return CorruptedMean(kOpOutRate, static_cast<size_t>(op), from_s, to_s);
+  return WindowMean(kOpOutRate, static_cast<size_t>(op), from_s, to_s);
 }
 
 double FluidSimulator::OperatorTrueRatePerTask(OperatorId op, double from_s, double to_s) const {
@@ -633,7 +596,7 @@ double FluidSimulator::OperatorTrueRatePerTask(OperatorId op, double from_s, dou
   int n = 0;
   for (TaskId t : graph_.TasksOf(op)) {
     if (SeriesOf(kTaskTrueRate, static_cast<size_t>(t)) != nullptr) {
-      sum += CorruptedMean(kTaskTrueRate, static_cast<size_t>(t), from_s, to_s);
+      sum += WindowMean(kTaskTrueRate, static_cast<size_t>(t), from_s, to_s);
       ++n;
     }
   }

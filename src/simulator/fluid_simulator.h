@@ -18,25 +18,12 @@
 #include <vector>
 
 #include "src/cluster/cluster.h"
-#include "src/common/rng.h"
 #include "src/dataflow/placement.h"
 #include "src/dataflow/rates.h"
 #include "src/metrics/metrics.h"
 #include "src/simulator/contention.h"
 
 namespace capsys {
-
-// Corruption applied to the *controller-facing* metric reads (the Operator* accessors DS2
-// and the recovery planner consume). Ground-truth summaries (Summarize/RunMeasured) are
-// never corrupted — experiments still measure what actually happened. All fields off (0)
-// means reads are exact.
-struct MetricCorruption {
-  double dropout_p = 0.0;    // a read loses its window w.p. dropout_p and sees an older one
-  double staleness_s = 0.0;  // every read sees the window shifted this far into the past
-  double noise_frac = 0.0;   // multiplicative noise: value *= max(0, 1 + N(0, noise_frac))
-
-  bool Active() const { return dropout_p > 0.0 || staleness_s > 0.0 || noise_frac > 0.0; }
-};
 
 // Aggregate measurements over a time window (what Figures 2/3/7/8 plot per run).
 struct QuerySummary {
@@ -85,12 +72,6 @@ class FluidSimulator {
   // paper's §3.3 I/O-contention study. 0 clears the charge.
   void SetWorkerCheckpointIoBps(WorkerId w, double bps);
   void ClearCheckpointIo();
-
-  // Fault injection: corrupts subsequent controller-facing metric reads (the Operator*
-  // accessors below). `seed` makes dropout/noise deterministic.
-  void SetMetricCorruption(const MetricCorruption& corruption, uint64_t seed);
-  void ClearMetricCorruption() { corruption_ = MetricCorruption{}; }
-  const MetricCorruption& metric_corruption() const { return corruption_; }
 
   // Advances the simulation by one tick. A tick that starts from the queues and worker
   // inputs of the last solved tick, when that tick ended where it started, replays its
@@ -154,9 +135,6 @@ class FluidSimulator {
   std::vector<bool> failed_;            // per worker
   std::vector<double> degrade_;         // per worker capacity factor, 1.0 = healthy
   std::vector<double> checkpoint_io_bps_;  // per worker snapshot-upload traffic
-  MetricCorruption corruption_;
-  mutable Rng corruption_rng_{0};       // consumed only while corruption is active
-  mutable uint64_t pending_dropouts_ = 0;  // dropouts hit since the last flush
 
   // Per-task static routing info.
   std::vector<std::vector<TaskId>> down_tasks_;  // distinct downstream tasks (via channels)
@@ -249,10 +227,6 @@ class FluidSimulator {
   // ended with queue_ byte-identical to how it started (a fixed point).
   bool SolveTick();
   bool InputsMatchReplaySnapshot() const;
-  // Applies the active metric corruption to a controller-facing windowed read of one
-  // series, emitting MetricDropout/MetricStale events so chaos runs can audit what the
-  // controller actually saw.
-  double CorruptedMean(Row r, size_t k, double from_s, double to_s) const;
 
   size_t row_base_[kNumRows + 1] = {};
   std::vector<Accum> accums_;

@@ -13,6 +13,7 @@
 #include "src/controller/profiler.h"
 #include "src/dataflow/rates.h"
 #include "src/nexmark/queries.h"
+#include "src/obs/events.h"
 #include "src/obs/trace.h"
 
 namespace capsys {
@@ -371,6 +372,29 @@ TEST(DeploymentTest, Ds2SizingFitsCluster) {
     EXPECT_LE(d.physical.num_tasks(), cluster.total_slots()) << q.graph.name();
     EXPECT_EQ(d.placement.Validate(d.physical, cluster), "") << q.graph.name();
   }
+}
+
+// DS2 sizes Q1 wider than a 2x2 cluster; the deployment down-scales to fit instead of
+// failing the slot check, and says so with a ScaleDecision event.
+TEST(DeploymentTest, Ds2SizingWiderThanClusterIsDownScaled) {
+  Cluster cluster(2, WorkerSpec::R5dXlarge(2));
+  QuerySpec q = BuildQ1Sliding();
+  DeployOptions options;
+  options.use_ds2_sizing = true;
+  EventLog& log = EventLog::Global();
+  log.Reset();
+  log.Enable();
+  Deployment d = CapsysController(cluster, options).Deploy(q);
+  log.Disable();
+  EXPECT_LE(d.physical.num_tasks(), 4);
+  EXPECT_EQ(d.placement.Validate(d.physical, cluster), "");
+  bool fitted = false;
+  for (const Event& e : log.Snapshot()) {
+    fitted = fitted || (e.type == EventType::kScaleDecision &&
+                        e.ToJson().find("\"fit_cluster\"") != std::string::npos);
+  }
+  log.Reset();
+  EXPECT_TRUE(fitted);
 }
 
 TEST(DeploymentTest, BaselinePoliciesVaryWithSeed) {

@@ -1,11 +1,9 @@
 // Tests for the metrics layer: TimeSeries window math (binary-search MeanOver over the
 // prefix sum), the monotonic-append invariant, counters, fixed-bucket histograms, and the
-// Prometheus / JSON exporters built on top of them.
+// JSON exporter built on top of them.
 #include "src/metrics/metrics.h"
 
 #include <cmath>
-#include <map>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -159,79 +157,6 @@ TEST(Histogram, RegistryKeepsCreationBounds) {
 }
 
 // --- Exporters ------------------------------------------------------------------------------
-
-// Minimal parser for the Prometheus text format: returns sample lines keyed by
-// "name{labels}" and validates comment structure as it goes.
-std::map<std::string, double> ParsePrometheus(const std::string& text) {
-  std::map<std::string, double> samples;
-  std::istringstream in(text);
-  std::string line;
-  while (std::getline(in, line)) {
-    if (line.empty()) {
-      continue;
-    }
-    if (line[0] == '#') {
-      EXPECT_TRUE(line.rfind("# TYPE ", 0) == 0 || line.rfind("# HELP ", 0) == 0)
-          << "bad comment: " << line;
-      continue;
-    }
-    size_t space = line.rfind(' ');
-    EXPECT_NE(space, std::string::npos) << "bad sample line: " << line;
-    if (space == std::string::npos) {
-      continue;
-    }
-    samples[line.substr(0, space)] = std::stod(line.substr(space + 1));
-  }
-  return samples;
-}
-
-TEST(Exporters, PrometheusTextRoundTrips) {
-  MetricsRegistry r;
-  r.Record("task.7.true_rate", 1.0, 100.0);
-  r.Record("task.7.true_rate", 2.0, 300.0);  // gauge exports the last value
-  r.Record("worker.2.cpu_util", 2.0, 0.5);
-  r.GetCounter("sim.0.ticks").Add(1234);
-  Histogram& h = r.GetHistogram("chaos.0.replan_seconds", {0.1, 1.0});
-  h.Observe(0.05);
-  h.Observe(0.5);
-  h.Observe(5.0);
-
-  std::string text = PrometheusText(r);
-  auto samples = ParsePrometheus(text);
-
-  EXPECT_DOUBLE_EQ(samples.at("capsys_task_true_rate{task=\"7\"}"), 300.0);
-  EXPECT_DOUBLE_EQ(samples.at("capsys_worker_cpu_util{worker=\"2\"}"), 0.5);
-  EXPECT_DOUBLE_EQ(samples.at("capsys_sim_ticks_total{sim=\"0\"}"), 1234.0);
-  // Histogram: cumulative buckets, +Inf bucket equals _count, plus _sum.
-  EXPECT_DOUBLE_EQ(samples.at("capsys_chaos_replan_seconds_bucket{chaos=\"0\",le=\"0.1\"}"),
-                   1.0);
-  EXPECT_DOUBLE_EQ(samples.at("capsys_chaos_replan_seconds_bucket{chaos=\"0\",le=\"1\"}"),
-                   2.0);
-  EXPECT_DOUBLE_EQ(samples.at("capsys_chaos_replan_seconds_bucket{chaos=\"0\",le=\"+Inf\"}"),
-                   3.0);
-  EXPECT_DOUBLE_EQ(samples.at("capsys_chaos_replan_seconds_count{chaos=\"0\"}"), 3.0);
-  EXPECT_DOUBLE_EQ(samples.at("capsys_chaos_replan_seconds_sum{chaos=\"0\"}"), 5.55);
-  // Exactly one TYPE header per family.
-  EXPECT_NE(text.find("# TYPE capsys_task_true_rate gauge"), std::string::npos);
-  EXPECT_NE(text.find("# TYPE capsys_sim_ticks_total counter"), std::string::npos);
-  EXPECT_NE(text.find("# TYPE capsys_chaos_replan_seconds histogram"), std::string::npos);
-}
-
-TEST(Exporters, PrometheusSanitizesNonConventionNames) {
-  MetricsRegistry r;
-  r.Record("weird name-with.dots", 0.0, 1.0);
-  std::string text = PrometheusText(r);
-  auto samples = ParsePrometheus(text);
-  ASSERT_EQ(samples.size(), 1u);
-  for (const auto& [key, value] : samples) {
-    // Sanitized wholesale: metric chars only, no braces.
-    EXPECT_EQ(key.find('{'), std::string::npos) << key;
-    for (char c : key) {
-      EXPECT_TRUE(std::isalnum(static_cast<unsigned char>(c)) || c == '_' || c == ':') << key;
-    }
-    EXPECT_DOUBLE_EQ(value, 1.0);
-  }
-}
 
 TEST(Exporters, MetricsJsonContainsEverything) {
   MetricsRegistry r;

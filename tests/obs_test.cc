@@ -156,7 +156,7 @@ TEST_F(ObsTest, EventLogTypedEmitters) {
                         ResourceVector{0.1, 0.2, 0.3}, 0.25);
   EmitFaultInjected(13.0, "crash", 2, 0.0);
   EmitWorkerDeclaredDead(14.0, 2, true);
-  EmitMetricDropout(15.0, "op.1.emit_rate", 1.0);
+  EmitBackpressureOnset(15.0, 0.6);
   EXPECT_EQ(EventLog::Global().Count(), 4u);
   EXPECT_EQ(EventLog::Global().CountOf(EventType::kPlacementDecision), 1u);
   EXPECT_EQ(EventLog::Global().CountOf(EventType::kFaultInjected), 1u);
@@ -274,31 +274,25 @@ TEST_F(ObsTest, ChaosRunEmitsDecisionsFaultsAndNestedSpans) {
   ASSERT_NE(replan, nullptr);
   EXPECT_GE(replan->Count(), 1u);
 
-  // Bundle: all four artifacts land on disk and the prom dump parses line-by-line.
+  // Bundle: exactly the three artifacts land on disk, metrics.json holding the registry.
   std::string dir = ::testing::TempDir() + "capsys_obs_bundle";
   std::filesystem::remove_all(dir);
   std::string error;
   ASSERT_TRUE(WriteTelemetryBundle(dir, &run.telemetry, &error)) << error;
-  for (const char* file : {"metrics.prom", "metrics.json", "trace.json", "events.jsonl"}) {
+  std::set<std::string> written;
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    written.insert(entry.path().filename().string());
+  }
+  EXPECT_EQ(written, (std::set<std::string>{"metrics.json", "trace.json", "events.jsonl"}));
+  auto read = [&dir](const char* file) {
     std::ifstream in(dir + "/" + file);
-    ASSERT_TRUE(in.good()) << file;
     std::stringstream buf;
     buf << in.rdbuf();
-    EXPECT_FALSE(buf.str().empty()) << file;
-  }
-  std::ifstream prom(dir + "/metrics.prom");
-  std::string line;
-  int sample_lines = 0;
-  while (std::getline(prom, line)) {
-    if (line.empty() || line[0] == '#') {
-      continue;
-    }
-    size_t space = line.rfind(' ');
-    ASSERT_NE(space, std::string::npos) << line;
-    EXPECT_NO_THROW(std::stod(line.substr(space + 1))) << line;
-    ++sample_lines;
-  }
-  EXPECT_GT(sample_lines, 0);
+    return buf.str();
+  };
+  EXPECT_EQ(read("metrics.json"), MetricsJson(run.telemetry));
+  EXPECT_FALSE(read("trace.json").empty());
+  EXPECT_FALSE(read("events.jsonl").empty());
   std::filesystem::remove_all(dir);
 }
 

@@ -307,9 +307,6 @@ void ApplyScript(FluidSimulator& sim, int tick) {
     case 680:
       sim.ClearCheckpointIo();
       break;
-    case 720:
-      sim.SetMetricCorruption({.dropout_p = 0.3, .staleness_s = 1.0, .noise_frac = 0.05}, 11);
-      break;
     default:
       break;
   }
