@@ -133,7 +133,9 @@ int Main() {
       CostModel model(graph, cluster, TaskDemands(graph, rates));
       AutoTuneOptions options;
       options.timeout_s = 10.0 + tasks / 8.0;
-      options.probe_timeout_s = 1.0;  // budget per feasibility probe (paper used 5 s)
+      // Wall-clock safety stop per probe (the paper used 5 s timeouts). Every probe ends at
+      // its node budget first, so α, and the row, does not depend on the machine.
+      options.probe_timeout_s = 1.0;
       AutoTuneResult r = AutoTuneThresholds(model, options);
       std::printf("%-10d %-14d %-10d %-14.2f %-30s %s\n", workers, slots, tasks, r.elapsed_s,
                   r.alpha.ToString().c_str(), r.feasible ? "yes" : "NO");

@@ -59,7 +59,9 @@ int Main() {
     auto demands = TaskDemands(graph, rates);
     CostModel model(graph, cluster, demands);
 
-    // Whole-graph: auto-tune then find-first.
+    // Whole-graph: auto-tune then find-first. The search runs on one thread: a parallel
+    // find-first stops at whichever leaf a thread reaches first, so the max-cost column
+    // would change from run to run.
     {
       auto t0 = std::chrono::steady_clock::now();
       AutoTuneOptions tune;
@@ -69,7 +71,7 @@ int Main() {
       SearchOptions options;
       options.alpha = tuned.feasible ? tuned.alpha : ResourceVector{1.0, 1.0, 1.0};
       options.find_first = true;
-      options.num_threads = 4;
+      options.num_threads = 1;
       options.timeout_s = 10.0;
       SearchResult r = CapsSearch(model, options).Run();
       double elapsed =

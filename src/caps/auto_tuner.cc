@@ -21,15 +21,23 @@ constexpr double kMinStep = 0.01;
 // Tightest initial bound (a strictly positive cost floor to start relaxing from).
 constexpr double kInitialAlpha = 0.005;
 
-// Runs a find-first feasibility probe with the given thresholds and remaining budget, on
-// one thread: a parallel find-first stops at whichever leaf some thread reaches first, so
-// its plan, and with it the witness bracket of phase 1, would depend on thread timing.
+// Inner-search nodes a feasibility probe may expand before it counts as infeasible. Near a
+// dimension's minimum a find-first walk can take hundreds of thousands of nodes to reach
+// its first leaf while the bracket narrows by 0.01; the budget gives such probes up,
+// slightly over-relaxing that minimum.
+constexpr uint64_t kProbeNodeBudget = 20'000;
+
+// Runs a find-first feasibility probe with the given thresholds and remaining wall-clock
+// budget, on one thread: a parallel find-first stops at whichever leaf some thread reaches
+// first, so its plan, and with it the witness bracket of phase 1, would depend on thread
+// timing.
 SearchResult Probe(const CostModel& model, const ResourceVector& alpha, double budget_s) {
   SearchOptions options;
   options.alpha = alpha;
   options.find_first = true;
   options.reorder = true;
   options.timeout_s = budget_s;
+  options.max_nodes = kProbeNodeBudget;
   return CapsSearch(model, options).Run();
 }
 
@@ -49,11 +57,11 @@ double WitnessBracket(double probed, double witness) {
 }  // namespace
 
 std::string AutoTuneResult::ToString() const {
-  return Sprintf("alpha=%s feasible=%d iterations=%d nodes=%llu probes_timed_out=%d "
-                 "elapsed=%.3fs%s",
+  return Sprintf("alpha=%s feasible=%d iterations=%d nodes=%llu probes_over_budget=%d "
+                 "probes_timed_out=%d elapsed=%.3fs%s",
                  alpha.ToString().c_str(), feasible ? 1 : 0, iterations,
-                 static_cast<unsigned long long>(nodes), probes_timed_out, elapsed_s,
-                 timed_out ? " TIMED_OUT" : "");
+                 static_cast<unsigned long long>(nodes), probes_over_budget, probes_timed_out,
+                 elapsed_s, timed_out ? " TIMED_OUT" : "");
 }
 
 AutoTuneResult AutoTuneThresholds(const CostModel& model, const AutoTuneOptions& options) {
@@ -73,9 +81,9 @@ AutoTuneResult AutoTuneThresholds(const CostModel& model, const AutoTuneOptions&
     return result;
   };
   // Each feasibility probe is one tuning iteration: a find-first search under the candidate
-  // thresholds within `budget_s`, traced as its own (nested) span. It returns the cost of
-  // the plan it found, the witness; a probe that runs out of budget before it finds a plan
-  // counts as infeasible and returns nothing.
+  // thresholds within kProbeNodeBudget nodes and `budget_s` seconds, traced as its own
+  // (nested) span. It returns the cost of the plan it found, the witness; a probe that runs
+  // out of either budget before it finds a plan counts as infeasible and returns nothing.
   auto probe = [&](const ResourceVector& alpha,
                    double budget_s) -> std::optional<ResourceVector> {
     Span probe_span("caps.autotune.probe");
@@ -89,6 +97,9 @@ AutoTuneResult AutoTuneThresholds(const CostModel& model, const AutoTuneOptions&
       result.nodes += search.stats.nodes;
       if (search.found) {
         witness = search.best.cost;
+      } else if (search.stats.budget_hit) {
+        ++result.probes_over_budget;
+        probe_span.AddAttr("budget_hit", "true");
       }
       timed_out = !search.found && search.stats.timed_out;
     }
@@ -107,9 +118,9 @@ AutoTuneResult AutoTuneThresholds(const CostModel& model, const AutoTuneOptions&
   // Phase 1: per-dimension minimum with the other dimensions disabled. Starting from the
   // tightest bound, the threshold is relaxed with geometrically growing steps until a valid
   // plan exists, then refined by bisection — logarithmically many probes, each of which may
-  // cost up to probe_timeout_s when it must prove (or give up on) infeasibility. A feasible
-  // probe closes the bracket at its witness, not at the probed threshold, so every bracket
-  // ends at the cost of a plan that exists.
+  // walk up to kProbeNodeBudget nodes when it must prove (or give up on) infeasibility. A
+  // feasible probe closes the bracket at its witness, not at the probed threshold, so every
+  // bracket ends at the cost of a plan that exists.
   for (Resource r : kAllResources) {
     double lo = 0.0;
     double hi = kInitialAlpha;
@@ -175,8 +186,9 @@ AutoTuneResult AutoTuneThresholds(const CostModel& model, const AutoTuneOptions&
       }
     }
     if (all_maxed) {
-      // Fully relaxed and still nothing found within the probe budget: one last probe with
-      // the entire remaining wall budget before declaring infeasibility.
+      // Fully relaxed and still nothing found within the probe budgets: one last probe with
+      // the entire remaining wall budget (and the same node budget) before declaring
+      // infeasibility.
       ResourceVector ones{1.0, 1.0, 1.0};
       if (probe(ones, options.timeout_s - elapsed())) {
         result.feasible = true;

@@ -72,10 +72,10 @@ double UtilizationFloor(const CostModel& model, const std::vector<ResourceVector
 }  // namespace
 
 std::string SearchStats::ToString() const {
-  return Sprintf("nodes=%llu leaves=%llu pruned=%llu elapsed=%.4fs%s",
+  return Sprintf("nodes=%llu leaves=%llu pruned=%llu elapsed=%.4fs%s%s",
                  static_cast<unsigned long long>(nodes), static_cast<unsigned long long>(leaves),
                  static_cast<unsigned long long>(pruned), elapsed_s,
-                 timed_out ? " TIMED_OUT" : "");
+                 timed_out ? " TIMED_OUT" : "", budget_hit ? " NODE_BUDGET_HIT" : "");
 }
 
 // Per-branch mutable search state. Copyable so subtrees can be offloaded to pool threads.
@@ -289,6 +289,11 @@ CapsSearch::~CapsSearch() = default;
 
 bool CapsSearch::ShouldStop() {
   if (stop_.load(std::memory_order_relaxed)) {
+    return true;
+  }
+  if (nodes_.load(std::memory_order_relaxed) > options_.max_nodes) {
+    budget_hit_.store(true);
+    stop_.store(true);
     return true;
   }
   // Sample the clock occasionally. The gate counts calls *per thread*: gating on the
@@ -949,6 +954,7 @@ SearchResult CapsSearch::Run() {
   result_.stats.leaves = leaves_.load();
   result_.stats.pruned = pruned_.load();
   result_.stats.timed_out = timed_out_.load();
+  result_.stats.budget_hit = budget_hit_.load();
   result_.stats.elapsed_s =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start_).count();
   span.AddAttr("nodes", result_.stats.nodes);

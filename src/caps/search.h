@@ -71,6 +71,10 @@ struct SearchOptions {
   // Worker threads for parallel subtree exploration; 1 = fully deterministic.
   int num_threads = 1;
   double timeout_s = 1e18;
+  // Inner-search nodes the walk may expand; the search stops once it has expanded more,
+  // so stats.nodes ends at most one past it. Unlike timeout_s this budget does not depend
+  // on the machine: a single-threaded search stops at the same node on every run.
+  uint64_t max_nodes = std::numeric_limits<uint64_t>::max();
   // A plan to beat, not a tuning knob. When set, SearchResult::best is the pick among it
   // and the satisfying leaves by MaxUtilization, ties within 1e-9 broken by BetterCost,
   // and a search that neither stops at the first plan nor collects plans cuts
@@ -88,7 +92,8 @@ struct SearchStats {
   uint64_t leaves = 0;   // complete plans satisfying the thresholds
   uint64_t pruned = 0;   // branches cut by threshold pruning and the lookahead cuts
   double elapsed_s = 0.0;
-  bool timed_out = false;
+  bool timed_out = false;   // stopped by SearchOptions::timeout_s
+  bool budget_hit = false;  // stopped by SearchOptions::max_nodes
 
   std::string ToString() const;
 };
@@ -231,6 +236,7 @@ class CapsSearch {
   std::atomic<uint64_t> leaves_{0};
   std::atomic<uint64_t> pruned_{0};
   std::atomic<bool> timed_out_{false};
+  std::atomic<bool> budget_hit_{false};
   // Branch and bound: the lowest utilization of a candidate so far (the incumbent's, then
   // the leaves'), and the lowest max cost of a candidate whose utilization reaches
   // util_floor_. Contexts adopt both at layer entry, offloaded subtrees included.

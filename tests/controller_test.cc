@@ -156,49 +156,95 @@ TEST(AutoTunerTest, HonorsTimeout) {
   EXPECT_LT(r.elapsed_s, 2.0);
 }
 
-// With no probe budget every bounded probe is answered by the wall clock, so tuning relaxes
-// to all-ones and makes its last probe with the whole remaining budget. That probe, too, is
-// traced and counted.
+// The cost model of `query` at `scale` times its source rates, sized by DS2, on the
+// deploy_tight cluster: 8 m5d.2xlarge workers with 8 slots. The model refers to the graph
+// of `*deployment` and to `cluster`, which must outlive it.
+std::unique_ptr<CostModel> DeployTightModel(const char* query, double scale,
+                                            const Cluster& cluster, Deployment* deployment) {
+  QuerySpec q = BuildQueryByName(query);
+  q.ScaleRates(scale);
+  DeployOptions options;
+  options.policy = PlacementPolicy::kFlinkDefault;  // only the DS2-sized graph is needed
+  options.use_ds2_sizing = true;
+  *deployment = CapsysController(cluster, options).Deploy(q);
+  return std::make_unique<CostModel>(
+      deployment->physical, cluster,
+      DemandsFromMeasuredCosts(deployment->physical, deployment->costs,
+                               PropagateRates(deployment->graph, deployment->source_rates)));
+}
+
+// The probe spans of one traced tune, with the number carrying each probe attribute.
+struct ProbeSpans {
+  int probes = 0;
+  int feasible = 0;
+  int timed_out = 0;
+  int budget_hit = 0;
+};
+
+AutoTuneResult TracedTune(const CostModel& model, const AutoTuneOptions& options,
+                          ProbeSpans* spans) {
+  Tracer::Global().Enable();
+  Tracer::Global().Reset();
+  AutoTuneResult r = AutoTuneThresholds(model, options);
+  auto records = Tracer::Global().Snapshot();
+  Tracer::Global().Disable();
+  Tracer::Global().Reset();
+  for (const SpanRecord& s : records) {
+    if (s.name != "caps.autotune.probe") {
+      continue;
+    }
+    ++spans->probes;
+    for (const auto& [key, value] : s.attrs) {
+      spans->feasible += key == "feasible" && value == "true" ? 1 : 0;
+      spans->timed_out += key == "timed_out" && value == "true" ? 1 : 0;
+      spans->budget_hit += key == "budget_hit" && value == "true" ? 1 : 0;
+    }
+  }
+  return r;
+}
+
+// With no probe time budget every bounded probe is answered by the wall clock, so tuning
+// relaxes to all-ones and makes its last probe with the whole remaining budget. That probe,
+// too, is traced and counted. Probes that walk their whole node budget are counted apart
+// from those: on the DS2-sized Q2 at 4.8x some network probes give up near the minimum.
 TEST(AutoTunerTest, EveryProbeIsTracedAndCounted) {
   QuerySpec q = BuildQ1Sliding();
   Cluster cluster(4, WorkerSpec::R5dXlarge(4));
   PhysicalGraph physical = PhysicalGraph::Expand(q.graph);
   CostModel model(physical, cluster,
                   TaskDemands(physical, PropagateRates(q.graph, q.source_rates)));
-  AutoTuneOptions options;
-  options.probe_timeout_s = 0.0;
-  options.timeout_s = 60.0;
-  Tracer::Global().Enable();
-  Tracer::Global().Reset();
-  AutoTuneResult r = AutoTuneThresholds(model, options);
-  auto spans = Tracer::Global().Snapshot();
-  Tracer::Global().Disable();
-  Tracer::Global().Reset();
-
+  ProbeSpans clocked;
+  AutoTuneResult r = TracedTune(model, {.timeout_s = 60.0, .probe_timeout_s = 0.0}, &clocked);
   ASSERT_TRUE(r.feasible);
   EXPECT_EQ(r.alpha.Max(), 1.0);
   EXPECT_EQ(r.probes_timed_out, r.iterations - 1);
+  EXPECT_EQ(r.probes_over_budget, 0);
   EXPECT_GT(r.nodes, 0u);
-  int probes = 0;
-  int feasible_probes = 0;
-  for (const SpanRecord& s : spans) {
-    if (s.name != "caps.autotune.probe") {
-      continue;
-    }
-    ++probes;
-    for (const auto& [key, value] : s.attrs) {
-      feasible_probes += key == "feasible" && value == "true" ? 1 : 0;
-    }
-  }
-  EXPECT_EQ(probes, r.iterations);
-  EXPECT_EQ(feasible_probes, 1);
+  EXPECT_EQ(clocked.probes, r.iterations);
+  EXPECT_EQ(clocked.feasible, 1);
+  EXPECT_EQ(clocked.timed_out, r.probes_timed_out);
+  EXPECT_EQ(clocked.budget_hit, 0);
+
+  Cluster tight(8, WorkerSpec::M5d2xlarge(8));
+  Deployment deployment;
+  std::unique_ptr<CostModel> q2 = DeployTightModel("q2-join", 4.8, tight, &deployment);
+  ProbeSpans budgeted;
+  r = TracedTune(*q2, {.timeout_s = 600.0, .probe_timeout_s = 60.0}, &budgeted);
+  ASSERT_TRUE(r.feasible);
+  EXPECT_GT(r.probes_over_budget, 0);
+  EXPECT_EQ(r.probes_timed_out, 0);
+  EXPECT_EQ(budgeted.probes, r.iterations);
+  EXPECT_EQ(budgeted.budget_hit, r.probes_over_budget);
+  EXPECT_EQ(budgeted.timed_out, 0);
+  EXPECT_NE(r.ToString().find(" probes_over_budget=" + std::to_string(r.probes_over_budget)),
+            std::string::npos);
 }
 
-// Auto-tune of the DS2-sized Q2 and Q3 on the deploy_tight cluster (8 m5d.2xlarge workers
-// with 8 slots), with budgets large enough that no probe is answered by the wall clock. α
-// and the probe count are pinned to the values of the witness-bracketed phase 1; the node
-// totals of the search without lookahead cuts and without witness brackets are the
-// `nodes_before` column, and the tune must at least halve them.
+// Auto-tune of the DS2-sized Q2 and Q3 on the deploy_tight cluster, with wall-clock budgets
+// no probe reaches. α and the probe count are pinned to the values of the witness-bracketed
+// phase 1 with node-budgeted probes; the node totals of the search without lookahead cuts,
+// witness brackets and node budgets are the `nodes_before` column, and the tune must at
+// least halve them.
 struct TuneGolden {
   const char* query;
   double scale;
@@ -212,24 +258,13 @@ void PrintTo(const TuneGolden& g, std::ostream* os) { *os << g.query << " @ " <<
 class AutoTuneGoldenTest : public ::testing::TestWithParam<TuneGolden> {
  protected:
   void SetUp() override {
-    QuerySpec q = BuildQueryByName(GetParam().query);
-    q.ScaleRates(GetParam().scale);
-    DeployOptions options;
-    options.policy = PlacementPolicy::kFlinkDefault;  // only the DS2-sized graph is needed
-    options.use_ds2_sizing = true;
-    deployment_ = CapsysController(cluster_, options).Deploy(q);
-    model_ = std::make_unique<CostModel>(
-        deployment_.physical, cluster_,
-        DemandsFromMeasuredCosts(deployment_.physical, deployment_.costs,
-                                 PropagateRates(deployment_.graph, deployment_.source_rates)));
-    tune_.timeout_s = 600.0;
-    tune_.probe_timeout_s = 60.0;
+    model_ = DeployTightModel(GetParam().query, GetParam().scale, cluster_, &deployment_);
   }
 
   Cluster cluster_{8, WorkerSpec::M5d2xlarge(8)};
   Deployment deployment_;
   std::unique_ptr<CostModel> model_;
-  AutoTuneOptions tune_;
+  AutoTuneOptions tune_{.timeout_s = 600.0, .probe_timeout_s = 60.0};
 };
 
 TEST_P(AutoTuneGoldenTest, SameAlphaFromFewerNodes) {
@@ -259,6 +294,27 @@ TEST_P(AutoTuneGoldenTest, AlphaDoesNotDependOnSearchThreads) {
   }
 }
 
+// Every probe stops at its node budget long before the default wall-clock budgets, so the
+// defaults give the α and probe count that budgets of 600 s give, bit for bit, even on a
+// sanitizer build.
+TEST_P(AutoTuneGoldenTest, AlphaDoesNotDependOnTheWallClock) {
+  const TuneGolden& g = GetParam();
+  AutoTuneResult defaults = AutoTuneThresholds(*model_, AutoTuneOptions{});
+  AutoTuneResult roomy =
+      AutoTuneThresholds(*model_, {.timeout_s = 600.0, .probe_timeout_s = 600.0});
+  for (const AutoTuneResult& r : {defaults, roomy}) {
+    ASSERT_TRUE(r.feasible);
+    EXPECT_EQ(r.probes_timed_out, 0);
+    EXPECT_FALSE(r.timed_out);
+    EXPECT_EQ(r.alpha.cpu, g.alpha.cpu);
+    EXPECT_EQ(r.alpha.io, g.alpha.io);
+    EXPECT_EQ(r.alpha.net, g.alpha.net);
+    EXPECT_EQ(r.iterations, g.iterations);
+  }
+  EXPECT_EQ(defaults.nodes, roomy.nodes);
+  EXPECT_EQ(defaults.probes_over_budget, roomy.probes_over_budget);
+}
+
 // Each phase-1 minimum is the cost of a plan a probe found, so a probe at exactly that
 // threshold finds a plan again: the LoadBound / CostOfLoad round trip loses nothing.
 TEST_P(AutoTuneGoldenTest, PhaseOneMinimaArePlansThatExist) {
@@ -279,10 +335,10 @@ INSTANTIATE_TEST_SUITE_P(
     DeployTight, AutoTuneGoldenTest,
     ::testing::Values(
         TuneGolden{"q2-join", 4.8,
-                   {0x1.53c99abca62a4p-3, 0x1.0c83fb85d03bcp-2, 0x1.324924a52efe8p-2}, 22,
+                   {0x1.53c99abca62a4p-3, 0x1.0c83fb85d03bcp-2, 0x1.4564effb7dfd1p-2}, 24,
                    1626836},
         TuneGolden{"q2-join", 5.3,
-                   {0x1.7becb3d740d67p-4, 0x1.fd4b8b9232198p-4, 0x1.7a2a63b0a18c2p-3}, 22,
+                   {0x1.7becb3d740d67p-4, 0x1.fd4b8b9232198p-4, 0x1.aa567aaffc141p-3}, 22,
                    6573944},
         TuneGolden{"q3-inf", 4.8,
                    {0x1.2dcc93ac1c571p-3, 0x1.eb851fcb32aap-6, 0x1.4f748c89920b1p-2}, 20,

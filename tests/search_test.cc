@@ -275,6 +275,51 @@ TEST(CapsSearchTest, TimeoutIsHonored) {
   EXPECT_LT(r.stats.elapsed_s, 5.0);
 }
 
+// A node budget stops a find-first walk at the same node on every run, whatever the
+// clock says, and a budget the walk does not reach changes nothing.
+TEST(CapsSearchTest, NodeBudgetStopsTheWalkDeterministically) {
+  QuerySpec q = BuildQ2Join();
+  q.graph.SetParallelism({2, 2, 4, 4, 8});
+  PhysicalGraph graph = PhysicalGraph::Expand(q.graph);
+  Cluster cluster(8, WorkerSpec::R5dXlarge(4));
+  auto rates = PropagateRates(q.graph, q.source_rates);
+  CostModel model(graph, cluster, TaskDemands(graph, rates));
+  SearchOptions options;
+  options.alpha.net = 0.33;
+  options.find_first = true;
+  SearchResult unbounded = CapsSearch(model, options).Run();
+  ASSERT_TRUE(unbounded.found);
+  EXPECT_FALSE(unbounded.stats.budget_hit);
+  // The first leaf lies past this budget.
+  const uint64_t budget = unbounded.stats.nodes / 2;
+  ASSERT_GT(budget, 10u);
+
+  options.max_nodes = budget;
+  SearchResult cut = CapsSearch(model, options).Run();
+  EXPECT_FALSE(cut.found);
+  EXPECT_TRUE(cut.stats.budget_hit);
+  EXPECT_FALSE(cut.stats.timed_out);
+  EXPECT_LE(cut.stats.nodes, budget + 1);
+  SearchResult again = CapsSearch(model, options).Run();
+  EXPECT_FALSE(again.found);
+  EXPECT_EQ(again.stats.nodes, cut.stats.nodes);
+  EXPECT_EQ(again.stats.leaves, cut.stats.leaves);
+  EXPECT_EQ(again.stats.pruned, cut.stats.pruned);
+  EXPECT_TRUE(again.stats.budget_hit);
+  EXPECT_FALSE(again.stats.timed_out);
+
+  options.max_nodes = unbounded.stats.nodes;
+  SearchResult roomy = CapsSearch(model, options).Run();
+  ASSERT_TRUE(roomy.found);
+  EXPECT_TRUE(roomy.best.placement == unbounded.best.placement);
+  EXPECT_EQ(roomy.best.cost, unbounded.best.cost);
+  EXPECT_EQ(roomy.stats.nodes, unbounded.stats.nodes);
+  EXPECT_EQ(roomy.stats.leaves, unbounded.stats.leaves);
+  EXPECT_EQ(roomy.stats.pruned, unbounded.stats.pruned);
+  EXPECT_FALSE(roomy.stats.budget_hit);
+  EXPECT_FALSE(roomy.stats.timed_out);
+}
+
 TEST(CapsSearchTest, SearchableRejectsForwardEdgeOutOfParallelOperator) {
   LogicalGraph g = ChainGraph({1, 1, 2});
   EXPECT_TRUE(CapsSearchable(g));
