@@ -21,7 +21,7 @@ namespace {
 
 Placement SolveWith(const CostModel& model) {
   return PlanPlacement(model, std::nullopt, AutoTuneOptions{}, /*search_threads=*/1,
-                       /*search_timeout_s=*/5.0, /*find_first_above_tasks=*/1 << 30)
+                       /*find_first_above_tasks=*/1 << 30)
       .placement;
 }
 

@@ -39,11 +39,7 @@ JobSpec SpecOf(const QuerySpec& query, const std::string& name) {
 SchedulerOptions BenchOptions(int planner_threads, bool enable_cache) {
   SchedulerOptions options;
   options.planner_threads = planner_threads;
-  options.search_threads = 1;  // cross-job parallelism is the subject of the sweep
-  options.search_timeout_s = 0.5;
   options.find_first_above_tasks = 8;  // NEXMark jobs take the anytime find-first path
-  options.autotune.timeout_s = 0.2;
-  options.autotune.probe_timeout_s = 0.02;
   options.enable_plan_cache = enable_cache;
   // The bench is about planning throughput: gate on slots only, never on modeled demand.
   options.admission_headroom = 1e9;

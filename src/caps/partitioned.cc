@@ -13,8 +13,6 @@ namespace capsys {
 namespace {
 
 constexpr double kEps = 1e-12;
-// Budget of each partition's search.
-constexpr double kSearchTimeoutS = 5.0;
 
 }  // namespace
 
@@ -166,7 +164,7 @@ PartitionedResult PartitionedPlacementSearch(const PhysicalGraph& graph,
     CostModel sub_model(sub_graph, sub_cluster, sub_demands);
     PlannedPlacement planned =
         PlanPlacement(sub_model, std::nullopt, options.autotune, options.num_threads,
-                      kSearchTimeoutS, /*find_first_above_tasks=*/0);
+                      /*find_first_above_tasks=*/0);
     result.alphas.push_back(planned.alpha);
     const Placement& sub_plan = planned.placement;
 

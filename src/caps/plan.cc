@@ -6,7 +6,7 @@ namespace capsys {
 
 PlannedPlacement PlanPlacement(const CostModel& model, std::optional<ResourceVector> alpha,
                                const AutoTuneOptions& autotune, int search_threads,
-                               double search_timeout_s, int find_first_above_tasks) {
+                               int find_first_above_tasks) {
   if (!alpha.has_value()) {
     AutoTuneResult tuned = AutoTuneThresholds(model, autotune);
     alpha = tuned.feasible ? tuned.alpha : ResourceVector{1.0, 1.0, 1.0};
@@ -14,7 +14,7 @@ PlannedPlacement PlanPlacement(const CostModel& model, std::optional<ResourceVec
   SearchOptions search_options;
   search_options.alpha = *alpha;
   search_options.num_threads = search_threads;
-  search_options.timeout_s = search_timeout_s;
+  search_options.max_nodes = kFinalSearchNodeBudget;
   search_options.find_first = model.graph().num_tasks() > find_first_above_tasks;
   search_options.incumbent = GreedyBalancedPlacement(model);
   SearchResult result = CapsSearch(model, search_options).Run();

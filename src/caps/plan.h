@@ -5,6 +5,7 @@
 #ifndef SRC_CAPS_PLAN_H_
 #define SRC_CAPS_PLAN_H_
 
+#include <cstdint>
 #include <optional>
 
 #include "src/caps/auto_tuner.h"
@@ -20,16 +21,20 @@ struct PlannedPlacement {
   SearchStats search;    // the final search's statistics (empty for cached plans)
 };
 
+// Inner-search nodes a final search may expand (SearchOptions::max_nodes). Unlike a wall
+// clock, it stops a single-threaded search at the same node on every machine.
+inline constexpr uint64_t kFinalSearchNodeBudget = 2'000'000;
+
 // Plans `model` with the CAPS search under `alpha`, or under auto-tuned thresholds when
 // `alpha` is empty (all-ones when tuning finds no feasible vector). Instances with more
 // than `find_first_above_tasks` tasks stop at the first satisfying plan (the paper's online
 // mode); smaller ones are searched by branch and bound. The search starts from a
 // GreedyBalancedPlacement incumbent, which guards against over-relaxed thresholds and
-// search timeouts, and returns the candidate with the lowest MaxUtilization, tie-broken by
-// the scalarized cost.
+// against a walk cut at kFinalSearchNodeBudget, and returns the candidate with the lowest
+// MaxUtilization, tie-broken by the scalarized cost.
 PlannedPlacement PlanPlacement(const CostModel& model, std::optional<ResourceVector> alpha,
                                const AutoTuneOptions& autotune, int search_threads,
-                               double search_timeout_s, int find_first_above_tasks);
+                               int find_first_above_tasks);
 
 }  // namespace capsys
 

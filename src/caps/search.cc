@@ -964,6 +964,9 @@ SearchResult CapsSearch::Run() {
   if (result_.stats.timed_out) {
     span.AddAttr("timed_out", "true");
   }
+  if (result_.stats.budget_hit) {
+    span.AddAttr("budget_hit", "true");
+  }
   return result_;
 }
 

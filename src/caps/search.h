@@ -71,9 +71,9 @@ struct SearchOptions {
   // Worker threads for parallel subtree exploration; 1 = fully deterministic.
   int num_threads = 1;
   double timeout_s = 1e18;
-  // Inner-search nodes the walk may expand; the search stops once it has expanded more,
-  // so stats.nodes ends at most one past it. Unlike timeout_s this budget does not depend
-  // on the machine: a single-threaded search stops at the same node on every run.
+  // Inner-search nodes the walk may expand; the search stops once it has expanded more.
+  // Unlike timeout_s this budget does not depend on the machine: a single-threaded search
+  // stops one node past it on every run (n threads: up to n nodes past it).
   uint64_t max_nodes = std::numeric_limits<uint64_t>::max();
   // A plan to beat, not a tuning knob. When set, SearchResult::best is the pick among it
   // and the satisfying leaves by MaxUtilization, ties within 1e-9 broken by BetterCost,

@@ -15,11 +15,7 @@
 namespace capsys {
 namespace {
 
-// Budget for the CAPS placement search. Instances with more than kFindFirstAboveTasks
-// tasks use find-first mode (the paper's online mode: the first plan satisfying the
-// auto-tuned thresholds); smaller ones are searched by branch and bound and return the
-// plan with the lowest MaxUtilization, tie-broken by cost (PlanPlacement).
-constexpr double kSearchTimeoutS = 3.0;
+// Larger instances take the first plan within the auto-tuned thresholds (PlanPlacement).
 constexpr int kFindFirstAboveTasks = 48;
 
 }  // namespace
@@ -118,7 +114,7 @@ Placement CapsysController::Place(const PhysicalGraph& physical,
         }
       }
       planned = PlanPlacement(model, cached, options_.autotune, options_.search_threads,
-                              kSearchTimeoutS, kFindFirstAboveTasks);
+                              kFindFirstAboveTasks);
       break;
     }
     case PlacementPolicy::kFlinkDefault:

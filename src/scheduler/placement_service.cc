@@ -552,8 +552,7 @@ void PlacementService::RunPlanner(PlanRequest req) {
       CostModel model(physical, residual,
                       TaskDemands(physical, PropagateRates(req.graph, req.source_rates)));
       outcome->planned = PlanPlacement(model, req.tuned_alpha, options_.autotune,
-                                       options_.search_threads, options_.search_timeout_s,
-                                       options_.find_first_above_tasks);
+                                       /*search_threads=*/1, options_.find_first_above_tasks);
       if (options_.enable_plan_cache) {
         cache_.Insert(key, CachedPlan{outcome->planned.placement, outcome->planned.alpha,
                                       outcome->planned.cost});

@@ -46,14 +46,11 @@
 namespace capsys {
 
 struct SchedulerOptions {
-  // Concurrent planner threads (each runs one CAPS search at a time).
+  // Concurrent planner threads, each running one single-threaded plan at a time.
   int planner_threads = 2;
-  // Threads *within* one search/auto-tune (usually 1: cross-job parallelism beats
-  // intra-search parallelism when many jobs are in flight).
-  int search_threads = 1;
-  double search_timeout_s = 1.0;
   int find_first_above_tasks = 32;
-  AutoTuneOptions autotune{.timeout_s = 0.5, .probe_timeout_s = 0.05};
+  // Wall-clock safety stops of auto-tuning; its node-budgeted probes end well before them.
+  AutoTuneOptions autotune;
 
   // Admission control.
   int max_queued_jobs = 64;

@@ -286,7 +286,6 @@ TEST_P(AutoTuneGoldenTest, AlphaDoesNotDependOnSearchThreads) {
   const TuneGolden& g = GetParam();
   for (int threads : {1, 2, 4}) {
     PlannedPlacement planned = PlanPlacement(*model_, std::nullopt, tune_, threads,
-                                             /*search_timeout_s=*/60.0,
                                              /*find_first_above_tasks=*/0);
     EXPECT_EQ(planned.alpha.cpu, g.alpha.cpu) << threads << " threads";
     EXPECT_EQ(planned.alpha.io, g.alpha.io) << threads << " threads";

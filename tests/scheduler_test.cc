@@ -47,12 +47,9 @@ JobSpec MakePipelineJob(const std::string& name, int map_parallelism, double rat
   return spec;
 }
 
-SchedulerOptions FastOptions(int planner_threads = 2) {
+SchedulerOptions WithPlanners(int planner_threads) {
   SchedulerOptions options;
   options.planner_threads = planner_threads;
-  options.search_timeout_s = 0.25;
-  options.autotune.timeout_s = 0.1;
-  options.autotune.probe_timeout_s = 0.02;
   return options;
 }
 
@@ -251,7 +248,7 @@ TEST(PlanCacheTest, ConcurrentLookupAndInsert) {
 
 TEST(PlacementServiceTest, SingleJobRunsWithValidPlacement) {
   Cluster cluster(4, WorkerSpec{.slots = 4});
-  PlacementService service(cluster, FastOptions());
+  PlacementService service(cluster);
   JobId id = service.Submit(MakePipelineJob("single", 4, 1e4));
   ASSERT_TRUE(service.WaitIdle(20.0));
   JobStatus status = service.Status(id);
@@ -271,7 +268,7 @@ TEST(PlacementServiceTest, ConcurrentSubmittersLoseNoJobs) {
   const int kThreads = 6;
   const int kJobsPerThread = 6;
   Cluster cluster(24, WorkerSpec{.slots = 8});
-  PlacementService service(cluster, FastOptions(4));
+  PlacementService service(cluster, WithPlanners(4));
   std::vector<std::vector<JobId>> ids(kThreads);
   std::vector<std::thread> submitters;
   submitters.reserve(kThreads);
@@ -315,7 +312,7 @@ TEST(PlacementServiceTest, ConcurrentSubmittersLoseNoJobs) {
 
 TEST(PlacementServiceTest, AdmissionRejectsOversizedJobStructurally) {
   Cluster cluster(2, WorkerSpec{.slots = 2});
-  PlacementService service(cluster, FastOptions());
+  PlacementService service(cluster);
   // 8 tasks on a 4-slot cluster can never fit: structured rejection, no CHECK abort.
   JobId id = service.Submit(MakePipelineJob("too-big", 6, 1e3));
   ASSERT_TRUE(service.WaitIdle(20.0));
@@ -326,7 +323,7 @@ TEST(PlacementServiceTest, AdmissionRejectsOversizedJobStructurally) {
 }
 
 TEST(PlacementServiceTest, AdmissionRejectsInvalidSpec) {
-  PlacementService service(Cluster(2, WorkerSpec{.slots = 4}), FastOptions());
+  PlacementService service(Cluster(2, WorkerSpec{.slots = 4}));
   JobSpec empty;
   empty.name = "empty";
   JobId id = service.Submit(std::move(empty));
@@ -338,7 +335,7 @@ TEST(PlacementServiceTest, AdmissionRejectsInvalidSpec) {
 // A negative or non-finite rate would enter admission as a negative or NaN demand, and a
 // rate keyed on a non-source operator would be ignored; all are rejected as invalid input.
 TEST(PlacementServiceTest, AdmissionRejectsInvalidSourceRates) {
-  PlacementService service(Cluster(2, WorkerSpec{.slots = 4}), FastOptions());
+  PlacementService service(Cluster(2, WorkerSpec{.slots = 4}));
   const double kInf = std::numeric_limits<double>::infinity();
   std::vector<std::map<OperatorId, double>> bad_rates = {
       {{0, -1e6}},                                       // negative
@@ -378,7 +375,7 @@ JobSpec MakeForwardJob(int parallelism) {
 }
 
 TEST(PlacementServiceTest, ForwardEdgeOutOfParallelOperatorIsRejected) {
-  PlacementService service(Cluster(2, WorkerSpec{.slots = 4}), FastOptions());
+  PlacementService service(Cluster(2, WorkerSpec{.slots = 4}));
   JobId id = service.Submit(MakeForwardJob(2));
   ASSERT_TRUE(service.WaitIdle(20.0));
   EXPECT_EQ(service.Status(id).state, JobState::kRejected);
@@ -387,7 +384,7 @@ TEST(PlacementServiceTest, ForwardEdgeOutOfParallelOperatorIsRejected) {
 }
 
 TEST(PlacementServiceTest, RescaleOfForwardEndpointsIsIgnored) {
-  PlacementService service(Cluster(2, WorkerSpec{.slots = 4}), FastOptions());
+  PlacementService service(Cluster(2, WorkerSpec{.slots = 4}));
   JobId id = service.Submit(MakeForwardJob(1));
   ASSERT_TRUE(service.WaitIdle(20.0));
   ASSERT_EQ(service.Status(id).state, JobState::kRunning);
@@ -401,7 +398,7 @@ TEST(PlacementServiceTest, RescaleOfForwardEndpointsIsIgnored) {
 
 TEST(PlacementServiceTest, QueuedJobAdmittedWhenCapacityFrees) {
   Cluster cluster(2, WorkerSpec{.slots = 2});
-  PlacementService service(cluster, FastOptions());
+  PlacementService service(cluster);
   JobId first = service.Submit(MakePipelineJob("first", 2, 1e3));  // 4 tasks: fills it
   ASSERT_TRUE(service.WaitIdle(20.0));
   ASSERT_EQ(service.Status(first).state, JobState::kRunning);
@@ -423,7 +420,7 @@ TEST(PlacementServiceTest, QueuedJobAdmittedWhenCapacityFrees) {
 
 TEST(PlacementServiceTest, WorkerDeathTriggersDegradedRecovery) {
   Cluster cluster(2, WorkerSpec{.slots = 4});
-  PlacementService service(cluster, FastOptions());
+  PlacementService service(cluster);
   JobId id = service.Submit(MakePipelineJob("degrade", 5, 1e3));  // 7 tasks on 8 slots
   ASSERT_TRUE(service.WaitIdle(20.0));
   ASSERT_EQ(service.Status(id).state, JobState::kRunning);
@@ -458,7 +455,7 @@ TEST(PlacementServiceTest, DegradedRecoveryMatchesPlanRecovery) {
   ASSERT_EQ(plan.outcome, RecoveryOutcome::kRecoveredDegraded);
   ASSERT_GT(plan.graph.total_parallelism(), d.graph.num_operators());  // not simply the floor
 
-  PlacementService service(cluster, FastOptions());
+  PlacementService service(cluster);
   JobSpec spec;
   spec.name = "q1";
   spec.graph = d.graph;
@@ -479,7 +476,7 @@ TEST(PlacementServiceTest, DegradedRecoveryMatchesPlanRecovery) {
 
 TEST(PlacementServiceTest, RecoveryQueuesWhenDegradationDisallowed) {
   Cluster cluster(2, WorkerSpec{.slots = 4});
-  PlacementService service(cluster, FastOptions());
+  PlacementService service(cluster);
   JobSpec spec = MakePipelineJob("rigid", 5, 1e3);  // 7 tasks
   spec.allow_degraded_recovery = false;
   JobId id = service.Submit(std::move(spec));
@@ -501,7 +498,7 @@ TEST(PlacementServiceTest, RecoveryQueuesWhenDegradationDisallowed) {
 
 TEST(PlacementServiceTest, RescaleRecommitsAtNewParallelism) {
   Cluster cluster(4, WorkerSpec{.slots = 4});
-  PlacementService service(cluster, FastOptions());
+  PlacementService service(cluster);
   JobId id = service.Submit(MakePipelineJob("rescale", 2, 1e4));
   ASSERT_TRUE(service.WaitIdle(20.0));
   ASSERT_EQ(service.Status(id).state, JobState::kRunning);
@@ -518,7 +515,7 @@ TEST(PlacementServiceTest, RescaleRecommitsAtNewParallelism) {
 
 TEST(PlacementServiceTest, PlanCacheHitOnResubmitAndRateScale) {
   Cluster cluster(4, WorkerSpec{.slots = 4});
-  PlacementService service(cluster, FastOptions());
+  PlacementService service(cluster);
   JobId first = service.Submit(MakePipelineJob("cacheable", 4, 1e4));
   ASSERT_TRUE(service.WaitIdle(20.0));
   ASSERT_EQ(service.Status(first).state, JobState::kRunning);
@@ -547,7 +544,7 @@ TEST(PlacementServiceTest, NexmarkQueryThroughService) {
   // One of the paper's evaluation queries end-to-end through the online service on the
   // 4x4 motivation cluster.
   Cluster cluster(4, WorkerSpec::R5dXlarge());
-  PlacementService service(cluster, FastOptions());
+  PlacementService service(cluster);
   QuerySpec q1 = BuildQ1Sliding();
   JobSpec spec;
   spec.name = "q1-sliding";
@@ -566,7 +563,7 @@ TEST(PlacementServiceTest, CrashStormInterleavedWithSubmissions) {
   const int kThreads = 3;
   const int kJobsPerThread = 4;
   Cluster cluster(8, WorkerSpec{.slots = 4});
-  PlacementService service(cluster, FastOptions(4));
+  PlacementService service(cluster, WithPlanners(4));
   std::vector<std::vector<JobId>> ids(kThreads);
   std::vector<std::thread> submitters;
   submitters.reserve(kThreads);
@@ -618,7 +615,7 @@ TEST(PlacementServiceTest, CrashStormInterleavedWithSubmissions) {
 // instead of indexing past the view's per-worker vectors.
 TEST(PlacementServiceTest, OutOfRangeWorkerIdsAreIgnored) {
   Cluster cluster(4, WorkerSpec{.slots = 4});
-  PlacementService service(cluster, FastOptions());
+  PlacementService service(cluster);
   JobId running = service.Submit(MakePipelineJob("resident", 2, 1e3));
   ASSERT_TRUE(service.WaitIdle(20.0));
   ASSERT_EQ(service.Status(running).state, JobState::kRunning);
@@ -640,7 +637,7 @@ TEST(PlacementServiceTest, OutOfRangeWorkerIdsAreIgnored) {
 // A rescale the cluster could never host would release the job's slots and queue it
 // forever; the service ignores it and the job keeps running on its plan.
 TEST(PlacementServiceTest, RescaleBeyondClusterIsIgnored) {
-  PlacementService service(Cluster(4, WorkerSpec{.slots = 4}), FastOptions());
+  PlacementService service(Cluster(4, WorkerSpec{.slots = 4}));
   JobId id = service.Submit(MakePipelineJob("rescale", 2, 1e4));
   ASSERT_TRUE(service.WaitIdle(20.0));
   ASSERT_EQ(service.Status(id).state, JobState::kRunning);
@@ -657,7 +654,7 @@ TEST(PlacementServiceTest, RescaleBeyondClusterIsIgnored) {
 // admitted demand: a job that needs the whole cluster is admitted afterwards.
 TEST(PlacementServiceTest, CancelWhilePlanningReleasesEverything) {
   Cluster cluster(2, WorkerSpec{.slots = 4});
-  PlacementService service(cluster, FastOptions());
+  PlacementService service(cluster);
   // 8 tasks and 7e5 records/s: every slot and more than half of the cluster's CPU.
   JobId cancelled = service.Submit(MakePipelineJob("cancelled", 6, 7e5));
   service.Cancel(cancelled);
@@ -682,7 +679,7 @@ TEST(PlacementServiceTest, DeadWorkersDuringSubmissionsHostNothing) {
   const int kJobsPerThread = 4;
   const std::vector<WorkerId> kDead = {0, 3, 5};
   Cluster cluster(8, WorkerSpec{.slots = 4});
-  PlacementService service(cluster, FastOptions(4));
+  PlacementService service(cluster, WithPlanners(4));
   std::vector<std::thread> submitters;
   submitters.reserve(kThreads);
   for (int t = 0; t < kThreads; ++t) {
@@ -725,7 +722,7 @@ TEST(PlacementServiceTest, DeadWorkersDuringSubmissionsHostNothing) {
 }
 
 TEST(PlacementServiceTest, StatsAndStatusRenderings) {
-  PlacementService service(Cluster(2, WorkerSpec{.slots = 4}), FastOptions());
+  PlacementService service(Cluster(2, WorkerSpec{.slots = 4}));
   JobId id = service.Submit(MakePipelineJob("render", 2, 1e3));
   ASSERT_TRUE(service.WaitIdle(20.0));
   EXPECT_NE(service.Status(id).ToString().find("running"), std::string::npos);

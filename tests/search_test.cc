@@ -44,6 +44,26 @@ CostModel MakeModel(const PhysicalGraph& graph, const Cluster& cluster, double r
   return CostModel(graph, cluster, TaskDemands(graph, rates));
 }
 
+// The widest shape the repository benchmark's service workload submits as a fresh shape:
+// every operator but the sink one wider than its default.
+LogicalGraph WidestServiceShape(LogicalGraph g) {
+  std::vector<int> widths;
+  for (const auto& op : g.operators()) {
+    widths.push_back(op.kind == OperatorKind::kSink ? op.parallelism : op.parallelism + 1);
+  }
+  g.SetParallelism(widths);
+  return g;
+}
+
+// A residual cluster of that workload's c5d.4xlarge workers, with `free` slots left each.
+Cluster ServiceResidual(const std::vector<int>& free) {
+  std::vector<WorkerSpec> specs;
+  for (int slots : free) {
+    specs.push_back(WorkerSpec::C5d4xlarge(slots));
+  }
+  return Cluster(specs);
+}
+
 // Brute-force enumeration of all valid plans, deduplicated by canonical key. The reference
 // for completeness/uniqueness checks.
 int BruteForceDistinctPlans(const PhysicalGraph& graph, const Cluster& cluster) {
@@ -320,6 +340,32 @@ TEST(CapsSearchTest, NodeBudgetStopsTheWalkDeterministically) {
   EXPECT_FALSE(roomy.stats.timed_out);
 }
 
+// A branch and bound that its node budget cuts returns the best candidate found by then,
+// the incumbent among them, and on one thread stops one node past the budget on every run.
+// PlanPlacement's final search relies on both (kFinalSearchNodeBudget).
+TEST(CapsSearchTest, NodeBudgetEndsBranchAndBoundAtTheBestCandidateSoFar) {
+  QuerySpec q = BuildQ4Join();
+  LogicalGraph g = WidestServiceShape(q.graph);
+  PhysicalGraph graph = PhysicalGraph::Expand(g);
+  Cluster cluster = ServiceResidual({13, 4, 9, 16, 2, 7});
+  CostModel model(graph, cluster, TaskDemands(graph, PropagateRates(g, q.source_rates)));
+  SearchOptions options;
+  options.incumbent = GreedyBalancedPlacement(model);
+  options.max_nodes = 10'000;
+  SearchResult cut = CapsSearch(model, options).Run();
+  EXPECT_TRUE(cut.stats.budget_hit);
+  EXPECT_FALSE(cut.stats.timed_out);
+  EXPECT_EQ(cut.stats.nodes, options.max_nodes + 1);
+  EXPECT_EQ(cut.best.placement.Validate(graph, cluster), "");
+  EXPECT_LE(MaxUtilization(model, cut.best.placement),
+            MaxUtilization(model, *options.incumbent));
+  SearchResult again = CapsSearch(model, options).Run();
+  EXPECT_TRUE(again.best.placement == cut.best.placement);
+  EXPECT_EQ(again.best.cost, cut.best.cost);
+  EXPECT_EQ(again.stats.nodes, cut.stats.nodes);
+  EXPECT_EQ(again.stats.leaves, cut.stats.leaves);
+}
+
 TEST(CapsSearchTest, SearchableRejectsForwardEdgeOutOfParallelOperator) {
   LogicalGraph g = ChainGraph({1, 1, 2});
   EXPECT_TRUE(CapsSearchable(g));
@@ -369,7 +415,7 @@ TEST(PlanPlacementTest, InfeasibleAlphaReturnsGreedyPlan) {
   SearchOptions options;
   options.alpha = tight;
   ASSERT_FALSE(CapsSearch(model, options).Run().found);  // 5 tasks on 2 workers never balance
-  PlannedPlacement planned = PlanPlacement(model, tight, AutoTuneOptions{}, 1, 10.0, 1000);
+  PlannedPlacement planned = PlanPlacement(model, tight, AutoTuneOptions{}, 1, 1000);
   EXPECT_EQ(planned.placement, GreedyBalancedPlacement(model));
   EXPECT_EQ(planned.cost, model.Cost(planned.placement));
   EXPECT_EQ(planned.alpha, tight);
@@ -382,7 +428,7 @@ TEST(PlanPlacementTest, PicksLowestMaxUtilizationCandidate) {
   auto rates = PropagateRates(q.graph, q.source_rates);
   CostModel model(graph, cluster, TaskDemands(graph, rates));
   const ResourceVector open{1.0, 1.0, 1.0};
-  PlannedPlacement planned = PlanPlacement(model, open, AutoTuneOptions{}, 1, 60.0, 1000);
+  PlannedPlacement planned = PlanPlacement(model, open, AutoTuneOptions{}, 1, 1000);
   EXPECT_EQ(planned.placement.Validate(graph, cluster), "");
   EXPECT_EQ(planned.cost, model.Cost(planned.placement));
   // Candidates: every plan plus the greedy incumbent.
@@ -395,44 +441,38 @@ TEST(PlanPlacementTest, PicksLowestMaxUtilizationCandidate) {
 }
 
 // The NEXMark queries at the widest shapes the repository benchmark's service workload
-// submits as fresh shapes (every operator but the sink one wider than its default), on
-// residual clusters of that workload's 6 c5d.4xlarge workers with uneven free slots. The
-// thresholds are auto-tuned with budgets no probe reaches, so they do not depend on the
-// clock either. Each final search ends well inside the service's 1 s budget, so the plan is
-// the one a 600 s budget gives, and a 4-thread search picks a plan of the same utilization
-// and max cost. (BetterCost compares max costs exactly, so their rounding, which depends on
-// the visit order, can decide between plans tied up to a few ulps and leave different
-// cost sums.)
+// submits as fresh shapes, on residual clusters of that workload's 6 c5d.4xlarge workers
+// with uneven free slots. The auto-tune probes and the final search stop at node budgets, and the wall-clock safety
+// stops of auto-tuning lie beyond any probe, so two plans of one shape agree in placement,
+// cost and node count however loaded or slow the machine. No final search here reaches its
+// budget. A 4-thread search picks a plan of the same utilization and max cost. (BetterCost
+// compares max costs exactly, so their rounding, which depends on the visit order, can
+// decide between plans tied up to a few ulps and leave different cost sums.)
 TEST(PlanPlacementTest, ServiceShapesDoNotDependOnTheWallClock) {
   const AutoTuneOptions tune{.timeout_s = 600.0, .probe_timeout_s = 60.0};
   const std::vector<std::vector<int>> free_slots = {{13, 4, 9, 16, 2, 7}, {4, 16, 12, 9, 16, 3}};
   for (const QuerySpec& q : BuildAllQueries()) {
-    LogicalGraph g = q.graph;
-    std::vector<int> widths;
-    for (const auto& op : g.operators()) {
-      widths.push_back(op.kind == OperatorKind::kSink ? op.parallelism : op.parallelism + 1);
-    }
-    g.SetParallelism(widths);
+    LogicalGraph g = WidestServiceShape(q.graph);
     PhysicalGraph graph = PhysicalGraph::Expand(g);
     auto demands = TaskDemands(graph, PropagateRates(g, q.source_rates));
     for (const auto& free : free_slots) {
-      std::vector<WorkerSpec> specs;
-      for (int slots : free) {
-        specs.push_back(WorkerSpec::C5d4xlarge(slots));
-      }
-      Cluster residual(specs);
+      Cluster residual = ServiceResidual(free);
       CostModel model(graph, residual, demands);
       SCOPED_TRACE(g.name() + " on " + std::to_string(residual.total_slots()) + " slots");
-      PlannedPlacement budget = PlanPlacement(model, std::nullopt, tune, 1, 1.0, 32);
-      PlannedPlacement unbounded = PlanPlacement(model, budget.alpha, tune, 1, 600.0, 32);
-      EXPECT_FALSE(budget.search.timed_out);
-      EXPECT_FALSE(unbounded.search.timed_out);
-      EXPECT_TRUE(budget.placement == unbounded.placement);
-      EXPECT_EQ(budget.cost, unbounded.cost);
-      PlannedPlacement threaded = PlanPlacement(model, budget.alpha, tune, 4, 600.0, 32);
+      PlannedPlacement first = PlanPlacement(model, std::nullopt, tune, 1, 32);
+      PlannedPlacement again = PlanPlacement(model, std::nullopt, tune, 1, 32);
+      for (const PlannedPlacement* p : {&first, &again}) {
+        EXPECT_FALSE(p->search.timed_out);
+        EXPECT_FALSE(p->search.budget_hit);
+      }
+      EXPECT_EQ(again.alpha, first.alpha);
+      EXPECT_TRUE(again.placement == first.placement);
+      EXPECT_EQ(again.cost, first.cost);
+      EXPECT_EQ(again.search.nodes, first.search.nodes);
+      PlannedPlacement threaded = PlanPlacement(model, first.alpha, tune, 4, 32);
       EXPECT_NEAR(MaxUtilization(model, threaded.placement),
-                  MaxUtilization(model, budget.placement), 1e-9);
-      EXPECT_NEAR(threaded.cost.Max(), budget.cost.Max(), 1e-9);
+                  MaxUtilization(model, first.placement), 1e-9);
+      EXPECT_NEAR(threaded.cost.Max(), first.cost.Max(), 1e-9);
     }
   }
 }
@@ -441,7 +481,7 @@ TEST(PlanPlacementTest, AutoTunesWhenNoAlphaIsGiven) {
   PhysicalGraph graph = PhysicalGraph::Expand(ChainGraph({1, 3, 1}));
   Cluster cluster(2, WorkerSpec::R5dXlarge(4));
   CostModel model = MakeModel(graph, cluster);
-  PlannedPlacement planned = PlanPlacement(model, std::nullopt, AutoTuneOptions{}, 1, 10.0, 1000);
+  PlannedPlacement planned = PlanPlacement(model, std::nullopt, AutoTuneOptions{}, 1, 1000);
   EXPECT_EQ(planned.placement.Validate(graph, cluster), "");
   for (Resource r : kAllResources) {
     EXPECT_GT(planned.alpha[r], 0.0);
