@@ -77,7 +77,7 @@ int Main() {
         bp.push_back(s.backpressure * 100.0);
         lat.push_back(s.latency_s);
         if (telemetry_dir != nullptr) {
-          last_metrics = sim.metrics();
+          last_metrics = sim.ExportMetrics();
         }
       }
       BoxSummary ts = Summarize(thr);

@@ -111,7 +111,7 @@ struct SimFixture {
     sim.Step();
   }
   uint64_t ReplayedTicks() const {
-    return sim.metrics().FindCounter("sim.0.replayed_ticks")->Value();
+    return sim.replayed_ticks();
   }
 };
 

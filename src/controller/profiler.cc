@@ -79,12 +79,10 @@ std::vector<MeasuredCost> ProfileOperators(const LogicalGraph& graph,
       continue;
     }
     WorkerId w = o;  // dedicated worker
-    double cpu_used = sim->metrics().MeanSinceOr(WorkerMetric(w, "cpu_used"), from, 0.0);
-    double io_bps = sim->metrics().MeanSinceOr(WorkerMetric(w, "io_bps"), from, 0.0);
-    double net_bps = sim->metrics().MeanSinceOr(WorkerMetric(w, "net_bps"), from, 0.0);
-    c.cpu_per_record = cpu_used / in_rate;
-    c.io_bytes_per_record = io_bps / in_rate;
-    c.out_bytes_per_record = out_rate > 1e-9 ? net_bps / out_rate : 0.0;
+    ResourceVector used = sim->WorkerUsage(w, from, to);
+    c.cpu_per_record = used.cpu / in_rate;
+    c.io_bytes_per_record = used.io / in_rate;
+    c.out_bytes_per_record = out_rate > 1e-9 ? used.net / out_rate : 0.0;
     c.selectivity = out_rate / in_rate;
   }
   return costs;
@@ -103,17 +101,11 @@ std::vector<MeasuredCost> EstimateCostsOnline(const FluidSimulator& sim, double 
       continue;  // no observations in the window; keep the previous estimate
     }
     auto& c = costs[static_cast<size_t>(o)];
-    double cpu = sim.metrics().MeanSinceOr(OperatorMetric(o, "cpu_used"), from_s, -1.0);
-    double io = sim.metrics().MeanSinceOr(OperatorMetric(o, "io_bps"), from_s, -1.0);
-    double net = sim.metrics().MeanSinceOr(OperatorMetric(o, "net_bps"), from_s, -1.0);
-    if (cpu >= 0.0) {
-      c.cpu_per_record = cpu / in_rate;
-    }
-    if (io >= 0.0) {
-      c.io_bytes_per_record = io / in_rate;
-    }
-    if (net >= 0.0 && out_rate > 1e-9) {
-      c.out_bytes_per_record = net / out_rate;
+    ResourceVector used = sim.OperatorUsage(o, from_s, to_s);
+    c.cpu_per_record = used.cpu / in_rate;
+    c.io_bytes_per_record = used.io / in_rate;
+    if (out_rate > 1e-9) {
+      c.out_bytes_per_record = used.net / out_rate;
     }
     c.selectivity = out_rate / in_rate;
   }

@@ -1,7 +1,6 @@
 #include "src/metrics/metrics.h"
 
 #include <algorithm>
-#include <cmath>
 
 #include "src/common/logging.h"
 #include "src/common/str.h"
@@ -12,33 +11,6 @@ void TimeSeries::Record(double time_s, double value) {
   CAPSYS_CHECK_MSG(points_.empty() || time_s >= points_.back().time_s,
                    "TimeSeries samples must be appended in time order");
   points_.push_back(Point{.time_s = time_s, .value = value});
-  cumsum_.push_back((cumsum_.empty() ? 0.0 : cumsum_.back()) + value);
-}
-
-double TimeSeries::Last() const {
-  CAPSYS_CHECK(!points_.empty());
-  return points_.back().value;
-}
-
-double TimeSeries::LastTime() const {
-  CAPSYS_CHECK(!points_.empty());
-  return points_.back().time_s;
-}
-
-double TimeSeries::MeanOver(double from_s, double to_s) const {
-  // Points are time-ordered (asserted on append): binary-search the window bounds and
-  // answer from the prefix sum instead of scanning.
-  auto time_less = [](const Point& p, double t) { return p.time_s < t; };
-  auto lo_it = std::lower_bound(points_.begin(), points_.end(), from_s, time_less);
-  auto hi_it = std::lower_bound(points_.begin(), points_.end(),
-                                std::nextafter(to_s, 1e308), time_less);
-  size_t lo = static_cast<size_t>(lo_it - points_.begin());
-  size_t hi = static_cast<size_t>(hi_it - points_.begin());  // one past the last in-window
-  if (lo >= hi) {
-    return 0.0;
-  }
-  double sum = cumsum_[hi - 1] - (lo > 0 ? cumsum_[lo - 1] : 0.0);
-  return sum / static_cast<double>(hi - lo);
 }
 
 Histogram::Histogram(std::vector<double> upper_bounds) : bounds_(std::move(upper_bounds)) {
@@ -65,8 +37,6 @@ std::vector<double> Histogram::DefaultBuckets() {
 void MetricsRegistry::Record(const std::string& name, double time_s, double value) {
   series_[name].Record(time_s, value);
 }
-
-TimeSeries& MetricsRegistry::Series(const std::string& name) { return series_[name]; }
 
 const TimeSeries* MetricsRegistry::Find(const std::string& name) const {
   auto it = series_.find(name);
@@ -97,21 +67,6 @@ const Histogram* MetricsRegistry::FindHistogram(const std::string& name) const {
   return it != histograms_.end() ? &it->second : nullptr;
 }
 
-double MetricsRegistry::LastOr(const std::string& name, double fallback) const {
-  const TimeSeries* ts = Find(name);
-  return (ts != nullptr && !ts->Empty()) ? ts->Last() : fallback;
-}
-
-double MetricsRegistry::MeanSinceOr(const std::string& name, double from_s,
-                                    double fallback) const {
-  const TimeSeries* ts = Find(name);
-  if (ts == nullptr || ts->Empty()) {
-    return fallback;
-  }
-  double mean = ts->MeanSince(from_s);
-  return ts->Count() > 0 ? mean : fallback;
-}
-
 std::vector<std::string> MetricsRegistry::Names() const {
   std::vector<std::string> names;
   names.reserve(series_.size());
@@ -139,12 +94,6 @@ std::vector<std::string> MetricsRegistry::HistogramNames() const {
   return names;
 }
 
-void MetricsRegistry::Clear() {
-  series_.clear();
-  counters_.clear();
-  histograms_.clear();
-}
-
 std::string TaskMetric(int task_id, const std::string& metric) {
   return Sprintf("task.%d.%s", task_id, metric.c_str());
 }
@@ -155,10 +104,6 @@ std::string WorkerMetric(int worker_id, const std::string& metric) {
 
 std::string OperatorMetric(int op_id, const std::string& metric) {
   return Sprintf("op.%d.%s", op_id, metric.c_str());
-}
-
-std::string QueryMetric(const std::string& query, const std::string& metric) {
-  return Sprintf("query.%s.%s", query.c_str(), metric.c_str());
 }
 
 }  // namespace capsys

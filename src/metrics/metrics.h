@@ -12,23 +12,10 @@
 namespace capsys {
 
 // One timestamped sample stream for a single metric (e.g. "task.3.true_rate"). Samples
-// must be appended in non-decreasing time order (CHECKed); windowed queries exploit the
-// ordering with binary search over a running prefix sum, so MeanOver is O(log n) however
-// long the series grows — controllers poll these on every decision.
+// must be appended in non-decreasing time order (CHECKed).
 class TimeSeries {
  public:
   void Record(double time_s, double value);
-
-  size_t Count() const { return points_.size(); }
-  bool Empty() const { return points_.empty(); }
-  double Last() const;
-  double LastTime() const;
-
-  // Mean of samples with time in [from_s, to_s].
-  double MeanOver(double from_s, double to_s) const;
-  // Mean of all samples from `from_s` to the end.
-  double MeanSince(double from_s) const { return MeanOver(from_s, 1e300); }
-  double Mean() const { return MeanOver(-1e300, 1e300); }
 
   struct Point {
     double time_s;
@@ -38,7 +25,6 @@ class TimeSeries {
 
  private:
   std::vector<Point> points_;
-  std::vector<double> cumsum_;  // cumsum_[i] = sum of values[0..i]
 };
 
 // Monotonically increasing count (events, ticks, retries).
@@ -87,10 +73,8 @@ class Histogram {
 // counter and a series may share a name.
 class MetricsRegistry {
  public:
+  // Appends to the series, creating it if absent.
   void Record(const std::string& name, double time_s, double value);
-
-  // Returns the series, creating an empty one if absent.
-  TimeSeries& Series(const std::string& name);
   // Returns nullptr when the series does not exist.
   const TimeSeries* Find(const std::string& name) const;
 
@@ -103,13 +87,9 @@ class MetricsRegistry {
   Histogram& GetHistogram(const std::string& name, std::vector<double> upper_bounds = {});
   const Histogram* FindHistogram(const std::string& name) const;
 
-  double LastOr(const std::string& name, double fallback) const;
-  double MeanSinceOr(const std::string& name, double from_s, double fallback) const;
-
   std::vector<std::string> Names() const;
   std::vector<std::string> CounterNames() const;
   std::vector<std::string> HistogramNames() const;
-  void Clear();
 
  private:
   std::map<std::string, TimeSeries> series_;
@@ -121,7 +101,6 @@ class MetricsRegistry {
 std::string TaskMetric(int task_id, const std::string& metric);
 std::string WorkerMetric(int worker_id, const std::string& metric);
 std::string OperatorMetric(int op_id, const std::string& metric);
-std::string QueryMetric(const std::string& query, const std::string& metric);
 
 }  // namespace capsys
 

@@ -29,16 +29,15 @@ struct RowSpec {
   const char* metric;
 };
 constexpr RowSpec kRowSpecs[] = {
-    {Scope::kTask, "true_rate"},      {Scope::kTask, "observed_rate"},
-    {Scope::kOperator, "emit_rate"},  {Scope::kOperator, "backpressure"},
-    {Scope::kOperator, "in_rate"},    {Scope::kOperator, "out_rate"},
-    {Scope::kOperator, "cpu_used"},   {Scope::kOperator, "io_bps"},
-    {Scope::kOperator, "net_bps"},    {Scope::kWorker, "cpu_util"},
-    {Scope::kWorker, "io_util"},      {Scope::kWorker, "net_util"},
-    {Scope::kWorker, "cpu_used"},     {Scope::kWorker, "io_bps"},
-    {Scope::kWorker, "net_bps"},      {Scope::kQuery, "throughput"},
-    {Scope::kQuery, "backpressure"},  {Scope::kQuery, "latency"},
-    {Scope::kQuery, "sink_rate"},
+    {Scope::kTask, "true_rate"},         {Scope::kOperator, "emit_rate"},
+    {Scope::kOperator, "backpressure"},  {Scope::kOperator, "in_rate"},
+    {Scope::kOperator, "out_rate"},      {Scope::kOperator, "cpu_used"},
+    {Scope::kOperator, "io_bps"},        {Scope::kOperator, "net_bps"},
+    {Scope::kWorker, "cpu_util"},        {Scope::kWorker, "io_util"},
+    {Scope::kWorker, "net_util"},        {Scope::kWorker, "cpu_used"},
+    {Scope::kWorker, "io_bps"},          {Scope::kWorker, "net_bps"},
+    {Scope::kQuery, "throughput"},       {Scope::kQuery, "backpressure"},
+    {Scope::kQuery, "latency"},          {Scope::kQuery, "sink_rate"},
 };
 
 bool SameBytes(const std::vector<double>& a, const std::vector<double>& b) {
@@ -100,9 +99,8 @@ FluidSimulator::FluidSimulator(const PhysicalGraph& graph, const Cluster& cluste
     }
     row_base_[r + 1] = row_base_[r] + width;
   }
-  accums_.resize(row_base_[kNumRows]);
   tick_.assign(row_base_[kNumRows], 0.0);
-  replayed_ticks_ = &metrics_.GetCounter("sim.0.replayed_ticks");
+  sums_.assign(row_base_[kNumRows], 0.0);
   queue_at_tick_start_.assign(n, 0.0);
   failed_snapshot_ = failed_;
   degrade_snapshot_ = degrade_;
@@ -235,7 +233,7 @@ void FluidSimulator::Step() {
   if (replaying_ && InputsMatchReplaySnapshot()) {
     // This tick starts from the queues and inputs of the solved fixed-point tick that
     // filled tick_, so it would compute the same doubles: re-add them.
-    replayed_ticks_->Add();
+    ++replayed_ticks_;
   } else {
     replaying_ = SolveTick();
     if (replaying_) {
@@ -245,9 +243,11 @@ void FluidSimulator::Step() {
                 checkpoint_io_snapshot_.begin());
     }
   }
-  for (size_t k = 0; k < accums_.size(); ++k) {
-    accums_[k].Add(tick_[k]);
+  for (size_t k = 0; k < sums_.size(); ++k) {
+    sums_[k] += tick_[k];
   }
+  ++pending_ticks_;
+  ++ticks_;
   time_s_ += kTickS;
   if (time_s_ - last_flush_s_ >= metrics_interval_s_ - kEps) {
     FlushMetrics();
@@ -350,7 +350,6 @@ bool FluidSimulator::SolveTick() {
   // --- 5. Apply transfers -----------------------------------------------------------------
   enqueue_.assign(n, 0.0);
   double* task_true = TickRow(kTaskTrueRate);
-  double* task_observed = TickRow(kTaskObservedRate);
   double* op_emit = TickRow(kOpEmitRate);
   double* op_bp = TickRow(kOpBackpressure);
   double* op_in = TickRow(kOpInRate);
@@ -386,7 +385,6 @@ bool FluidSimulator::SolveTick() {
       sink_arrivals += processed;  // records leaving the pipeline at sinks
     }
     task_true[i] = std::min(true_rate_[i], 1e15);
-    task_observed[i] = processed / dt;
     if (is_source_[i]) {
       op_emit[o] += processed / dt;  // total records/s emitted by the operator
       op_bp[o] += 1.0 - emit_factor_[i];
@@ -457,19 +455,16 @@ bool FluidSimulator::SolveTick() {
 }
 
 void FluidSimulator::FlushMetrics() {
-  if (accums_[row_base_[kQueryThroughput]].count == 0) {
+  if (pending_ticks_ == 0) {
     return;  // nothing accumulated since the last flush (e.g. double flush)
   }
-  if (series_.empty()) {
-    ResolveSeries();
-  }
   last_flush_s_ = time_s_;
-  flushes_->Add();
+  const double count = pending_ticks_;
+  pending_ticks_ = 0;
   // Backpressure episode tracking: one onset event when the mean source backpressure
   // crosses the threshold, one cleared event when it drops back below.
   {
-    const Accum& acc = accums_[row_base_[kQueryBackpressure]];
-    double bp = acc.sum / acc.count;
+    double bp = sums_[row_base_[kQueryBackpressure]] / count;
     bool above = bp >= kBackpressureOnsetThreshold;
     if (above && !backpressure_episode_) {
       EmitBackpressureOnset(telemetry_offset_s_ + time_s_, bp);
@@ -478,25 +473,37 @@ void FluidSimulator::FlushMetrics() {
     }
     backpressure_episode_ = above;
   }
-  for (size_t k = 0; k < accums_.size(); ++k) {
-    double mean = accums_[k].MeanAndReset();
-    if (series_[k] != nullptr) {
-      series_[k]->Record(time_s_, mean);
-    }
+  const size_t width = sums_.size();
+  const size_t base = means_.size();
+  flush_times_.push_back(time_s_);
+  means_.resize(base + width);
+  prefix_.resize(base + width);
+  for (size_t k = 0; k < width; ++k) {
+    double mean = sums_[k] / count;
+    sums_[k] = 0.0;
+    means_[base + k] = mean;
+    prefix_[base + k] = (base == 0 ? 0.0 : prefix_[base - width + k]) + mean;
   }
 }
 
-void FluidSimulator::ResolveSeries() {
-  series_.assign(accums_.size(), nullptr);
+MetricsRegistry FluidSimulator::ExportMetrics() const {
+  MetricsRegistry out;
+  const size_t width = sums_.size();
   for (int r = 0; r < kNumRows; ++r) {
     for (size_t k = 0; k < row_base_[r + 1] - row_base_[r]; ++k) {
       if ((r == kOpEmitRate || r == kOpBackpressure) && op_source_tasks_[k] == 0) {
         continue;
       }
-      series_[row_base_[r] + k] = &metrics_.Series(SeriesName(static_cast<Row>(r), k));
+      std::string name = SeriesName(static_cast<Row>(r), k);
+      for (size_t f = 0; f < flush_times_.size(); ++f) {
+        out.Record(name, flush_times_[f], means_[f * width + row_base_[r] + k]);
+      }
     }
   }
-  flushes_ = &metrics_.GetCounter("sim.0.flushes");
+  out.GetCounter("sim.0.flushes").Add(flush_times_.size());
+  out.GetCounter("sim.0.ticks").Add(ticks_);
+  out.GetCounter("sim.0.replayed_ticks").Add(replayed_ticks_);
+  return out;
 }
 
 std::string FluidSimulator::SeriesName(Row r, size_t k) const {
@@ -515,16 +522,23 @@ std::string FluidSimulator::SeriesName(Row r, size_t k) const {
   return std::string("query.") + spec.metric;
 }
 
-const TimeSeries* FluidSimulator::SeriesOf(Row r, size_t k) const {
-  if (series_.empty() || k >= row_base_[r + 1] - row_base_[r]) {
-    return nullptr;
-  }
-  return series_[row_base_[r] + k];
-}
-
 double FluidSimulator::WindowMean(Row r, size_t k, double from_s, double to_s) const {
-  const TimeSeries* ts = SeriesOf(r, k);
-  return ts != nullptr ? ts->MeanOver(from_s, to_s) : 0.0;
+  if (k >= row_base_[r + 1] - row_base_[r]) {
+    return 0.0;
+  }
+  // Flush stamps ascend: binary-search the window bounds and answer from the prefix sums.
+  auto lo_it = std::lower_bound(flush_times_.begin(), flush_times_.end(), from_s);
+  auto hi_it = std::lower_bound(flush_times_.begin(), flush_times_.end(),
+                                std::nextafter(to_s, 1e308));
+  size_t lo = static_cast<size_t>(lo_it - flush_times_.begin());
+  size_t hi = static_cast<size_t>(hi_it - flush_times_.begin());  // one past the last in-window
+  if (lo >= hi) {
+    return 0.0;
+  }
+  const size_t width = sums_.size();
+  const size_t col = row_base_[r] + k;
+  double sum = prefix_[(hi - 1) * width + col] - (lo > 0 ? prefix_[(lo - 1) * width + col] : 0.0);
+  return sum / static_cast<double>(hi - lo);
 }
 
 void FluidSimulator::RunFor(double seconds) {
@@ -535,16 +549,12 @@ void FluidSimulator::RunFor(double seconds) {
     span.AddAttr("ticks", steps);
     span.AddAttr("sim_time_s", time_s_);
   }
-  if (ticks_ == nullptr) {
-    ticks_ = &metrics_.GetCounter("sim.0.ticks");
-  }
-  ticks_->Add(static_cast<uint64_t>(std::max(steps, 0)));
-  uint64_t replayed_before = replayed_ticks_->Value();
+  uint64_t replayed_before = replayed_ticks_;
   for (int i = 0; i < steps; ++i) {
     Step();
   }
   if (span.active()) {
-    span.AddAttr("replayed", replayed_ticks_->Value() - replayed_before);
+    span.AddAttr("replayed", replayed_ticks_ - replayed_before);
   }
 }
 
@@ -592,15 +602,30 @@ double FluidSimulator::OperatorOutputRate(OperatorId op, double from_s, double t
 }
 
 double FluidSimulator::OperatorTrueRatePerTask(OperatorId op, double from_s, double to_s) const {
+  if (op < 0 || op >= graph_.num_operators()) {
+    return 0.0;
+  }
   double sum = 0.0;
   int n = 0;
   for (TaskId t : graph_.TasksOf(op)) {
-    if (SeriesOf(kTaskTrueRate, static_cast<size_t>(t)) != nullptr) {
-      sum += WindowMean(kTaskTrueRate, static_cast<size_t>(t), from_s, to_s);
-      ++n;
-    }
+    sum += WindowMean(kTaskTrueRate, static_cast<size_t>(t), from_s, to_s);
+    ++n;
   }
   return n > 0 ? sum / n : 0.0;
+}
+
+ResourceVector FluidSimulator::OperatorUsage(OperatorId op, double from_s, double to_s) const {
+  size_t o = static_cast<size_t>(op);
+  return {.cpu = WindowMean(kOpCpuUsed, o, from_s, to_s),
+          .io = WindowMean(kOpIoBps, o, from_s, to_s),
+          .net = WindowMean(kOpNetBps, o, from_s, to_s)};
+}
+
+ResourceVector FluidSimulator::WorkerUsage(WorkerId w, double from_s, double to_s) const {
+  size_t wi = static_cast<size_t>(w);
+  return {.cpu = WindowMean(kWorkerCpuUsed, wi, from_s, to_s),
+          .io = WindowMean(kWorkerIoBps, wi, from_s, to_s),
+          .net = WindowMean(kWorkerNetBps, wi, from_s, to_s)};
 }
 
 }  // namespace capsys

@@ -7,8 +7,10 @@
 // manifests at the measurement granularity of the paper (5 s samples).
 //
 // Reported metrics mirror the paper's: source throughput, backpressure fraction at the
-// source, end-to-end latency estimate, per-worker utilization, and the per-task true/observed
-// processing rates DS2 consumes.
+// source, end-to-end latency estimate, per-worker utilization, and the per-task true
+// processing rates DS2 consumes. Every metric is flushed at the same instants, so all of them
+// share one time axis and live in one table; controllers read them through the typed
+// accessors below.
 #ifndef SRC_SIMULATOR_FLUID_SIMULATOR_H_
 #define SRC_SIMULATOR_FLUID_SIMULATOR_H_
 
@@ -43,8 +45,8 @@ class FluidSimulator {
   static constexpr double kTickS = 0.1;
   static constexpr ContentionParams kContention{};
 
-  // Metrics are flushed into the registry every `metrics_interval_s` (the paper records
-  // every 5 s).
+  // Metrics are flushed into the table every `metrics_interval_s` (the paper records every
+  // 5 s).
   FluidSimulator(const PhysicalGraph& graph, const Cluster& cluster, const Placement& placement,
                  double metrics_interval_s = 5.0);
 
@@ -76,7 +78,7 @@ class FluidSimulator {
   // Advances the simulation by one tick. A tick that starts from the queues and worker
   // inputs of the last solved tick, when that tick ended where it started, replays its
   // metric values instead of solving again; the result is bit-identical (counted in
-  // sim.0.replayed_ticks).
+  // replayed_ticks()).
   void Step();
   void RunFor(double seconds);
 
@@ -88,6 +90,10 @@ class FluidSimulator {
   // Convenience: runs `warmup_s` unmeasured, then `measure_s`, and summarizes the
   // measurement window.
   QuerySummary RunMeasured(double warmup_s, double measure_s);
+
+  // Every read below is the mean of the flushes stamped in [from_s, to_s], both ends
+  // inclusive; an empty window, a read before the first flush and an out-of-range entity
+  // read 0.
 
   // Summarizes the window [from_s, to_s] from recorded metrics.
   QuerySummary Summarize(double from_s, double to_s) const;
@@ -105,9 +111,21 @@ class FluidSimulator {
   // Mean per-task true processing rate (capacity under current contention) of an
   // operator's tasks over the window — the metric DS2 consumes.
   double OperatorTrueRatePerTask(OperatorId op, double from_s, double to_s) const;
+  // Mean resource usage of an operator's tasks over the window: CPU-seconds/s, state bytes/s
+  // and emitted bytes/s (online profiling).
+  ResourceVector OperatorUsage(OperatorId op, double from_s, double to_s) const;
+  // Mean absolute usage of a worker over the window: CPU-seconds/s, disk bytes/s and
+  // cross-worker bytes/s (what the cost profiler normalizes by rate).
+  ResourceVector WorkerUsage(WorkerId w, double from_s, double to_s) const;
+
+  // Every recorded series under its "scope.id.metric" name, plus the sim.0.flushes,
+  // sim.0.ticks and sim.0.replayed_ticks counters: for telemetry bundles and tests. The
+  // registry is built on each call; bind it to a local before reading its series.
+  MetricsRegistry ExportMetrics() const;
+  // Ticks that replayed a fixed point instead of solving (see Step).
+  uint64_t replayed_ticks() const { return replayed_ticks_; }
 
   double time_s() const { return time_s_; }
-  const MetricsRegistry& metrics() const { return metrics_; }
   const PhysicalGraph& graph() const { return graph_; }
   const Cluster& cluster() const { return cluster_; }
   const Placement& placement() const { return placement_; }
@@ -123,7 +141,6 @@ class FluidSimulator {
   Cluster cluster_;
   Placement placement_;
   double metrics_interval_s_;
-  MetricsRegistry metrics_;
 
   double time_s_ = 0.0;
   std::map<OperatorId, double> source_rates_;
@@ -173,14 +190,13 @@ class FluidSimulator {
   std::vector<double> enqueue_;
   std::vector<double> processed_rate_;
 
-  // Metric accumulators between flushes, in one flat table of rows. A row holds one
-  // accumulator per task, operator or worker, or a single query-level one; row r starts at
-  // row_base_[r]. Every accumulator gets exactly one Add per tick, which is what lets a
-  // fixed-point tick be replayed bit for bit (see Step).
+  // Metrics in one flat table of columns. A row holds one column per task, operator or
+  // worker, or a single query-level one; row r starts at column row_base_[r]. Every column
+  // gets exactly one value per tick, which is what lets a fixed-point tick be replayed bit
+  // for bit (see Step).
   enum Row : uint8_t {
     kTaskTrueRate,
-    kTaskObservedRate,
-    kOpEmitRate,  // series only for source operators, like kOpBackpressure
+    kOpEmitRate,  // exported only for source operators, like kOpBackpressure
     kOpBackpressure,
     kOpInRate,   // records/s processed by the operator's tasks
     kOpOutRate,  // records/s emitted by the operator's tasks
@@ -199,42 +215,29 @@ class FluidSimulator {
     kQuerySinkRate,
     kNumRows,
   };
-  struct Accum {
-    double sum = 0.0;
-    double count = 0.0;
-    void Add(double v) {
-      sum += v;
-      ++count;
-    }
-    double MeanAndReset() {
-      double m = count > 0 ? sum / count : 0.0;
-      sum = 0.0;
-      count = 0.0;
-      return m;
-    }
-  };
   // This tick's value of row `r` for every entity, written by a solved tick.
   double* TickRow(Row r) { return tick_.data() + row_base_[r]; }
   std::string SeriesName(Row r, size_t k) const;
-  // The series of entity `k` in row `r`; nullptr before the first flush, for an entity the
-  // row has no series for, and for an out-of-range `k`.
-  const TimeSeries* SeriesOf(Row r, size_t k) const;
+  // Mean of column k of row r over the flushes stamped in [from_s, to_s]; 0 for an empty
+  // window and an out-of-range `k`.
   double WindowMean(Row r, size_t k, double from_s, double to_s) const;
-  // Creates every series and the flush counter at the first flush, as a name-keyed flush
-  // would, and keeps their handles so later flushes skip name formatting and map lookups.
-  void ResolveSeries();
   // One tick with the full contention solve; fills tick_ and returns true when the tick
   // ended with queue_ byte-identical to how it started (a fixed point).
   bool SolveTick();
   bool InputsMatchReplaySnapshot() const;
 
   size_t row_base_[kNumRows + 1] = {};
-  std::vector<Accum> accums_;
-  std::vector<double> tick_;          // one value per accumulator, from the last solved tick
-  std::vector<TimeSeries*> series_;   // parallel to accums_; empty until the first flush
-  Counter* flushes_ = nullptr;        // sim.0.flushes, resolved at the first flush
-  Counter* ticks_ = nullptr;          // sim.0.ticks, resolved at the first RunFor
-  Counter* replayed_ticks_ = nullptr;  // sim.0.replayed_ticks
+  std::vector<double> tick_;   // one value per column, from the last solved tick
+  std::vector<double> sums_;   // per column: the sum of its tick values since the last flush
+  int pending_ticks_ = 0;      // ticks added to sums_ since the last flush
+  // The shared time axis and the flushed table, flush-major: flush f's mean of column c is
+  // means_[f * row_base_[kNumRows] + c], and prefix_ holds each column's running sum of
+  // means_ in the same layout, so a window mean is one difference.
+  std::vector<double> flush_times_;
+  std::vector<double> means_;
+  std::vector<double> prefix_;
+  uint64_t ticks_ = 0;
+  uint64_t replayed_ticks_ = 0;
 
   // Steady-state replay: after a solved tick that ended where it started, later ticks
   // re-add tick_ until RebuildStatics runs or a worker input differs from its snapshot.

@@ -281,6 +281,31 @@ TEST(OnlineProfilerTest, TracksRateChanges) {
               0.05 * low[2].io_bytes_per_record);
 }
 
+// An estimate over a past window reads that window only, whatever ran after it: usage and
+// rates must come from the same flushes.
+TEST(OnlineProfilerTest, PastWindowIgnoresLaterTraffic) {
+  QuerySpec q = BuildQ1Sliding();
+  Cluster cluster(4, WorkerSpec::R5dXlarge(4));
+  PhysicalGraph physical = PhysicalGraph::Expand(q.graph);
+  auto rates = PropagateRates(q.graph, q.source_rates);
+  CostModel model(physical, cluster, TaskDemands(physical, rates));
+  FluidSimulator sim(physical, cluster, GreedyBalancedPlacement(model));
+  std::vector<MeasuredCost> previous(4);
+  sim.SetAllSourceRates(4000.0);
+  sim.RunFor(60);
+  double mark = sim.time_s();
+  auto then = EstimateCostsOnline(sim, 30.0, mark, previous);
+  sim.SetAllSourceRates(10000.0);
+  sim.RunFor(60);
+  auto now = EstimateCostsOnline(sim, 30.0, mark, previous);
+  for (size_t o = 0; o < then.size(); ++o) {
+    EXPECT_EQ(now[o].cpu_per_record, then[o].cpu_per_record) << o;
+    EXPECT_EQ(now[o].io_bytes_per_record, then[o].io_bytes_per_record) << o;
+    EXPECT_EQ(now[o].out_bytes_per_record, then[o].out_bytes_per_record) << o;
+    EXPECT_EQ(now[o].selectivity, then[o].selectivity) << o;
+  }
+}
+
 // --- Search ablation switches ---------------------------------------------------------------------
 
 TEST(SearchAblationTest, DisablingDedupMultipliesLeavesBySymmetryFactor) {

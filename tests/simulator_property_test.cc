@@ -88,11 +88,15 @@ TEST_P(QuerySweep, UtilizationAlwaysBounded) {
     sim.SetSourceRate(op, r * 3.0);  // overloaded on purpose
   }
   sim.RunFor(60);
+  MetricsRegistry metrics = sim.ExportMetrics();
   for (WorkerId w = 0; w < s.cluster.num_workers(); ++w) {
     for (const char* metric : {"cpu_util", "io_util", "net_util"}) {
-      double u = sim.metrics().MeanSinceOr(WorkerMetric(w, metric), 0.0, 0.0);
-      EXPECT_GE(u, -1e-9) << GetParam() << " " << metric;
-      EXPECT_LE(u, 1.0 + 1e-9) << GetParam() << " " << metric;
+      const TimeSeries* ts = metrics.Find(WorkerMetric(w, metric));
+      ASSERT_NE(ts, nullptr) << GetParam() << " " << metric;
+      for (const TimeSeries::Point& p : ts->points()) {
+        EXPECT_GE(p.value, -1e-9) << GetParam() << " " << metric;
+        EXPECT_LE(p.value, 1.0 + 1e-9) << GetParam() << " " << metric;
+      }
     }
   }
 }

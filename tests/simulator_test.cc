@@ -1,8 +1,10 @@
 // Tests for the fluid simulator: steady-state throughput, backpressure emergence,
-// conservation, metrics, rate changes, and bit-exact replay of fixed-point ticks.
+// conservation, metrics, rate changes, window reads, and bit-exact replay of fixed-point
+// ticks.
 #include <gtest/gtest.h>
 
 #include <bit>
+#include <cmath>
 #include <cstdint>
 #include <map>
 #include <string>
@@ -10,6 +12,7 @@
 
 #include "src/caps/cost_model.h"
 #include "src/caps/greedy.h"
+#include "src/common/rng.h"
 #include "src/dataflow/rates.h"
 #include "src/nexmark/queries.h"
 #include "src/obs/events.h"
@@ -177,17 +180,19 @@ TEST(FluidSimulatorTest, WorkerMetricsRecorded) {
   FluidSimulator sim(graph, cluster, BalancedPlacement(q, graph, cluster));
   sim.SetAllSourceRates(10000.0);
   sim.RunFor(20);
+  MetricsRegistry metrics = sim.ExportMetrics();
   for (WorkerId w = 0; w < 4; ++w) {
-    EXPECT_NE(sim.metrics().Find(WorkerMetric(w, "cpu_util")), nullptr);
-    EXPECT_NE(sim.metrics().Find(WorkerMetric(w, "io_util")), nullptr);
-    EXPECT_NE(sim.metrics().Find(WorkerMetric(w, "net_util")), nullptr);
+    for (const char* metric : {"cpu_util", "io_util", "net_util"}) {
+      const TimeSeries* ts = metrics.Find(WorkerMetric(w, metric));
+      ASSERT_NE(ts, nullptr) << metric;
+      EXPECT_EQ(ts->points().size(), 4u) << metric;  // one point per 5 s flush
+      for (const TimeSeries::Point& p : ts->points()) {
+        EXPECT_GE(p.value, 0.0) << metric;
+        EXPECT_LE(p.value, 1.0) << metric;
+      }
+    }
   }
-  // Utilization in [0, 1].
-  for (WorkerId w = 0; w < 4; ++w) {
-    double u = sim.metrics().MeanSinceOr(WorkerMetric(w, "cpu_util"), 0, -1);
-    EXPECT_GE(u, 0.0);
-    EXPECT_LE(u, 1.0);
-  }
+  EXPECT_EQ(metrics.Find(TaskMetric(0, "observed_rate")), nullptr);
 }
 
 TEST(FluidSimulatorTest, QueuesStayWithinCapacity) {
@@ -258,6 +263,173 @@ TEST(FluidSimulatorTest, SummarizeUtilizationEndsAtWindowEnd) {
   EXPECT_EQ(before.max_worker_utilization.cpu, expected.max_worker_utilization.cpu);
   EXPECT_EQ(before.max_worker_utilization.io, expected.max_worker_utilization.io);
   EXPECT_EQ(before.max_worker_utilization.net, expected.max_worker_utilization.net);
+}
+
+// --- Window reads -------------------------------------------------------------------------
+
+// Mean of the exported points of `name` stamped in [from_s, to_s], by a linear scan; 0 when
+// the series does not exist or no point is in the window.
+double NaiveMean(const MetricsRegistry& metrics, const std::string& name, double from_s,
+                 double to_s) {
+  const TimeSeries* ts = metrics.Find(name);
+  if (ts == nullptr) {
+    return 0.0;
+  }
+  double sum = 0.0;
+  int n = 0;
+  for (const TimeSeries::Point& p : ts->points()) {
+    if (p.time_s >= from_s && p.time_s <= to_s) {
+      sum += p.value;
+      ++n;
+    }
+  }
+  return n > 0 ? sum / n : 0.0;
+}
+
+// Q1 on four workers, flushed every second, with a rate step at 5 s and a failed worker
+// from 60 s to 80 s, so that consecutive flushes differ.
+struct WindowFixture {
+  QuerySpec q = BuildQ1Sliding();
+  Cluster cluster{4, WorkerSpec::R5dXlarge(4)};
+  PhysicalGraph graph = PhysicalGraph::Expand(q.graph);
+  FluidSimulator sim{graph, cluster, BalancedPlacement(q, graph, cluster),
+                     /*metrics_interval_s=*/1.0};
+
+  explicit WindowFixture(double seconds) {
+    sim.SetAllSourceRates(2000.0);
+    for (double t = 0.0; t < seconds; t += 1.0) {
+      if (t == 5.0) {
+        sim.SetAllSourceRates(12000.0);
+      } else if (t == 60.0) {
+        sim.FailWorker(1);
+      } else if (t == 80.0) {
+        sim.RestoreWorker(1);
+      }
+      sim.RunFor(1.0);
+    }
+  }
+};
+
+TEST(SimulatorWindowTest, BothWindowEndsAreInclusive) {
+  WindowFixture f(10.0);
+  MetricsRegistry metrics = f.sim.ExportMetrics();
+  const std::vector<TimeSeries::Point>& pts = metrics.Find("query.throughput")->points();
+  ASSERT_EQ(pts.size(), 10u);
+  for (const TimeSeries::Point& p : pts) {
+    EXPECT_EQ(f.sim.Throughput(p.time_s, p.time_s), p.value);
+  }
+  // Points 3 and 4 precede the rate step's effect and 6 follows it, so dropping either end
+  // of [t3, t6] would move the mean.
+  double t3 = pts[3].time_s;
+  double t6 = pts[6].time_s;
+  double both = NaiveMean(metrics, "query.throughput", t3, t6);
+  EXPECT_NEAR(f.sim.Throughput(t3, t6), both, 1e-9 * both);
+  EXPECT_GT(std::abs(both - NaiveMean(metrics, "query.throughput", pts[4].time_s, t6)), 1.0);
+  EXPECT_GT(std::abs(both - NaiveMean(metrics, "query.throughput", t3, pts[5].time_s)), 1.0);
+}
+
+TEST(SimulatorWindowTest, EmptyOrInvertedWindowReadsZero) {
+  WindowFixture f(10.0);
+  MetricsRegistry metrics = f.sim.ExportMetrics();
+  const std::vector<TimeSeries::Point>& pts = metrics.Find("query.throughput")->points();
+  ASSERT_EQ(pts.size(), 10u);
+  const std::pair<double, double> windows[] = {
+      {pts[6].time_s, pts[3].time_s},                // inverted
+      {pts[3].time_s + 0.01, pts[4].time_s - 0.01},  // between two flushes
+      {-10.0, pts[0].time_s - 0.01},                 // before the first flush
+      {pts[9].time_s + 0.01, 1e9},                   // after the last flush
+  };
+  for (const auto& [from, to] : windows) {
+    EXPECT_EQ(f.sim.Throughput(from, to), 0.0) << from << " " << to;
+    QuerySummary s = f.sim.Summarize(from, to);
+    EXPECT_EQ(s.backpressure, 0.0);
+    EXPECT_EQ(s.latency_s, 0.0);
+    EXPECT_EQ(s.max_worker_utilization.cpu, 0.0);
+    for (OperatorId op = 0; op < f.graph.num_operators(); ++op) {
+      EXPECT_EQ(f.sim.OperatorInputRate(op, from, to), 0.0);
+      EXPECT_EQ(f.sim.OperatorTrueRatePerTask(op, from, to), 0.0);
+      EXPECT_EQ(f.sim.OperatorUsage(op, from, to).cpu, 0.0);
+    }
+  }
+}
+
+TEST(SimulatorWindowTest, OutOfRangeEntityReadsZero) {
+  WindowFixture f(10.0);
+  double t = f.sim.time_s();
+  ASSERT_GT(f.sim.Throughput(0, t), 0.0);
+  for (OperatorId op : {OperatorId{-1}, OperatorId{f.graph.num_operators()}}) {
+    EXPECT_EQ(f.sim.OperatorEmitRate(op, 0, t), 0.0);
+    EXPECT_EQ(f.sim.OperatorBackpressure(op, 0, t), 0.0);
+    EXPECT_EQ(f.sim.OperatorInputRate(op, 0, t), 0.0);
+    EXPECT_EQ(f.sim.OperatorOutputRate(op, 0, t), 0.0);
+    EXPECT_EQ(f.sim.OperatorTrueRatePerTask(op, 0, t), 0.0);
+    ResourceVector used = f.sim.OperatorUsage(op, 0, t);
+    EXPECT_EQ(used.cpu + used.io + used.net, 0.0);
+  }
+  ResourceVector used = f.sim.WorkerUsage(f.cluster.num_workers(), 0, t);
+  EXPECT_EQ(used.cpu + used.io + used.net, 0.0);
+}
+
+TEST(SimulatorWindowTest, ReadBeforeFirstFlushReadsZero) {
+  QuerySpec q = BuildQ1Sliding();
+  Cluster cluster(4, WorkerSpec::R5dXlarge(4));
+  PhysicalGraph graph = PhysicalGraph::Expand(q.graph);
+  FluidSimulator sim(graph, cluster, BalancedPlacement(q, graph, cluster));
+  sim.SetAllSourceRates(5000.0);
+  sim.RunFor(2.0);  // the first flush is at 5 s
+  double t = sim.time_s();
+  EXPECT_EQ(sim.Throughput(0, t), 0.0);
+  EXPECT_EQ(sim.Summarize(0, t).sink_rate, 0.0);
+  for (OperatorId op = 0; op < graph.num_operators(); ++op) {
+    EXPECT_EQ(sim.OperatorEmitRate(op, 0, t), 0.0);
+    EXPECT_EQ(sim.OperatorOutputRate(op, 0, t), 0.0);
+    EXPECT_EQ(sim.OperatorTrueRatePerTask(op, 0, t), 0.0);
+    EXPECT_EQ(sim.OperatorUsage(op, 0, t).net, 0.0);
+  }
+  EXPECT_EQ(sim.WorkerUsage(0, 0, t).cpu, 0.0);
+  MetricsRegistry metrics = sim.ExportMetrics();
+  EXPECT_TRUE(metrics.Names().empty());
+  EXPECT_EQ(metrics.FindCounter("sim.0.flushes")->Value(), 0u);
+  EXPECT_EQ(metrics.FindCounter("sim.0.ticks")->Value(), 20u);
+}
+
+// Every typed read equals the naive mean of the exported points in its window, on random
+// windows over a run whose flushes differ.
+TEST(SimulatorWindowTest, ReadsMatchNaiveMeanOfExportedPoints) {
+  WindowFixture f(120.0);
+  MetricsRegistry metrics = f.sim.ExportMetrics();
+  auto expect_mean = [&](double read, const std::string& name, double from, double to) {
+    double naive = NaiveMean(metrics, name, from, to);
+    EXPECT_NEAR(read, naive, 1e-9 * (1.0 + std::abs(naive)))
+        << name << " over [" << from << ", " << to << "]";
+  };
+  Rng rng(23);
+  for (int i = 0; i < 100; ++i) {
+    double from = rng.Uniform(-5.0, 125.0);
+    double to = from + rng.Uniform(-2.0, 40.0);
+    expect_mean(f.sim.Throughput(from, to), "query.throughput", from, to);
+    for (OperatorId op = 0; op < f.graph.num_operators(); ++op) {
+      expect_mean(f.sim.OperatorEmitRate(op, from, to), OperatorMetric(op, "emit_rate"), from,
+                  to);
+      expect_mean(f.sim.OperatorBackpressure(op, from, to), OperatorMetric(op, "backpressure"),
+                  from, to);
+      expect_mean(f.sim.OperatorInputRate(op, from, to), OperatorMetric(op, "in_rate"), from,
+                  to);
+      expect_mean(f.sim.OperatorOutputRate(op, from, to), OperatorMetric(op, "out_rate"), from,
+                  to);
+      ResourceVector used = f.sim.OperatorUsage(op, from, to);
+      expect_mean(used.cpu, OperatorMetric(op, "cpu_used"), from, to);
+      expect_mean(used.io, OperatorMetric(op, "io_bps"), from, to);
+      expect_mean(used.net, OperatorMetric(op, "net_bps"), from, to);
+      double true_rate = 0.0;
+      for (TaskId t : f.graph.TasksOf(op)) {
+        true_rate += NaiveMean(metrics, TaskMetric(t, "true_rate"), from, to);
+      }
+      true_rate /= static_cast<double>(f.graph.TasksOf(op).size());
+      EXPECT_NEAR(f.sim.OperatorTrueRatePerTask(op, from, to), true_rate,
+                  1e-9 * (1.0 + true_rate));
+    }
+  }
 }
 
 // --- Steady-state replay ------------------------------------------------------------------
@@ -348,15 +520,16 @@ ScriptedRun RunScript(bool force_full_solve) {
   run.events = EventLog::Global().ToJsonLines();
   EventLog::Global().Disable();
   EventLog::Global().Reset();
-  for (const std::string& name : sim.metrics().Names()) {
+  MetricsRegistry metrics = sim.ExportMetrics();
+  for (const std::string& name : metrics.Names()) {
     std::vector<uint64_t>& bits = run.series[name];
-    for (const TimeSeries::Point& p : sim.metrics().Find(name)->points()) {
+    for (const TimeSeries::Point& p : metrics.Find(name)->points()) {
       bits.push_back(Bits(p.time_s));
       bits.push_back(Bits(p.value));
     }
   }
-  for (const std::string& name : sim.metrics().CounterNames()) {
-    uint64_t value = sim.metrics().FindCounter(name)->Value();
+  for (const std::string& name : metrics.CounterNames()) {
+    uint64_t value = metrics.FindCounter(name)->Value();
     if (name == "sim.0.replayed_ticks") {
       run.replayed_ticks = value;
     } else {
@@ -393,49 +566,24 @@ TEST(FluidSimulatorTest, ReappliedCheckpointIoKeepsReplaying) {
   sim.SetAllSourceRates(8000.0);
   sim.SetWorkerCheckpointIoBps(0, 1.5e8);
   sim.RunFor(30);
-  const Counter* replayed = sim.metrics().FindCounter("sim.0.replayed_ticks");
-  ASSERT_NE(replayed, nullptr);
-  uint64_t before = replayed->Value();
+  uint64_t before = sim.replayed_ticks();
   sim.Step();
-  ASSERT_EQ(replayed->Value(), before + 1) << "the run did not reach a fixed point";
+  ASSERT_EQ(sim.replayed_ticks(), before + 1) << "the run did not reach a fixed point";
   for (int i = 0; i < 50; ++i) {
     sim.ClearCheckpointIo();
     sim.SetWorkerCheckpointIoBps(0, 1.5e8);
     sim.Step();
   }
-  EXPECT_EQ(replayed->Value(), before + 51);
+  EXPECT_EQ(sim.replayed_ticks(), before + 51);
   sim.SetWorkerCheckpointIoBps(0, 1e8);  // a changed value ends it
   sim.Step();
-  EXPECT_EQ(replayed->Value(), before + 51);
-}
-
-TEST(MetricsTest, TimeSeriesMeanOverWindow) {
-  TimeSeries ts;
-  ts.Record(1.0, 10.0);
-  ts.Record(2.0, 20.0);
-  ts.Record(3.0, 30.0);
-  EXPECT_EQ(ts.MeanOver(1.5, 3.0), 25.0);
-  EXPECT_EQ(ts.Mean(), 20.0);
-  EXPECT_EQ(ts.Last(), 30.0);
-  EXPECT_EQ(ts.LastTime(), 3.0);
-}
-
-TEST(MetricsTest, RegistryLookupAndFallback) {
-  MetricsRegistry reg;
-  EXPECT_EQ(reg.Find("absent"), nullptr);
-  EXPECT_EQ(reg.LastOr("absent", -1.0), -1.0);
-  reg.Record("a.b", 1.0, 5.0);
-  EXPECT_EQ(reg.LastOr("a.b", -1.0), 5.0);
-  EXPECT_EQ(reg.Names().size(), 1u);
-  reg.Clear();
-  EXPECT_EQ(reg.Find("a.b"), nullptr);
+  EXPECT_EQ(sim.replayed_ticks(), before + 51);
 }
 
 TEST(MetricsTest, MetricNameBuilders) {
   EXPECT_EQ(TaskMetric(3, "true_rate"), "task.3.true_rate");
   EXPECT_EQ(WorkerMetric(1, "cpu_util"), "worker.1.cpu_util");
   EXPECT_EQ(OperatorMetric(2, "emit_rate"), "op.2.emit_rate");
-  EXPECT_EQ(QueryMetric("q1", "throughput"), "query.q1.throughput");
 }
 
 }  // namespace

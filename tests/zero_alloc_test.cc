@@ -5,7 +5,7 @@
 // this is the enforcement half of the "arena-based simulator ticks" refactor, so an
 // accidental per-tick std::vector cannot creep back in unnoticed. Both tick paths are
 // checked: a window forced through the contention solve and a window of replayed
-// fixed-point ticks.
+// fixed-point ticks. A third test bounds the flush path, which appends to the metric table.
 //
 // Not registered in the sanitizer CI jobs: ASan/TSan interpose their own allocators.
 #include <gtest/gtest.h>
@@ -68,35 +68,37 @@ uint64_t CountAllocsDuringSteps(FluidSimulator& sim, int steps, bool force_full_
   return g_allocs.load();
 }
 
-uint64_t ReplayedTicks(const FluidSimulator& sim) {
-  return sim.metrics().FindCounter("sim.0.replayed_ticks")->Value();
-}
-
-// Warms a simulator of `q` until its queues fill and every scratch vector and solver
-// arena reaches its final size, then checks a solved window and a replayed window.
-void ExpectBothTickPathsAllocationFree(const QuerySpec& q) {
+// A simulator of `q` on workers 0-3 of a five-worker cluster, warmed for 1000 ticks until
+// its queues fill and every scratch vector and solver arena reaches its final size.
+FluidSimulator WarmSimulator(const QuerySpec& q, double metrics_interval_s) {
   PhysicalGraph graph = PhysicalGraph::Expand(q.graph);
   Cluster placed_on(4, WorkerSpec::R5dXlarge(4));
   CostModel model(graph, placed_on,
                   TaskDemands(graph, PropagateRates(q.graph, q.source_rates)));
-  // Flushing allocates metric records; an interval of 1e18 s keeps it out of scope.
   FluidSimulator sim(graph, Cluster(5, WorkerSpec::R5dXlarge(4)),
-                     GreedyBalancedPlacement(model), /*metrics_interval_s=*/1e18);
+                     GreedyBalancedPlacement(model), metrics_interval_s);
   sim.SetAllSourceRates(q.TotalTargetRate());
   for (int i = 0; i < 1000; ++i) {
     sim.Step();
   }
+  return sim;
+}
 
-  uint64_t replayed = ReplayedTicks(sim);
+// Checks a solved window and a replayed window of a warmed simulator of `q`.
+void ExpectBothTickPathsAllocationFree(const QuerySpec& q) {
+  // A flush appends to the metric table (bounded by FlushPathOnlyGrowsTheTable); an
+  // interval of 1e18 s keeps flushes out of these windows.
+  FluidSimulator sim = WarmSimulator(q, /*metrics_interval_s=*/1e18);
+  uint64_t replayed = sim.replayed_ticks();
   EXPECT_EQ(CountAllocsDuringSteps(sim, 1000, /*force_full_solve=*/true), 0u);
-  EXPECT_EQ(ReplayedTicks(sim), replayed) << "a forced tick replayed";
+  EXPECT_EQ(sim.replayed_ticks(), replayed) << "a forced tick replayed";
 
   for (int i = 0; i < 10; ++i) {
     sim.Step();  // back to a fixed point
   }
-  replayed = ReplayedTicks(sim);
+  replayed = sim.replayed_ticks();
   EXPECT_EQ(CountAllocsDuringSteps(sim, 1000, /*force_full_solve=*/false), 0u);
-  EXPECT_EQ(ReplayedTicks(sim), replayed + 1000) << "a steady tick ran the full solve";
+  EXPECT_EQ(sim.replayed_ticks(), replayed + 1000) << "a steady tick ran the full solve";
 }
 
 TEST(ZeroAllocTest, SteadyStateStepDoesNotAllocate) {
@@ -107,6 +109,17 @@ TEST(ZeroAllocTest, SteadyStateStepDoesNotAllocate) {
 // must be allocation-free too. Q2's rates saturate the cluster.
 TEST(ZeroAllocTest, BackpressuredStepDoesNotAllocate) {
   ExpectBothTickPathsAllocationFree(BuildQ2Join());
+}
+
+// A flush appends one time stamp and one row each of means and running sums to the
+// simulator's metric table, so over 2000 flushes it allocates only when one of those three
+// vectors doubles its capacity, not per flush or per series.
+TEST(ZeroAllocTest, FlushPathOnlyGrowsTheTable) {
+  FluidSimulator sim = WarmSimulator(BuildQ3Inf(), /*metrics_interval_s=*/1.0);
+  uint64_t replayed = sim.replayed_ticks();
+  uint64_t allocs = CountAllocsDuringSteps(sim, 20000, /*force_full_solve=*/false);
+  EXPECT_EQ(sim.replayed_ticks(), replayed + 20000) << "a steady tick ran the full solve";
+  EXPECT_LE(allocs, 64u);
 }
 
 }  // namespace
