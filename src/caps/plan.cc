@@ -18,8 +18,9 @@ PlannedPlacement PlanPlacement(const CostModel& model, std::optional<ResourceVec
   search_options.find_first = model.graph().num_tasks() > find_first_above_tasks;
   search_options.incumbent = GreedyBalancedPlacement(model);
   SearchResult result = CapsSearch(model, search_options).Run();
-  return PlannedPlacement{std::move(result.best.placement), result.best.cost, *alpha,
-                          result.stats};
+  // A leaf's cost comes from loads kept by += and -=, a few ulps off the plan's own.
+  ResourceVector cost = model.Cost(result.best.placement);
+  return PlannedPlacement{std::move(result.best.placement), cost, *alpha, result.stats};
 }
 
 }  // namespace capsys

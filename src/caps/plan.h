@@ -31,7 +31,8 @@ inline constexpr uint64_t kFinalSearchNodeBudget = 2'000'000;
 // mode); smaller ones are searched by branch and bound. The search starts from a
 // GreedyBalancedPlacement incumbent, which guards against over-relaxed thresholds and
 // against a walk cut at kFinalSearchNodeBudget, and returns the candidate with the lowest
-// MaxUtilization, tie-broken by the scalarized cost.
+// MaxUtilization, ties within 1e-9 going to the lower max cost and then the lower cost sum
+// (SearchOptions::incumbent).
 PlannedPlacement PlanPlacement(const CostModel& model, std::optional<ResourceVector> alpha,
                                const AutoTuneOptions& autotune, int search_threads,
                                int find_first_above_tasks);

@@ -20,15 +20,28 @@ constexpr int kNever = std::numeric_limits<int>::max() / 2;
 constexpr double kInf = std::numeric_limits<double>::infinity();
 // Cap on SearchResult::collected, which bounds a collecting search's memory.
 constexpr size_t kMaxCollected = size_t{1} << 22;
-// Utilizations closer than this tie, and the tie goes to the better cost.
+// Pick keys closer than this tie (SearchOptions::incumbent).
 constexpr double kPickTolerance = 1e-9;
 
+// The tie-break of the pick order: true when a plan with max cost `max` and cost sum `sum`
+// beats the one with `best_max` and `best_sum`, by more than the tolerance on one key.
+bool BetterTie(double max, double sum, double best_max, double best_sum) {
+  if (std::abs(max - best_max) > kPickTolerance) {
+    return max < best_max;
+  }
+  return sum < best_sum - kPickTolerance;
+}
+
 // The pick order of SearchOptions::incumbent: true when a plan with utilization `util` and
-// cost `cost` beats the one with `best_util` and `best_cost`.
+// cost `cost` beats the one with `best_util` and `best_cost`. Utilization, max cost and
+// cost sum are compared in turn, and a plan wins a key only by more than the tolerance, so
+// the rounding of the incrementally kept loads decides no pick.
 bool BetterPick(double util, const ResourceVector& cost, double best_util,
                 const ResourceVector& best_cost) {
-  return util < best_util - kPickTolerance ||
-         (util < best_util + kPickTolerance && BetterCost(cost, best_cost));
+  if (std::abs(util - best_util) > kPickTolerance) {
+    return util < best_util;
+  }
+  return BetterTie(cost.Max(), cost.Sum(), best_cost.Max(), best_cost.Sum());
 }
 
 // A utilization no plan of `model` goes below, given each operator's task demand and
@@ -109,6 +122,15 @@ struct CapsSearch::Ctx {
   std::vector<ResourceVector> limit;
   double bound_util = kInf;
   double bound_tie_cost = kInf;
+  // Branch and bound: the context's copy of CapsSearch::lead_ as of `lead_version`. The
+  // subtree tie cut reads it at every inner node, so it is one candidate's triple, never a
+  // mix of two. The bound rows above follow it at layer entry.
+  Lead lead;
+  uint64_t lead_version = 0;
+  // Branch and bound: the largest load per dimension over the workers, which the subtree
+  // tie cut compares with the lead. ApplyPlacement raises it for the workers it touches,
+  // and the caller restores it after UndoPlacement.
+  ResourceVector peak;
   // Per-layer lookahead rows, written by EnterLayer and read by every inner node of the
   // layer. One block per layer, so descending into a later layer never overwrites them
   // (layout in RowsOf()). Allocated by the first layer that sets up cuts.
@@ -254,6 +276,13 @@ CapsSearch::CapsSearch(const CostModel& model, SearchOptions options)
   net_lookahead_ = branch_and_bound_ || options_.alpha.net < 1.0;
   if (branch_and_bound_) {
     util_floor_ = UtilizationFloor(model, op_task_demand_, op_parallelism_);
+    for (Resource r : kAllResources) {
+      for (WorkerId w = 0; w < model.cluster().num_workers(); ++w) {
+        max_capacity_[r] = std::max(max_capacity_[r], model.Capacity(w)[r]);
+      }
+      double span = model.l_max()[r] - model.l_min()[r];
+      cost_scale_[r] = span > kEps ? 1.0 / span : 0.0;
+    }
   }
 
   // Group workers into spec-equivalence classes; only same-class workers are
@@ -374,6 +403,11 @@ void CapsSearch::ApplyPlacement(Ctx& ctx, size_t layer, WorkerId w, int count) {
     int peer_here = ctx.counts_of(w)[static_cast<size_t>(e.peer)];
     load_w.net += count * e.net_share_per_peer_task * (peer_placed - peer_here) * scale_w.net;
   }
+  if (branch_and_bound_) {
+    ctx.peak.cpu = std::max(ctx.peak.cpu, load_w.cpu);
+    ctx.peak.io = std::max(ctx.peak.io, load_w.io);
+    ctx.peak.net = std::max(ctx.peak.net, load_w.net);
+  }
   // Inbound side: already-placed upstream tasks gain remote channels to the new tasks.
   // Only workers actually hosting the peer are visited (ctx.op_workers).
   for (const auto& e : in_edges_[static_cast<size_t>(o)]) {
@@ -386,6 +420,9 @@ void CapsSearch::ApplyPlacement(Ctx& ctx, size_t layer, WorkerId w, int count) {
       bool v_violated = Violates(ctx, v);
       load_v.net += peer_tasks * e.net_share_per_peer_task * count * model_.WorkerScale(v).net;
       ctx.num_violating += static_cast<int>(Violates(ctx, v)) - static_cast<int>(v_violated);
+      if (branch_and_bound_) {
+        ctx.peak.net = std::max(ctx.peak.net, load_v.net);
+      }
     }
   }
   ctx.num_violating += static_cast<int>(Violates(ctx, w)) - static_cast<int>(w_violated);
@@ -614,13 +651,44 @@ CapsSearch::Cuts CapsSearch::EnterLayer(Ctx& ctx, size_t layer) {
   return fits_bind ? Cuts::kFits : Cuts::kNone;
 }
 
-bool CapsSearch::AdoptBounds(Ctx& ctx) const {
-  double util = best_util_.load(std::memory_order_relaxed);
-  double tie_cost = tie_cost_.load(std::memory_order_relaxed);
-  if (util < ctx.bound_util || tie_cost < ctx.bound_tie_cost) {
-    SetBounds(ctx, util, tie_cost);
+bool CapsSearch::AdoptBounds(Ctx& ctx) {
+  bool adopted = false;
+  if (lead_version_.load(std::memory_order_acquire) != ctx.lead_version) {
+    std::lock_guard<std::mutex> lock(result_mu_);
+    ctx.lead = lead_;
+    ctx.lead_version = lead_version_.load(std::memory_order_relaxed);
+    adopted = true;
   }
-  return ctx.num_violating == 0;
+  if (ctx.lead.util < ctx.bound_util || ctx.lead.tie_cost < ctx.bound_tie_cost) {
+    SetBounds(ctx, ctx.lead.util, ctx.lead.tie_cost);
+  }
+  // The count that led here passed the tie cut against the context's lead, so the cut only
+  // needs to run again against a newly adopted one.
+  return ctx.num_violating == 0 && !(adopted && CannotBeatLead(ctx, 0.0));
+}
+
+bool CapsSearch::CannotBeatLead(const Ctx& ctx, double future_net) const {
+  const Lead& lead = ctx.lead;
+  ResourceVector peak = ctx.peak;
+  peak.net = std::max(peak.net, future_net);
+  // Every plan below has at least these costs, so it cannot win the tie-break ...
+  ResourceVector cost;
+  for (Resource r : kAllResources) {
+    cost[r] = (peak[r] - model_.l_min()[r]) * cost_scale_[r];
+  }
+  // A plan that ties the incumbent on every key still beats it, so only a worse sum loses.
+  double max = cost.Max();
+  double sum = cost.Sum();
+  bool loses_sum =
+      lead.incumbent ? sum > lead.sum + kPickTolerance : sum >= lead.sum - kPickTolerance;
+  if (max <= lead.max + kPickTolerance && (max < lead.max - kPickTolerance || !loses_sum)) {
+    return false;
+  }
+  // ... and at least this utilization, so it cannot win on utilization either. A worker
+  // with the peak load of a dimension has at most the largest capacity in it, so this is
+  // at most the bottleneck utilization, and equal to it on a homogeneous cluster.
+  return std::max({peak.cpu / max_capacity_.cpu, peak.io / max_capacity_.io,
+                   peak.net / max_capacity_.net}) >= lead.util;
 }
 
 void CapsSearch::PlaceOp(Ctx& ctx, size_t layer, bool backtracked) {
@@ -772,14 +840,23 @@ void CapsSearch::InnerSearch(Ctx& ctx, size_t layer, WorkerId w, int remaining,
   bool first = true;
   auto try_count = [&](int c) {
     LayerPath next = path;
+    if (kCuts == Cuts::kNet && branch_and_bound_) {
+      // The remaining - c tasks go to later workers, each adding `gain` to this one.
+      next.future_net = std::max(next.future_net, ctx.load[static_cast<size_t>(w)].net +
+                                                      (remaining - c) * gain);
+    }
     if (kCuts == Cuts::kNet && loses_host(c, next)) {
       pruned_.fetch_add(1, std::memory_order_relaxed);
     } else if (c < dead_above) {
+      ResourceVector peak = ctx.peak;
       ApplyPlacement(ctx, layer, w, c);
       if (ctx.num_violating > 0) {
         pruned_.fetch_add(1, std::memory_order_relaxed);
         dead_above = c;
       } else if (kCuts == Cuts::kNet && breaks_later(c, next)) {
+        pruned_.fetch_add(1, std::memory_order_relaxed);
+      } else if (branch_and_bound_ && CannotBeatLead(ctx, next.future_net)) {
+        // Not a dead_above: a larger count raises the loads but lowers future_net.
         pruned_.fetch_add(1, std::memory_order_relaxed);
       } else {
         // Without cuts: free capacity of workers beyond w+1 is untouched by placements at w.
@@ -791,6 +868,7 @@ void CapsSearch::InnerSearch(Ctx& ctx, size_t layer, WorkerId w, int remaining,
                            next);
       }
       UndoPlacement(ctx, layer, w, c);
+      ctx.peak = peak;
     }
     first = false;
     return !stop_.load(std::memory_order_relaxed);
@@ -824,16 +902,32 @@ void CapsSearch::InnerSearch(Ctx& ctx, size_t layer, WorkerId w, int remaining,
   }
 }
 
-void CapsSearch::LowerBounds(double util, const ResourceVector& cost) {
-  if (util < best_util_.load(std::memory_order_relaxed)) {
-    best_util_.store(util, std::memory_order_relaxed);
+void CapsSearch::LowerBounds(double util, const ResourceVector& cost, bool incumbent) {
+  Lead lead = lead_;
+  double max = cost.Max();
+  double sum = cost.Sum();
+  if (util < lead.util) {
+    lead = Lead{.util = util, .max = max, .sum = sum, .tie_cost = lead.tie_cost,
+                .incumbent = incumbent};
+  } else if (util <= lead.util + kPickTolerance &&
+             (lead.incumbent ? !BetterTie(lead.max, lead.sum, max, sum)
+                             : BetterTie(max, sum, lead.max, lead.sum))) {
+    // A leaf takes the lead by the tie-break, and from the incumbent also by a tie.
+    lead.max = max;
+    lead.sum = sum;
+    lead.incumbent = false;
   }
   // At the floor no plan beats this candidate by more than the tolerance on utilization,
-  // so a plan that beats it ties and wins the BetterCost tie-break: its max cost is at
-  // most this one's. Half the tolerance absorbs the rounding of both utilizations.
-  if (util <= util_floor_ + kPickTolerance / 2 &&
-      cost.Max() < tie_cost_.load(std::memory_order_relaxed)) {
-    tie_cost_.store(cost.Max(), std::memory_order_relaxed);
+  // so a plan that beats or, for the incumbent, ties it ties on utilization and wins or
+  // ties the tie-break: its max cost is at most this one's plus the tolerance. Half the
+  // tolerance absorbs the rounding of both utilizations.
+  if (util <= util_floor_ + kPickTolerance / 2) {
+    lead.tie_cost = std::min(lead.tie_cost, max);
+  }
+  if (lead.util != lead_.util || lead.max != lead_.max || lead.sum != lead_.sum ||
+      lead.tie_cost != lead_.tie_cost || lead.incumbent != lead_.incumbent) {
+    lead_ = lead;
+    lead_version_.fetch_add(1, std::memory_order_release);
   }
 }
 
@@ -879,13 +973,19 @@ void CapsSearch::AtLeaf(Ctx& ctx) {
   };
 
   std::lock_guard<std::mutex> lock(result_mu_);
-  if (!result_.found || BetterPick(util, cost, best_leaf_util_, result_.best.cost)) {
+  bool better = options_.incumbent.has_value()
+                    ? BetterPick(util, cost, best_leaf_util_, result_.best.cost)
+                    : BetterCost(cost, result_.best.cost);
+  if (!result_.found || better) {
     result_.best = ScoredPlan{build_plan(), cost};
     best_leaf_util_ = util;
   }
   result_.found = true;
   if (branch_and_bound_) {
-    LowerBounds(util, cost);
+    LowerBounds(util, cost, /*incumbent=*/false);
+    // The walk goes on from this leaf with the lead it set.
+    ctx.lead = lead_;
+    ctx.lead_version = lead_version_.load(std::memory_order_relaxed);
   }
   if (options_.collect_plans && result_.collected.size() < kMaxCollected) {
     result_.collected.push_back(ScoredPlan{build_plan(), cost});
@@ -925,11 +1025,13 @@ SearchResult CapsSearch::Run() {
     incumbent = ScoredPlan{*options_.incumbent, model_.Cost(*options_.incumbent)};
     incumbent_util = MaxUtilization(model_, incumbent->placement);
     if (branch_and_bound_) {
-      LowerBounds(incumbent_util, incumbent->cost);
+      LowerBounds(incumbent_util, incumbent->cost, /*incumbent=*/true);
     }
   }
   // One full scan seeds the violation count; Apply/UndoPlacement keep it exact after.
-  SetBounds(root, best_util_.load(), tie_cost_.load());
+  root.lead = lead_;
+  root.lead_version = lead_version_.load();
+  SetBounds(root, lead_.util, lead_.tie_cost);
 
   {
     Span explore("caps.search.explore");

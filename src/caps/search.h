@@ -24,14 +24,17 @@
 // order, so the find-first plan and the collected plans do not change; only the node and
 // pruned counts do (DESIGN.md §10).
 //
-// Incumbent bound: given an incumbent plan, the search returns the plan with the lowest
-// MaxUtilization, ties within 1e-9 broken by BetterCost, among the incumbent and the
-// satisfying leaves. An exploring search is then a branch and bound on that objective: a
-// plan that can still win keeps every worker within (u* + 1e-9) x its capacity, u* being
-// the lowest utilization seen so far, so that box tightens the Eq. 10 bound of each worker
-// as better plans turn up. Once a candidate reaches a floor no plan's utilization goes
-// below, only the BetterCost tie-break can still pick another plan, and its max cost
-// bounds every load as a threshold would (DESIGN.md §10, "Incumbent bound").
+// Incumbent bound: given an incumbent plan, the search returns the pick among the incumbent
+// and the satisfying leaves by MaxUtilization, then max cost, then cost sum, where a plan
+// wins a key only by more than 1e-9 and full ties go to the first leaf in DFS order, the
+// incumbent last. An exploring search is then a branch and bound on that order: a plan
+// that can still win keeps every worker within (u* + 1e-9) x its capacity, u* being the
+// lowest utilization seen so far, so that box tightens the Eq. 10 bound of each worker as
+// better plans turn up. Once a candidate reaches a floor no plan's utilization goes below,
+// only the tie-break can still pick another plan, and its max cost bounds every load as a
+// threshold would. Below a node whose bottleneck utilization already reaches u*, a plan
+// can win only the tie-break, so the subtree is cut once its partial costs lose that to
+// the lead candidate (DESIGN.md §10, "Incumbent bound").
 #ifndef SRC_CAPS_SEARCH_H_
 #define SRC_CAPS_SEARCH_H_
 
@@ -76,9 +79,10 @@ struct SearchOptions {
   // stops one node past it on every run (n threads: up to n nodes past it).
   uint64_t max_nodes = std::numeric_limits<uint64_t>::max();
   // A plan to beat, not a tuning knob. When set, SearchResult::best is the pick among it
-  // and the satisfying leaves by MaxUtilization, ties within 1e-9 broken by BetterCost,
-  // and a search that neither stops at the first plan nor collects plans cuts
-  // every subtree whose plans cannot beat the best candidate so far.
+  // and the satisfying leaves by MaxUtilization, then max cost, then cost sum, each key
+  // tied within 1e-9, with full ties going to the first leaf and the incumbent last; and a
+  // search that neither stops at the first plan nor collects plans cuts every subtree
+  // whose plans cannot beat the best candidate so far.
   std::optional<Placement> incumbent;
 };
 
@@ -125,6 +129,20 @@ class CapsSearch {
 
  private:
   struct Ctx;
+  // Branch and bound: the lead candidate, which a plan must beat to be picked. `util` is the
+  // lowest utilization of a candidate (the incumbent box's u*), and `max` and `sum` are the
+  // cost of the best candidate by the tie-break among those within 1e-9 above it; a lower
+  // utilization resets them. `incumbent` is set while that candidate is the incumbent,
+  // which comes last in the pick order, so a plan that ties it still beats it. `tie_cost`
+  // is the lowest max cost of a candidate whose utilization reaches util_floor_ (the
+  // tie-break box).
+  struct Lead {
+    double util = std::numeric_limits<double>::infinity();
+    double max = std::numeric_limits<double>::infinity();
+    double sum = std::numeric_limits<double>::infinity();
+    double tie_cost = std::numeric_limits<double>::infinity();
+    bool incumbent = false;
+  };
 
   // `backtracked` is false only on the DFS's first path, where every choice so far was the
   // first count tried. Layers entered on that path set up no lookahead cuts, so searches
@@ -139,6 +157,9 @@ class CapsSearch {
     // Tasks of the layer's later receiver that the workers before `w` must take so their
     // traffic toward its other tasks stays within the bound (see later_receiver_).
     int receiver_need = 0;
+    // The network load some worker before `w` reaches once the layer's tasks it did not
+    // take are placed: its load plus their inbound gain (read by the subtree tie cut).
+    double future_net = 0.0;
   };
   // The lookahead a layer entry sets up: the layer is cut (kDead), or its inner nodes run
   // without cuts (kNone: plain free-slot capacities), with the fit suffix (kFits), or with
@@ -167,19 +188,25 @@ class CapsSearch {
   // empty range (first > second) when none can.
   std::pair<int, int> HostRange(const Ctx& ctx, size_t layer, WorkerId v, int fit) const;
   void AtLeaf(Ctx& ctx);
-  // Branch and bound: lowers best_util_ and tie_cost_ for a candidate with utilization
-  // `util` and cost `cost`. Called under result_mu_ or before the search starts.
-  void LowerBounds(double util, const ResourceVector& cost);
+  // Branch and bound: lowers lead_ for a candidate with utilization `util` and cost `cost`,
+  // the incumbent or a leaf. Called under result_mu_ or before the search starts.
+  void LowerBounds(double util, const ResourceVector& cost, bool incumbent);
   bool ShouldStop();
   // Sets the context's per-worker bound and limit rows for the lowest candidate
   // utilization `util` and the tie-break bound `tie_cost` (infinite: Eq. 10 alone) and
   // recounts its violating workers.
   void SetBounds(Ctx& ctx, double util, double tie_cost) const;
-  // Branch and bound, at layer entry: adopts the boxes of better candidates found since
-  // the context last looked, by this thread or another. False when a worker already
-  // breaks them, which kills the subtree since loads only grow. Kept out of PlaceOp's
-  // body, which stays small enough for the compiler to keep the recursion fast.
-  bool AdoptBounds(Ctx& ctx) const;
+  // Branch and bound, at layer entry: adopts the lead and the boxes of better candidates
+  // found since the context last looked, by this thread or another. False when a worker
+  // already breaks them or the subtree tie cut applies, which kills the subtree since loads
+  // only grow. Kept out of PlaceOp's body, which stays small enough for the compiler to
+  // keep the recursion fast.
+  bool AdoptBounds(Ctx& ctx);
+  // Subtree tie cut: true when no plan below the context's state beats the context's lead.
+  // Its bottleneck utilization already reaches the lead's, so a plan below can win only
+  // the tie-break, and its costs already lose that (DESIGN.md §10, "Incumbent bound").
+  // `future_net` is a network load some worker reaches in every plan below.
+  bool CannotBeatLead(const Ctx& ctx, double future_net) const;
   // Applies / reverts the load deltas of placing `count` tasks of the layer's operator on
   // worker `w`, including resolved cross-worker network contributions. Maintains the
   // incremental search state (per-operator placed totals, per-operator host lists, and the
@@ -237,20 +264,23 @@ class CapsSearch {
   std::atomic<uint64_t> pruned_{0};
   std::atomic<bool> timed_out_{false};
   std::atomic<bool> budget_hit_{false};
-  // Branch and bound: the lowest utilization of a candidate so far (the incumbent's, then
-  // the leaves'), and the lowest max cost of a candidate whose utilization reaches
-  // util_floor_. Contexts adopt both at layer entry, offloaded subtrees included.
-  std::atomic<double> best_util_{std::numeric_limits<double>::infinity()};
-  std::atomic<double> tie_cost_{std::numeric_limits<double>::infinity()};
+  // Branch and bound: what a plan must beat, from the candidates so far (the incumbent,
+  // then the leaves). Written under result_mu_, and every change bumps lead_version_;
+  // contexts, offloaded subtrees included, copy it at layer entry when the version moved.
+  Lead lead_;
+  std::atomic<uint64_t> lead_version_{0};
   // A utilization no plan goes below (branch and bound only): once a candidate reaches it,
-  // no plan beats that candidate on utilization, only on the BetterCost tie-break.
+  // no plan beats that candidate on utilization, only on the tie-break.
   double util_floor_ = 0.0;
+  // The largest capacity of a worker per dimension, and the factor CostOfLoad scales a
+  // load above l_min by (branch and bound only).
+  ResourceVector max_capacity_;
+  ResourceVector cost_scale_;
   std::chrono::steady_clock::time_point start_;
 
   std::mutex result_mu_;
   SearchResult result_;
-  // Utilization of the best leaf. Without an incumbent every leaf scores 0, which leaves
-  // BetterCost as the whole pick.
+  // Utilization of the best leaf; 0 without an incumbent, where BetterCost is the pick.
   double best_leaf_util_ = 0.0;
 };
 

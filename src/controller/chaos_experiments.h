@@ -44,7 +44,7 @@ struct ChaosExperimentOptions {
   // Minimum gap before re-upscaling onto restored workers (prevents reconfiguration storms
   // when workers churn).
   double upscale_cooldown_s = 30.0;
-  int search_threads = 2;
+  int search_threads = 1;  // DeployOptions::search_threads
   uint64_t seed = 1;
 };
 

@@ -27,7 +27,9 @@ struct DeployOptions {
   // Size parallelism with DS2 from the profiled costs; when false, the query's configured
   // parallelism is kept (the motivation-study setups fix parallelism explicitly).
   bool use_ds2_sizing = false;
-  int search_threads = 2;
+  // Threads of the final search. One thread picks the same plan on every run; more make
+  // the pick depend on which thread reaches a tied plan first.
+  int search_threads = 1;
   AutoTuneOptions autotune;
   uint64_t seed = 1;  // randomness for the Flink baseline policies
   // Optional precomputed thresholds (paper §5.2): when set and the cache holds an entry for

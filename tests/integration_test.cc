@@ -1,18 +1,13 @@
 // End-to-end integration sweep: every evaluation query under every placement policy runs
 // the full pipeline (profiling -> DS2 sizing -> placement -> simulation) and CAPS never
 // performs worse than the baselines (parameterized, the repo-level version of Fig. 7).
-// Also the one instance of the repository whose final search reaches its node budget.
 #include <gtest/gtest.h>
 
 #include <map>
 #include <string>
 #include <tuple>
 
-#include "src/caps/greedy.h"
-#include "src/caps/plan.h"
 #include "src/controller/deployment.h"
-#include "src/controller/profiler.h"
-#include "src/dataflow/rates.h"
 #include "src/nexmark/queries.h"
 
 namespace capsys {
@@ -93,45 +88,6 @@ TEST_P(BaselineSeedSweep, BaselinePlansAlwaysExecutable) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, BaselineSeedSweep, ::testing::Range(1, 9));
-
-// The merged Q1 + Q4 + Q6 tenants of examples/multitenant_cluster.cpp, DS2-sized to 23
-// tasks on 8 m5d.2xlarge workers: a branch and bound that does not end within
-// kFinalSearchNodeBudget. On one thread it stops one node past the budget on every run and
-// returns the best candidate found by then, which the greedy incumbent bounds. (It walks
-// 2 M nodes per plan, so it stays out of the sanitizer-labelled tests.)
-TEST(FinalSearchBudgetTest, MultitenantPlanStopsAtTheNodeBudget) {
-  Cluster cluster(8, WorkerSpec::M5d2xlarge(8));
-  LogicalGraph merged("tenants");
-  std::map<OperatorId, double> source_rates;
-  for (const char* name : {"q1", "q4", "q6"}) {
-    QuerySpec q = BuildQueryByName(name);
-    q.ScaleRates(2.0);
-    OperatorId offset = merged.Merge(q.graph);
-    for (const auto& [op, rate] : q.source_rates) {
-      source_rates[op + offset] = rate;
-    }
-  }
-  DeployOptions sizing;
-  sizing.policy = PlacementPolicy::kFlinkDefault;  // only the DS2-sized graph is needed
-  sizing.use_ds2_sizing = true;
-  Deployment d = CapsysController(cluster, sizing).DeployGraph(merged, source_rates);
-  ASSERT_EQ(d.physical.num_tasks(), 23);
-  CostModel model(d.physical, cluster,
-                  DemandsFromMeasuredCosts(d.physical, d.costs,
-                                           PropagateRates(d.graph, d.source_rates)));
-  PlannedPlacement first = PlanPlacement(model, std::nullopt, AutoTuneOptions{}, 1, 48);
-  EXPECT_TRUE(first.search.budget_hit);
-  EXPECT_FALSE(first.search.timed_out);
-  EXPECT_EQ(first.search.nodes, kFinalSearchNodeBudget + 1);
-  EXPECT_EQ(first.placement.Validate(d.physical, cluster), "");
-  EXPECT_LE(MaxUtilization(model, first.placement),
-            MaxUtilization(model, GreedyBalancedPlacement(model)));
-  PlannedPlacement again = PlanPlacement(model, std::nullopt, AutoTuneOptions{}, 1, 48);
-  EXPECT_EQ(again.alpha, first.alpha);
-  EXPECT_TRUE(again.placement == first.placement);
-  EXPECT_EQ(again.cost, first.cost);
-  EXPECT_EQ(again.search.nodes, first.search.nodes);
-}
 
 }  // namespace
 }  // namespace capsys

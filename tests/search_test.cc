@@ -6,11 +6,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 #include <set>
 
 #include "src/caps/cost_model.h"
 #include "src/caps/greedy.h"
 #include "src/caps/plan.h"
+#include "src/controller/deployment.h"
+#include "src/controller/profiler.h"
 #include "src/dataflow/rates.h"
 #include "src/nexmark/queries.h"
 
@@ -445,9 +448,7 @@ TEST(PlanPlacementTest, PicksLowestMaxUtilizationCandidate) {
 // with uneven free slots. The auto-tune probes and the final search stop at node budgets, and the wall-clock safety
 // stops of auto-tuning lie beyond any probe, so two plans of one shape agree in placement,
 // cost and node count however loaded or slow the machine. No final search here reaches its
-// budget. A 4-thread search picks a plan of the same utilization and max cost. (BetterCost
-// compares max costs exactly, so their rounding, which depends on the visit order, can
-// decide between plans tied up to a few ulps and leave different cost sums.)
+// budget. A 4-thread search picks a plan of the same utilization, max cost and cost sum.
 TEST(PlanPlacementTest, ServiceShapesDoNotDependOnTheWallClock) {
   const AutoTuneOptions tune{.timeout_s = 600.0, .probe_timeout_s = 60.0};
   const std::vector<std::vector<int>> free_slots = {{13, 4, 9, 16, 2, 7}, {4, 16, 12, 9, 16, 3}};
@@ -473,8 +474,46 @@ TEST(PlanPlacementTest, ServiceShapesDoNotDependOnTheWallClock) {
       EXPECT_NEAR(MaxUtilization(model, threaded.placement),
                   MaxUtilization(model, first.placement), 1e-9);
       EXPECT_NEAR(threaded.cost.Max(), first.cost.Max(), 1e-9);
+      EXPECT_NEAR(threaded.cost.Sum(), first.cost.Sum(), 1e-9);
     }
   }
+}
+
+// The merged Q1 + Q4 + Q6 tenants of examples/multitenant_cluster.cpp, DS2-sized to 23
+// tasks on 8 m5d.2xlarge workers: the widest branch and bound of the repository. One
+// thread ends it inside kFinalSearchNodeBudget at MaxUtilization 0.740, well below the
+// greedy plan's 0.835, with the same plan and node count on every run.
+TEST(PlanPlacementTest, MultitenantPlanEndsInsideTheNodeBudget) {
+  Cluster cluster(8, WorkerSpec::M5d2xlarge(8));
+  LogicalGraph merged("tenants");
+  std::map<OperatorId, double> source_rates;
+  for (const char* name : {"q1", "q4", "q6"}) {
+    QuerySpec q = BuildQueryByName(name);
+    q.ScaleRates(2.0);
+    OperatorId offset = merged.Merge(q.graph);
+    for (const auto& [op, rate] : q.source_rates) {
+      source_rates[op + offset] = rate;
+    }
+  }
+  DeployOptions sizing;
+  sizing.policy = PlacementPolicy::kFlinkDefault;  // only the DS2-sized graph is needed
+  sizing.use_ds2_sizing = true;
+  Deployment d = CapsysController(cluster, sizing).DeployGraph(merged, source_rates);
+  ASSERT_EQ(d.physical.num_tasks(), 23);
+  CostModel model(d.physical, cluster,
+                  DemandsFromMeasuredCosts(d.physical, d.costs,
+                                           PropagateRates(d.graph, d.source_rates)));
+  const AutoTuneOptions tune{.timeout_s = 600.0, .probe_timeout_s = 60.0};
+  PlannedPlacement first = PlanPlacement(model, std::nullopt, tune, 1, 48);
+  EXPECT_FALSE(first.search.budget_hit);
+  EXPECT_FALSE(first.search.timed_out);
+  EXPECT_EQ(first.placement.Validate(d.physical, cluster), "");
+  EXPECT_LE(MaxUtilization(model, first.placement), 0.7403);
+  PlannedPlacement again = PlanPlacement(model, std::nullopt, tune, 1, 48);
+  EXPECT_EQ(again.alpha, first.alpha);
+  EXPECT_TRUE(again.placement == first.placement);
+  EXPECT_EQ(again.cost, first.cost);
+  EXPECT_EQ(again.search.nodes, first.search.nodes);
 }
 
 TEST(PlanPlacementTest, AutoTunesWhenNoAlphaIsGiven) {
