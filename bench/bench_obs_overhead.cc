@@ -29,7 +29,6 @@ double Workload() {
   DeployOptions options;
   options.policy = PlacementPolicy::kCaps;
   options.use_ds2_sizing = true;
-  options.search_threads = 2;
   CapsysController controller(cluster, options);
   Deployment d = controller.Deploy(q);
   FluidSimulator sim(d.physical, cluster, d.placement);

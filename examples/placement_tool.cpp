@@ -80,7 +80,8 @@ int main(int argc, char** argv) {
     placement = d.placement;
     decision_s = d.decision_time_s;
     if (options.policy == PlacementPolicy::kCaps) {
-      std::printf("auto-tuned alpha: %s\nplan cost:        %s\n", d.alpha.ToString().c_str(),
+      // α is auto-tuned for find-first instances and all ones for a branch and bound.
+      std::printf("search alpha:     %s\nplan cost:        %s\n", d.alpha.ToString().c_str(),
                   d.plan_cost.ToString().c_str());
     }
   }

@@ -32,17 +32,10 @@ bool BetterTie(double max, double sum, double best_max, double best_sum) {
   return sum < best_sum - kPickTolerance;
 }
 
-// The pick order of SearchOptions::incumbent: true when a plan with utilization `util` and
-// cost `cost` beats the one with `best_util` and `best_cost`. Utilization, max cost and
-// cost sum are compared in turn, and a plan wins a key only by more than the tolerance, so
-// the rounding of the incrementally kept loads decides no pick.
-bool BetterPick(double util, const ResourceVector& cost, double best_util,
-                const ResourceVector& best_cost) {
-  if (std::abs(util - best_util) > kPickTolerance) {
-    return util < best_util;
-  }
-  return BetterTie(cost.Max(), cost.Sum(), best_cost.Max(), best_cost.Sum());
-}
+// The band edge of the pick (SearchOptions::incumbent): a candidate whose utilization is
+// above it, the lowest candidate utilization being `u_min`, cannot be picked. The tolerance
+// absorbs the rounding of the incrementally kept loads.
+double BandEdge(double u_min) { return u_min * (1.0 + kUtilBand) + kPickTolerance; }
 
 // A utilization no plan of `model` goes below, given each operator's task demand and
 // parallelism. Network load vanishes when tasks share a worker, so only cpu and io give a
@@ -112,8 +105,8 @@ struct CapsSearch::Ctx {
   std::vector<std::vector<WorkerId>> op_workers;  // workers hosting each operator
   int free_slots = 0;
   int num_violating = 0;
-  // Per-worker load bound: Eq. 10, tightened under branch and bound by the incumbent box
-  // for the lowest candidate utilization `bound_util` and by the tie-break box for the max
+  // Per-worker load bound: Eq. 10, tightened under branch and bound by the band edge of
+  // the lowest candidate utilization `bound_util` and by the tie-break box for the max
   // cost `bound_tie_cost`. `limit` is what the lookahead cuts test against: the bound plus
   // a slack far above the rounding of the incrementally kept loads, so a cut never removes
   // a leaf the bound check would keep; infinite in unbounded dimensions. Written only by
@@ -123,8 +116,8 @@ struct CapsSearch::Ctx {
   double bound_util = kInf;
   double bound_tie_cost = kInf;
   // Branch and bound: the context's copy of CapsSearch::lead_ as of `lead_version`. The
-  // subtree tie cut reads it at every inner node, so it is one candidate's triple, never a
-  // mix of two. The bound rows above follow it at layer entry.
+  // subtree tie cut reads it at every inner node, so its utilization and costs are one
+  // candidate's, never a mix of two. The bound rows above follow it at layer entry.
   Lead lead;
   uint64_t lead_version = 0;
   // Branch and bound: the largest load per dimension over the workers, which the subtree
@@ -349,17 +342,18 @@ bool CapsSearch::Violates(const Ctx& ctx, WorkerId w) const {
          load.net > bound.net + kEps;
 }
 
-void CapsSearch::SetBounds(Ctx& ctx, double util, double tie_cost) const {
+void CapsSearch::SetBounds(Ctx& ctx, double u_min, double tie_cost) const {
   size_t num_workers = ctx.num_workers();
   ctx.bound.resize(num_workers);
   ctx.limit.resize(num_workers);
-  ctx.bound_util = util;
+  ctx.bound_util = u_min;
   ctx.bound_tie_cost = tie_cost;
   ctx.num_violating = 0;
-  // A plan that can still be picked keeps every worker's utilization below util plus the
-  // tie tolerance, and once the tie-break decides, its max cost at most tie_cost plus the
+  // A plan that can still be picked keeps every worker's utilization within the band edge
+  // of u_min, and once the tie-break decides, its max cost at most tie_cost plus the
   // tolerance (DESIGN.md §10, "Incumbent bound").
-  bool boxed = util < kInf;
+  bool boxed = u_min < kInf;
+  double edge = BandEdge(u_min);
   ResourceVector tie_box;
   for (Resource r : kAllResources) {
     double span = model_.l_max()[r] - model_.l_min()[r];
@@ -372,8 +366,7 @@ void CapsSearch::SetBounds(Ctx& ctx, double util, double tie_cost) const {
     auto& bound = ctx.bound[static_cast<size_t>(w)];
     auto& limit = ctx.limit[static_cast<size_t>(w)];
     for (Resource r : kAllResources) {
-      bound[r] = boxed ? std::min({eq10_bound_[r], (util + kPickTolerance) * capacity[r],
-                                   tie_box[r]})
+      bound[r] = boxed ? std::min({eq10_bound_[r], edge * capacity[r], tie_box[r]})
                        : eq10_bound_[r];
       bool bounded = boxed || options_.alpha[r] < 1.0;
       limit[r] = bounded ? bound[r] + kEps + kLookaheadSlack * bound[r] : kInf;
@@ -659,8 +652,8 @@ bool CapsSearch::AdoptBounds(Ctx& ctx) {
     ctx.lead_version = lead_version_.load(std::memory_order_relaxed);
     adopted = true;
   }
-  if (ctx.lead.util < ctx.bound_util || ctx.lead.tie_cost < ctx.bound_tie_cost) {
-    SetBounds(ctx, ctx.lead.util, ctx.lead.tie_cost);
+  if (ctx.lead.u_min < ctx.bound_util || ctx.lead.tie_cost < ctx.bound_tie_cost) {
+    SetBounds(ctx, ctx.lead.u_min, ctx.lead.tie_cost);
   }
   // The count that led here passed the tie cut against the context's lead, so the cut only
   // needs to run again against a newly adopted one.
@@ -684,9 +677,10 @@ bool CapsSearch::CannotBeatLead(const Ctx& ctx, double future_net) const {
   if (max <= lead.max + kPickTolerance && (max < lead.max - kPickTolerance || !loses_sum)) {
     return false;
   }
-  // ... and at least this utilization, so it cannot win on utilization either. A worker
-  // with the peak load of a dimension has at most the largest capacity in it, so this is
-  // at most the bottleneck utilization, and equal to it on a homogeneous cluster.
+  // ... and at least this utilization, so whenever it is in the band the lead candidate is
+  // too, whatever lower utilization turns up later. A worker with the peak load of a
+  // dimension has at most the largest capacity in it, so this is at most the bottleneck
+  // utilization, and equal to it on a homogeneous cluster.
   return std::max({peak.cpu / max_capacity_.cpu, peak.io / max_capacity_.io,
                    peak.net / max_capacity_.net}) >= lead.util;
 }
@@ -902,33 +896,70 @@ void CapsSearch::InnerSearch(Ctx& ctx, size_t layer, WorkerId w, int remaining,
   }
 }
 
-void CapsSearch::LowerBounds(double util, const ResourceVector& cost, bool incumbent) {
-  Lead lead = lead_;
+template <typename Build>
+void CapsSearch::AddCandidate(double util, const ResourceVector& cost, bool incumbent,
+                              Build build) {
   double max = cost.Max();
   double sum = cost.Sum();
-  if (util < lead.util) {
-    lead = Lead{.util = util, .max = max, .sum = sum, .tie_cost = lead.tie_cost,
-                .incumbent = incumbent};
-  } else if (util <= lead.util + kPickTolerance &&
-             (lead.incumbent ? !BetterTie(lead.max, lead.sum, max, sum)
-                             : BetterTie(max, sum, lead.max, lead.sum))) {
-    // A leaf takes the lead by the tie-break, and from the incumbent also by a tie.
-    lead.max = max;
-    lead.sum = sum;
-    lead.incumbent = false;
-  }
-  // At the floor no plan beats this candidate by more than the tolerance on utilization,
-  // so a plan that beats or, for the incumbent, ties it ties on utilization and wins or
-  // ties the tie-break: its max cost is at most this one's plus the tolerance. Half the
-  // tolerance absorbs the rounding of both utilizations.
-  if (util <= util_floor_ + kPickTolerance / 2) {
+  Lead lead = lead_;
+  lead.u_min = std::min(lead.u_min, util);
+  // Every plan's utilization is at least the floor, so a candidate within the band of the
+  // floor stays in the band: the pick wins or ties its tie-break, and so has a max cost at
+  // most this one's plus the tolerance.
+  if (util <= util_floor_ * (1.0 + kUtilBand)) {
     lead.tie_cost = std::min(lead.tie_cost, max);
   }
-  if (lead.util != lead_.util || lead.max != lead_.max || lead.sum != lead_.sum ||
-      lead.tie_cost != lead_.tie_cost || lead.incumbent != lead_.incumbent) {
+  // True when front candidate `c` comes before the new one in the tie-break: it wins it,
+  // or ties it as a leaf, since leaves come in DFS order and the incumbent, which is always
+  // the first candidate, last.
+  auto comes_first = [&](const Candidate& c) {
+    double c_max = c.plan.cost.Max();
+    double c_sum = c.plan.cost.Sum();
+    return c.incumbent ? BetterTie(c_max, c_sum, max, sum) : !BetterTie(max, sum, c_max, c_sum);
+  };
+  // A candidate that another one beats on both utilization and the tie-break is never
+  // picked: whenever it is in the band, so is the other one.
+  double edge = BandEdge(lead.u_min);
+  bool beaten = util > edge || std::any_of(front_.begin(), front_.end(), [&](const Candidate& c) {
+                  return c.util <= util && comes_first(c);
+                });
+  if (!beaten) {
+    std::erase_if(front_, [&](const Candidate& c) {
+      return c.util > edge || (c.util >= util && !comes_first(c));
+    });
+    front_.push_back(Candidate{.plan = ScoredPlan{build(), cost}, .util = util,
+                               .incumbent = incumbent});
+    const Candidate& pick = front_[BandPick()];
+    lead.util = pick.util;
+    lead.max = pick.plan.cost.Max();
+    lead.sum = pick.plan.cost.Sum();
+    lead.incumbent = pick.incumbent;
+  }
+  if (lead.u_min != lead_.u_min || lead.util != lead_.util || lead.max != lead_.max ||
+      lead.sum != lead_.sum || lead.tie_cost != lead_.tie_cost ||
+      lead.incumbent != lead_.incumbent) {
     lead_ = lead;
     lead_version_.fetch_add(1, std::memory_order_release);
   }
+}
+
+size_t CapsSearch::BandPick() const {
+  // front_ holds only candidates within the band. The leaves are ranked in the order they
+  // turned up and the incumbent last, and a later one takes the pick only by winning the
+  // tie-break.
+  size_t best = front_.size();
+  for (bool incumbent : {false, true}) {
+    for (size_t i = 0; i < front_.size(); ++i) {
+      const ResourceVector& c = front_[i].plan.cost;
+      if (front_[i].incumbent == incumbent &&
+          (best == front_.size() ||
+           BetterTie(c.Max(), c.Sum(), front_[best].plan.cost.Max(),
+                     front_[best].plan.cost.Sum()))) {
+        best = i;
+      }
+    }
+  }
+  return best;
 }
 
 void CapsSearch::AtLeaf(Ctx& ctx) {
@@ -973,16 +1004,13 @@ void CapsSearch::AtLeaf(Ctx& ctx) {
   };
 
   std::lock_guard<std::mutex> lock(result_mu_);
-  bool better = options_.incumbent.has_value()
-                    ? BetterPick(util, cost, best_leaf_util_, result_.best.cost)
-                    : BetterCost(cost, result_.best.cost);
-  if (!result_.found || better) {
+  if (options_.incumbent.has_value()) {
+    AddCandidate(util, cost, /*incumbent=*/false, build_plan);
+  } else if (!result_.found || BetterCost(cost, result_.best.cost)) {
     result_.best = ScoredPlan{build_plan(), cost};
-    best_leaf_util_ = util;
   }
   result_.found = true;
   if (branch_and_bound_) {
-    LowerBounds(util, cost, /*incumbent=*/false);
     // The walk goes on from this leaf with the lead it set.
     ctx.lead = lead_;
     ctx.lead_version = lead_version_.load(std::memory_order_relaxed);
@@ -1018,20 +1046,21 @@ SearchResult CapsSearch::Run() {
     hosts.reserve(static_cast<size_t>(cluster.num_workers()));
   }
   root.free_slots = cluster.total_slots();
-  // The incumbent gives the first boxes.
-  std::optional<ScoredPlan> incumbent;
-  double incumbent_util = kInf;
+  // The incumbent is the first candidate and gives the first boxes.
   if (options_.incumbent.has_value()) {
-    incumbent = ScoredPlan{*options_.incumbent, model_.Cost(*options_.incumbent)};
-    incumbent_util = MaxUtilization(model_, incumbent->placement);
-    if (branch_and_bound_) {
-      LowerBounds(incumbent_util, incumbent->cost, /*incumbent=*/true);
-    }
+    const Placement& incumbent = *options_.incumbent;
+    AddCandidate(MaxUtilization(model_, incumbent), model_.Cost(incumbent),
+                 /*incumbent=*/true, [&] { return incumbent; });
   }
   // One full scan seeds the violation count; Apply/UndoPlacement keep it exact after.
   root.lead = lead_;
   root.lead_version = lead_version_.load();
-  SetBounds(root, lead_.util, lead_.tie_cost);
+  // A search that is no branch and bound takes the incumbent only into the final pick.
+  if (branch_and_bound_) {
+    SetBounds(root, lead_.u_min, lead_.tie_cost);
+  } else {
+    SetBounds(root, kInf, kInf);
+  }
 
   {
     Span explore("caps.search.explore");
@@ -1046,11 +1075,8 @@ SearchResult CapsSearch::Run() {
     }
   }
 
-  // The incumbent comes last in the pick order, so it wins only by beating the best leaf.
-  if (incumbent.has_value() &&
-      (!result_.found ||
-       BetterPick(incumbent_util, incumbent->cost, best_leaf_util_, result_.best.cost))) {
-    result_.best = std::move(*incumbent);
+  if (options_.incumbent.has_value()) {
+    result_.best = std::move(front_[BandPick()].plan);
   }
   result_.stats.nodes = nodes_.load();
   result_.stats.leaves = leaves_.load();

@@ -24,17 +24,21 @@
 // order, so the find-first plan and the collected plans do not change; only the node and
 // pruned counts do (DESIGN.md §10).
 //
-// Incumbent bound: given an incumbent plan, the search returns the pick among the incumbent
-// and the satisfying leaves by MaxUtilization, then max cost, then cost sum, where a plan
-// wins a key only by more than 1e-9 and full ties go to the first leaf in DFS order, the
-// incumbent last. An exploring search is then a branch and bound on that order: a plan
-// that can still win keeps every worker within (u* + 1e-9) x its capacity, u* being the
-// lowest utilization seen so far, so that box tightens the Eq. 10 bound of each worker as
-// better plans turn up. Once a candidate reaches a floor no plan's utilization goes below,
-// only the tie-break can still pick another plan, and its max cost bounds every load as a
-// threshold would. Below a node whose bottleneck utilization already reaches u*, a plan
-// can win only the tie-break, so the subtree is cut once its partial costs lose that to
-// the lead candidate (DESIGN.md §10, "Incumbent bound").
+// Incumbent bound: given an incumbent plan, the search returns the band pick among the
+// incumbent and the satisfying leaves. With u* the lowest MaxUtilization of any of them, it
+// takes, among those within u* x (1 + kUtilBand), the lowest max cost and then the lowest
+// cost sum, where a plan wins a key only by more than 1e-9 and full ties go to the first
+// leaf in DFS order, the incumbent last. A lower utilization found later can push the
+// current pick out of the band, so the search keeps the candidates that no other beats on
+// both utilization and the tie-break. An exploring search is a branch and bound on the
+// pick, in one walk, with cuts that hold whatever lower utilization turns up later:
+//   - every worker stays within the band edge of the lowest utilization so far, which
+//     tightens the Eq. 10 bound as better plans turn up;
+//   - once a candidate is within the band of a floor no plan's utilization goes below, it
+//     stays in the band, and its max cost bounds every load as a threshold would;
+//   - a subtree whose bottleneck utilization already reaches the lead candidate's own is
+//     cut once its partial costs lose the tie-break to that candidate.
+// DESIGN.md §10, "Incumbent bound", has the argument.
 #ifndef SRC_CAPS_SEARCH_H_
 #define SRC_CAPS_SEARCH_H_
 
@@ -53,6 +57,11 @@
 #include "src/common/thread_pool.h"
 
 namespace capsys {
+
+// Relative MaxUtilization band of the incumbent pick (SearchOptions::incumbent): the plans
+// within this share above the lowest utilization are ranked by their costs. A utilization
+// lead of ~1e-4 does not predict simulated throughput, while the max cost does.
+inline constexpr double kUtilBand = 1e-3;
 
 struct SearchOptions {
   // Pruning thresholds per dimension; values >= 1 disable pruning in that dimension
@@ -78,11 +87,12 @@ struct SearchOptions {
   // Unlike timeout_s this budget does not depend on the machine: a single-threaded search
   // stops one node past it on every run (n threads: up to n nodes past it).
   uint64_t max_nodes = std::numeric_limits<uint64_t>::max();
-  // A plan to beat, not a tuning knob. When set, SearchResult::best is the pick among it
-  // and the satisfying leaves by MaxUtilization, then max cost, then cost sum, each key
-  // tied within 1e-9, with full ties going to the first leaf and the incumbent last; and a
-  // search that neither stops at the first plan nor collects plans cuts every subtree
-  // whose plans cannot beat the best candidate so far.
+  // A plan to beat, not a tuning knob. When set, SearchResult::best is the band pick among
+  // it and the satisfying leaves: the lowest max cost, then the lowest cost sum, among the
+  // candidates whose MaxUtilization is within kUtilBand of the lowest, each key tied within
+  // 1e-9, with full ties going to the first leaf and the incumbent last; and a search that
+  // neither stops at the first plan nor collects plans cuts every subtree whose plans
+  // cannot become that pick.
   std::optional<Placement> incumbent;
 };
 
@@ -104,8 +114,8 @@ struct SearchStats {
 
 struct SearchResult {
   bool found = false;  // some plan satisfies the thresholds
-  // The BetterCost-minimal satisfying plan; with an incumbent, the pick among it and the
-  // satisfying plans (SearchOptions::incumbent), so it is set even when nothing is found.
+  // The BetterCost-minimal satisfying plan; with an incumbent, the band pick among it and
+  // the satisfying plans (SearchOptions::incumbent), so it is set even when nothing is found.
   ScoredPlan best;
   std::vector<ScoredPlan> collected;  // all satisfying plans when collect_plans is set
   SearchStats stats;
@@ -129,18 +139,25 @@ class CapsSearch {
 
  private:
   struct Ctx;
-  // Branch and bound: the lead candidate, which a plan must beat to be picked. `util` is the
-  // lowest utilization of a candidate (the incumbent box's u*), and `max` and `sum` are the
-  // cost of the best candidate by the tie-break among those within 1e-9 above it; a lower
-  // utilization resets them. `incumbent` is set while that candidate is the incumbent,
-  // which comes last in the pick order, so a plan that ties it still beats it. `tie_cost`
-  // is the lowest max cost of a candidate whose utilization reaches util_floor_ (the
-  // tie-break box).
+  // Branch and bound: what a plan must beat to be picked. `u_min` is the lowest utilization
+  // of a candidate, whose band edge boxes every load. `util`, `max` and `sum` are the
+  // utilization and cost of the lead candidate, the band pick among the candidates so far;
+  // `incumbent` is set while that candidate is the incumbent, which comes last in the pick
+  // order, so a plan that ties it still beats it. `tie_cost` is the lowest max cost of a
+  // candidate within the band of util_floor_ (the tie-break box).
   struct Lead {
+    double u_min = std::numeric_limits<double>::infinity();
     double util = std::numeric_limits<double>::infinity();
     double max = std::numeric_limits<double>::infinity();
     double sum = std::numeric_limits<double>::infinity();
     double tie_cost = std::numeric_limits<double>::infinity();
+    bool incumbent = false;
+  };
+  // A candidate of the band pick that no other candidate beats on both utilization and
+  // the tie-break (front_).
+  struct Candidate {
+    ScoredPlan plan;
+    double util = 0.0;
     bool incumbent = false;
   };
 
@@ -188,24 +205,30 @@ class CapsSearch {
   // empty range (first > second) when none can.
   std::pair<int, int> HostRange(const Ctx& ctx, size_t layer, WorkerId v, int fit) const;
   void AtLeaf(Ctx& ctx);
-  // Branch and bound: lowers lead_ for a candidate with utilization `util` and cost `cost`,
-  // the incumbent or a leaf. Called under result_mu_ or before the search starts.
-  void LowerBounds(double util, const ResourceVector& cost, bool incumbent);
+  // Band pick: enters a candidate with utilization `util` and cost `cost`, the incumbent or
+  // a leaf, into front_ unless a candidate there beats it on both utilization and the
+  // tie-break, building its plan with `build` only then, and updates lead_. Called under
+  // result_mu_ or before the search starts.
+  template <typename Build>
+  void AddCandidate(double util, const ResourceVector& cost, bool incumbent, Build build);
+  // The index in front_ of the band pick among its candidates.
+  size_t BandPick() const;
   bool ShouldStop();
   // Sets the context's per-worker bound and limit rows for the lowest candidate
-  // utilization `util` and the tie-break bound `tie_cost` (infinite: Eq. 10 alone) and
-  // recounts its violating workers.
-  void SetBounds(Ctx& ctx, double util, double tie_cost) const;
+  // utilization `u_min` (its band edge boxes the loads) and the tie-break bound `tie_cost`
+  // (infinite: Eq. 10 alone) and recounts its violating workers.
+  void SetBounds(Ctx& ctx, double u_min, double tie_cost) const;
   // Branch and bound, at layer entry: adopts the lead and the boxes of better candidates
   // found since the context last looked, by this thread or another. False when a worker
   // already breaks them or the subtree tie cut applies, which kills the subtree since loads
   // only grow. Kept out of PlaceOp's body, which stays small enough for the compiler to
   // keep the recursion fast.
   bool AdoptBounds(Ctx& ctx);
-  // Subtree tie cut: true when no plan below the context's state beats the context's lead.
-  // Its bottleneck utilization already reaches the lead's, so a plan below can win only
-  // the tie-break, and its costs already lose that (DESIGN.md §10, "Incumbent bound").
-  // `future_net` is a network load some worker reaches in every plan below.
+  // Subtree tie cut: true when no plan below the context's state can become the pick. Its
+  // bottleneck utilization already reaches the lead candidate's own, so that candidate is
+  // in the band whenever a plan below is, and its costs already lose the tie-break to it
+  // (DESIGN.md §10, "Incumbent bound"). `future_net` is a network load some worker reaches
+  // in every plan below.
   bool CannotBeatLead(const Ctx& ctx, double future_net) const;
   // Applies / reverts the load deltas of placing `count` tasks of the layer's operator on
   // worker `w`, including resolved cross-worker network contributions. Maintains the
@@ -269,8 +292,8 @@ class CapsSearch {
   // contexts, offloaded subtrees included, copy it at layer entry when the version moved.
   Lead lead_;
   std::atomic<uint64_t> lead_version_{0};
-  // A utilization no plan goes below (branch and bound only): once a candidate reaches it,
-  // no plan beats that candidate on utilization, only on the tie-break.
+  // A utilization no plan goes below (branch and bound only): a candidate within the band
+  // of it stays in the band whatever lower utilization turns up later.
   double util_floor_ = 0.0;
   // The largest capacity of a worker per dimension, and the factor CostOfLoad scales a
   // load above l_min by (branch and bound only).
@@ -280,8 +303,10 @@ class CapsSearch {
 
   std::mutex result_mu_;
   SearchResult result_;
-  // Utilization of the best leaf; 0 without an incumbent, where BetterCost is the pick.
-  double best_leaf_util_ = 0.0;
+  // With an incumbent: the candidates within the band that no other candidate beats on
+  // both utilization and the tie-break, in the order they turned up. Small, since within
+  // the band a higher utilization must buy a better tie-break.
+  std::vector<Candidate> front_;
 };
 
 // Convenience: enumerate every distinct placement plan (no thresholds), returning plans

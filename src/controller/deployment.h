@@ -33,7 +33,8 @@ struct DeployOptions {
   AutoTuneOptions autotune;
   uint64_t seed = 1;  // randomness for the Flink baseline policies
   // Optional precomputed thresholds (paper §5.2): when set and the cache holds an entry for
-  // this graph on this cluster, its alpha skips the runtime auto-tuning step. Not owned.
+  // this graph on this cluster, the search runs under its alpha instead of auto-tuned
+  // thresholds (find-first instances) or all ones (branch and bound). Not owned.
   PlanCache* plan_cache = nullptr;
 };
 
@@ -43,9 +44,12 @@ struct Deployment {
   PhysicalGraph physical;
   Placement placement;
   std::vector<MeasuredCost> costs;  // profiled unit costs
-  ResourceVector alpha;             // auto-tuned thresholds (CAPS only)
+  // Thresholds of the CAPS search (CAPS only): auto-tuned for find-first instances, and
+  // (1, 1, 1) for branch and bound instances unless a plan cache gave them.
+  ResourceVector alpha;
   ResourceVector plan_cost;         // CAPS cost vector of the chosen plan
-  double decision_time_s = 0.0;     // placement computation incl. auto-tuning
+  // Placement computation: the search, and auto-tuning for find-first instances.
+  double decision_time_s = 0.0;
 };
 
 class CapsysController {

@@ -21,7 +21,6 @@ constexpr double kMetricsWindowS = 30.0;
 constexpr double kReconfigureDowntimeS = 5.0;
 // Fraction of the target a step must reach to count as "met".
 constexpr double kTargetFraction = 0.95;
-constexpr int kSearchThreads = 2;
 
 std::map<OperatorId, double> ScaledRates(const std::map<OperatorId, double>& base,
                                          double total_rate) {
@@ -54,7 +53,6 @@ ScalingRun RunScalingExperiment(const QuerySpec& query, const Cluster& cluster,
 
   DeployOptions deploy_options;
   deploy_options.policy = options.policy;
-  deploy_options.search_threads = kSearchThreads;
   deploy_options.seed = options.seed;
   CapsysController controller(cluster, deploy_options);
 

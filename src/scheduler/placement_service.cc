@@ -90,8 +90,9 @@ struct PlacementService::PlanRequest {
   std::map<OperatorId, double> source_rates;
   bool recovering = false;
   bool allow_degraded = false;
-  // Thresholds tuned for `graph` by an earlier plan of this session; a replan after a
-  // commit conflict reuses them and pays only for the search.
+  // Thresholds of an earlier plan of this session for `graph`: tuned for a find-first
+  // job, all ones for a branch and bound. A replan after a commit conflict reuses them and
+  // pays only for the search.
   std::optional<ResourceVector> tuned_alpha;
   ClusterSnapshot snap;  // taken by the dispatcher when it hands the session out
 };

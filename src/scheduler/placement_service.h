@@ -48,6 +48,8 @@ namespace capsys {
 struct SchedulerOptions {
   // Concurrent planner threads, each running one single-threaded plan at a time.
   int planner_threads = 2;
+  // Jobs with more tasks take the first plan within auto-tuned thresholds; smaller ones are
+  // searched by branch and bound, which is not tuned (PlanPlacement).
   int find_first_above_tasks = 32;
   // Wall-clock safety stops of auto-tuning; its node-budgeted probes end well before them.
   AutoTuneOptions autotune;
