@@ -97,11 +97,12 @@ BENCHMARK(BM_ExhaustiveEnumeration);
 struct SimFixture {
   static constexpr WorkerId kIdleWorker = 4;
   Q3Fixture f;
-  FluidSimulator sim{f.graph, Cluster(5, WorkerSpec::R5dXlarge(4)),
-                     GreedyBalancedPlacement(f.model)};
+  FluidSimulator sim;
   bool idle_io = false;
 
-  SimFixture() {
+  explicit SimFixture(double metrics_interval_s = 5.0)
+      : sim(f.graph, Cluster(5, WorkerSpec::R5dXlarge(4)), GreedyBalancedPlacement(f.model),
+            metrics_interval_s) {
     sim.SetAllSourceRates(f.q.TotalTargetRate());
     sim.RunFor(5.0);  // warm
   }
@@ -181,6 +182,22 @@ int RunPerfJson() {
     entries.emplace_back("sim_replay_tick_ns", BestOfNs([&] { s.sim.Step(); }, 100000, 5));
     if (s.ReplayedTicks() != replayed + 500000) {
       std::fprintf(stderr, "sim_replay_tick_ns: not every timed tick replayed\n");
+      return 1;
+    }
+  }
+
+  {  // One RunFor(1 s) of the replaying simulator at a 1 s flush interval: a whole interval
+     // replayed by copying the last flushed row. Each call appends a row to the metric
+     // table, and past about 6000 simulated seconds ten 0.1 s additions can fall short of
+     // the flush test, so the run stays short.
+    SimFixture s(/*metrics_interval_s=*/1.0);
+    s.sim.RunFor(2.0);  // one interval of replayed ticks, then one copied row
+    uint64_t replayed = s.ReplayedTicks();
+    uint64_t flushes = s.sim.replayed_flushes();
+    entries.emplace_back("sim_replay_interval_ns",
+                         BestOfNs([&] { s.sim.RunFor(1.0); }, 1000, 5));
+    if (s.ReplayedTicks() != replayed + 50000 || s.sim.replayed_flushes() != flushes + 5000) {
+      std::fprintf(stderr, "sim_replay_interval_ns: not every timed interval replayed\n");
       return 1;
     }
   }

@@ -36,6 +36,7 @@ FaultInjector::FaultInjector(const FaultSchedule& schedule, int num_workers, uin
       heartbeat_rng_(seed) {
   CAPSYS_CHECK(num_workers > 0);
   next_beat_s_.assign(static_cast<size_t>(num_workers), kHeartbeatIntervalS);
+  delivered_.reserve(static_cast<size_t>(num_workers));
 }
 
 void FaultInjector::AdvanceTo(double now, FluidSimulator* sim) {
@@ -87,8 +88,8 @@ void FaultInjector::ApplyCurrentState(FluidSimulator* sim) const {
   }
 }
 
-std::vector<WorkerId> FaultInjector::CollectHeartbeats(double now) {
-  std::vector<WorkerId> delivered;
+const std::vector<WorkerId>& FaultInjector::CollectHeartbeats(double now) {
+  delivered_.clear();
   for (size_t w = 0; w < next_beat_s_.size(); ++w) {
     while (next_beat_s_[w] <= now + 1e-9) {
       // A degraded worker heartbeats at a slowed cadence; a crashed worker skips the beat
@@ -97,12 +98,12 @@ std::vector<WorkerId> FaultInjector::CollectHeartbeats(double now) {
       bool emitted = !crashed_[w];
       bool lost = heartbeat_loss_p_ > 0.0 && heartbeat_rng_.Bernoulli(heartbeat_loss_p_);
       if (emitted && !lost) {
-        delivered.push_back(static_cast<WorkerId>(w));
+        delivered_.push_back(static_cast<WorkerId>(w));
       }
       next_beat_s_[w] += crashed_[w] ? kHeartbeatIntervalS : interval;
     }
   }
-  return delivered;
+  return delivered_;
 }
 
 std::string FaultInjector::ToString() const {

@@ -35,8 +35,8 @@ class FaultInjector {
   // Heartbeats due in (previous call, now] that actually reach the controller. Crashed
   // workers emit nothing; active metric dropout loses each beat with its probability;
   // degraded workers emit at a slowed cadence. Deterministic for a fixed seed and call
-  // pattern.
-  std::vector<WorkerId> CollectHeartbeats(double now);
+  // pattern. The returned buffer is reused: it holds this call's beats until the next call.
+  const std::vector<WorkerId>& CollectHeartbeats(double now);
 
   // Ground truth.
   bool IsCrashed(WorkerId w) const { return crashed_[static_cast<size_t>(w)]; }
@@ -57,6 +57,7 @@ class FaultInjector {
   double heartbeat_loss_p_ = 0.0;  // set by metric dropout episodes
 
   std::vector<double> next_beat_s_;
+  std::vector<WorkerId> delivered_;  // CollectHeartbeats' result, cleared on each call
   Rng heartbeat_rng_;
 };
 

@@ -235,6 +235,7 @@ void FluidSimulator::Step() {
     // filled tick_, so it would compute the same doubles: re-add them.
     ++replayed_ticks_;
   } else {
+    solved_in_interval_ = true;
     replaying_ = SolveTick();
     if (replaying_) {
       std::copy(failed_.begin(), failed_.end(), failed_snapshot_.begin());
@@ -458,8 +459,9 @@ void FluidSimulator::FlushMetrics() {
   if (pending_ticks_ == 0) {
     return;  // nothing accumulated since the last flush (e.g. double flush)
   }
-  last_flush_s_ = time_s_;
   const double count = pending_ticks_;
+  copyable_row_ticks_ = solved_in_interval_ ? 0 : pending_ticks_;
+  solved_in_interval_ = false;
   pending_ticks_ = 0;
   // Backpressure episode tracking: one onset event when the mean source backpressure
   // crosses the threshold, one cleared event when it drops back below.
@@ -474,16 +476,53 @@ void FluidSimulator::FlushMetrics() {
     backpressure_episode_ = above;
   }
   const size_t width = sums_.size();
-  const size_t base = means_.size();
-  flush_times_.push_back(time_s_);
-  means_.resize(base + width);
-  prefix_.resize(base + width);
+  const size_t base = AppendFlushRow();
   for (size_t k = 0; k < width; ++k) {
     double mean = sums_[k] / count;
     sums_[k] = 0.0;
     means_[base + k] = mean;
     prefix_[base + k] = (base == 0 ? 0.0 : prefix_[base - width + k]) + mean;
   }
+}
+
+size_t FluidSimulator::AppendFlushRow() {
+  last_flush_s_ = time_s_;
+  const size_t base = means_.size();
+  flush_times_.push_back(time_s_);
+  means_.resize(base + sums_.size());
+  prefix_.resize(base + sums_.size());
+  return base;
+}
+
+int FluidSimulator::TryReplayInterval(int max_ticks) {
+  // Stepping the interval would re-add the tick_ that filled the last row, as many times
+  // from zeroed sums_, and divide by the same count: the same doubles as that row.
+  const int n = copyable_row_ticks_;
+  if (n == 0 || n > max_ticks || pending_ticks_ != 0 || !replaying_ ||
+      !InputsMatchReplaySnapshot()) {
+    return 0;
+  }
+  // The interval must reach the flush test after exactly n ticks, counted with Step's own
+  // clock additions and test.
+  double t = time_s_;
+  for (int i = 1; i <= n; ++i) {
+    t += kTickS;
+    if ((t - last_flush_s_ >= metrics_interval_s_ - kEps) != (i == n)) {
+      return 0;
+    }
+  }
+  time_s_ = t;
+  ticks_ += static_cast<uint64_t>(n);
+  replayed_ticks_ += static_cast<uint64_t>(n);
+  ++replayed_flushes_;
+  // The copied mean leaves the backpressure episode where the last flush put it.
+  const size_t width = sums_.size();
+  const size_t base = AppendFlushRow();
+  for (size_t k = 0; k < width; ++k) {
+    means_[base + k] = means_[base - width + k];
+    prefix_[base + k] = prefix_[base - width + k] + means_[base + k];
+  }
+  return n;
 }
 
 MetricsRegistry FluidSimulator::ExportMetrics() const {
@@ -503,6 +542,7 @@ MetricsRegistry FluidSimulator::ExportMetrics() const {
   out.GetCounter("sim.0.flushes").Add(flush_times_.size());
   out.GetCounter("sim.0.ticks").Add(ticks_);
   out.GetCounter("sim.0.replayed_ticks").Add(replayed_ticks_);
+  out.GetCounter("sim.0.replayed_flushes").Add(replayed_flushes_);
   return out;
 }
 
@@ -550,8 +590,13 @@ void FluidSimulator::RunFor(double seconds) {
     span.AddAttr("sim_time_s", time_s_);
   }
   uint64_t replayed_before = replayed_ticks_;
-  for (int i = 0; i < steps; ++i) {
-    Step();
+  for (int i = 0; i < steps;) {
+    if (int replayed = TryReplayInterval(steps - i); replayed > 0) {
+      i += replayed;
+    } else {
+      Step();
+      ++i;
+    }
   }
   if (span.active()) {
     span.AddAttr("replayed", replayed_ticks_ - replayed_before);

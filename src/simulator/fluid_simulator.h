@@ -80,6 +80,10 @@ class FluidSimulator {
   // metric values instead of solving again; the result is bit-identical (counted in
   // replayed_ticks()).
   void Step();
+  // Advances by round(seconds / kTickS) ticks. Where the last flush interval was all
+  // replayed ticks and the next one would replay the same number of them, its flushed row
+  // is copied instead of stepping tick by tick; the result is bit-identical (counted in
+  // replayed_flushes()).
   void RunFor(double seconds);
 
   // Offset added to this simulator's local clock when stamping telemetry (structured
@@ -119,11 +123,15 @@ class FluidSimulator {
   ResourceVector WorkerUsage(WorkerId w, double from_s, double to_s) const;
 
   // Every recorded series under its "scope.id.metric" name, plus the sim.0.flushes,
-  // sim.0.ticks and sim.0.replayed_ticks counters: for telemetry bundles and tests. The
-  // registry is built on each call; bind it to a local before reading its series.
+  // sim.0.ticks, sim.0.replayed_ticks and sim.0.replayed_flushes counters: for telemetry
+  // bundles and tests. The registry is built on each call; bind it to a local before
+  // reading its series.
   MetricsRegistry ExportMetrics() const;
   // Ticks that replayed a fixed point instead of solving (see Step).
   uint64_t replayed_ticks() const { return replayed_ticks_; }
+  // Flushes whose row RunFor copied from the previous one (see RunFor); their ticks are
+  // counted in replayed_ticks() too.
+  uint64_t replayed_flushes() const { return replayed_flushes_; }
 
   double time_s() const { return time_s_; }
   const PhysicalGraph& graph() const { return graph_; }
@@ -136,6 +144,13 @@ class FluidSimulator {
  private:
   void RebuildStatics();
   void FlushMetrics();
+  // Appends a flush stamped time_s_ to the table and returns the offset of its row in
+  // means_ and prefix_; the caller fills the row.
+  size_t AppendFlushRow();
+  // Replays the whole flush interval that starts now by copying the last flushed row, when
+  // that is bit-identical to stepping it and it fits in `max_ticks` ticks. Returns the
+  // ticks it advanced: the row's tick count, or 0 when the interval must be stepped.
+  int TryReplayInterval(int max_ticks);
 
   PhysicalGraph graph_;
   Cluster cluster_;
@@ -238,6 +253,12 @@ class FluidSimulator {
   std::vector<double> prefix_;
   uint64_t ticks_ = 0;
   uint64_t replayed_ticks_ = 0;
+  uint64_t replayed_flushes_ = 0;
+  // Whether a tick since the last flush ran SolveTick, and the tick count of the last
+  // flushed row when every one of its ticks re-added the tick_ still held (else 0): the
+  // rows TryReplayInterval may copy.
+  bool solved_in_interval_ = false;
+  int copyable_row_ticks_ = 0;
 
   // Steady-state replay: after a solved tick that ended where it started, later ticks
   // re-add tick_ until RebuildStatics runs or a worker input differs from its snapshot.

@@ -488,25 +488,34 @@ uint64_t Bits(double v) { return std::bit_cast<uint64_t>(v); }
 
 struct ScriptedRun {
   std::map<std::string, std::vector<uint64_t>> series;  // time and value bits, interleaved
-  std::map<std::string, uint64_t> counters;             // all but sim.0.replayed_ticks
-  std::vector<uint64_t> reads;                          // controller-facing Operator* reads
+  std::map<std::string, uint64_t> counters;  // all but sim.0.replayed_{ticks,flushes}
+  std::vector<uint64_t> reads;               // controller-facing Operator* reads
   std::string events;
   uint64_t replayed_ticks = 0;
+  uint64_t replayed_flushes = 0;
 };
 
-ScriptedRun RunScript(bool force_full_solve) {
+// How the script advances the simulator: RunFor(kTickS) per tick, or RunFor(1 s) per flush
+// interval, which lets RunFor replay whole intervals. Every script change falls on a
+// multiple of 10 ticks, so both apply the same inputs before the same ticks.
+enum class Advance { kTick, kInterval };
+constexpr int kTicksPerInterval = 10;
+
+ScriptedRun RunScript(bool force_full_solve, Advance advance = Advance::kTick) {
   IdleWorkerFixture f;
-  FluidSimulator sim(f.graph, f.cluster, f.plan, /*metrics_interval_s=*/1.0);
+  FluidSimulator sim(f.graph, f.cluster, f.plan,
+                     /*metrics_interval_s=*/kTicksPerInterval * FluidSimulator::kTickS);
   EventLog::Global().Reset();
   EventLog::Global().Enable();
   ScriptedRun run;
-  for (int tick = 0; tick < kScriptTicks; ++tick) {
+  const int ticks_per_call = advance == Advance::kInterval ? kTicksPerInterval : 1;
+  for (int tick = 0; tick < kScriptTicks; tick += ticks_per_call) {
     ApplyScript(sim, tick);
     if (force_full_solve) {
       ForceFullSolve(sim, tick);
     }
-    sim.RunFor(FluidSimulator::kTickS);
-    if (tick % 40 == 39) {
+    sim.RunFor(ticks_per_call * FluidSimulator::kTickS);
+    if ((tick + ticks_per_call) % 40 == 0) {
       double t = sim.time_s();
       for (OperatorId op = 0; op < f.graph.num_operators(); ++op) {
         run.reads.push_back(Bits(sim.OperatorEmitRate(op, t - 4, t)));
@@ -532,6 +541,8 @@ ScriptedRun RunScript(bool force_full_solve) {
     uint64_t value = metrics.FindCounter(name)->Value();
     if (name == "sim.0.replayed_ticks") {
       run.replayed_ticks = value;
+    } else if (name == "sim.0.replayed_flushes") {
+      run.replayed_flushes = value;
     } else {
       run.counters[name] = value;
     }
@@ -556,6 +567,23 @@ TEST(ReplayEquivalenceTest, MatchesFullSolveOnEveryTick) {
   EXPECT_EQ(replayed.reads, solved.reads);
   EXPECT_FALSE(replayed.events.empty());
   EXPECT_EQ(replayed.events, solved.events);
+  EXPECT_EQ(replayed.replayed_flushes, 0u) << "a one-tick RunFor replayed a whole interval";
+}
+
+// Replaying whole flush intervals must reproduce the same run bit for bit too, and replay
+// exactly the ticks a per-tick run replays.
+TEST(ReplayEquivalenceTest, WholeIntervalsMatchFullSolveOnEveryTick) {
+  ScriptedRun intervals = RunScript(/*force_full_solve=*/false, Advance::kInterval);
+  ScriptedRun ticks = RunScript(/*force_full_solve=*/false, Advance::kTick);
+  ScriptedRun solved = RunScript(/*force_full_solve=*/true, Advance::kTick);
+  EXPECT_GT(intervals.replayed_flushes, 0u);
+  EXPECT_EQ(intervals.replayed_ticks, ticks.replayed_ticks);
+  EXPECT_FALSE(intervals.series.empty());
+  EXPECT_EQ(intervals.series, solved.series);
+  EXPECT_EQ(intervals.counters, solved.counters);
+  EXPECT_EQ(intervals.reads, solved.reads);
+  EXPECT_FALSE(intervals.events.empty());
+  EXPECT_EQ(intervals.events, solved.events);
 }
 
 // A driver re-applies the in-flight checkpoint I/O every control interval by clearing it

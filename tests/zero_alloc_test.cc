@@ -5,7 +5,8 @@
 // this is the enforcement half of the "arena-based simulator ticks" refactor, so an
 // accidental per-tick std::vector cannot creep back in unnoticed. Both tick paths are
 // checked: a window forced through the contention solve and a window of replayed
-// fixed-point ticks. A third test bounds the flush path, which appends to the metric table.
+// fixed-point ticks. Two more tests bound the flush paths, stepped and replayed whole, which
+// append to the metric table.
 //
 // Not registered in the sanitizer CI jobs: ASan/TSan interpose their own allocators.
 #include <gtest/gtest.h>
@@ -52,20 +53,28 @@ namespace {
 // workers 0-3.
 constexpr WorkerId kIdleWorker = 4;
 
+// Counts heap allocations made while `body` runs.
+template <typename F>
+uint64_t CountAllocs(F&& body) {
+  g_allocs.store(0);
+  g_counting.store(true);
+  body();
+  g_counting.store(false);
+  return g_allocs.load();
+}
+
 // Counts heap allocations over `steps` ticks. With `force_full_solve` the checkpoint I/O
 // of the idle worker toggles every tick, a worker-input change that makes every tick run
 // the contention solve instead of replaying a fixed point.
 uint64_t CountAllocsDuringSteps(FluidSimulator& sim, int steps, bool force_full_solve) {
-  g_allocs.store(0);
-  g_counting.store(true);
-  for (int i = 0; i < steps; ++i) {
-    if (force_full_solve) {
-      sim.SetWorkerCheckpointIoBps(kIdleWorker, i % 2 == 0 ? 1e6 : 0.0);
+  return CountAllocs([&] {
+    for (int i = 0; i < steps; ++i) {
+      if (force_full_solve) {
+        sim.SetWorkerCheckpointIoBps(kIdleWorker, i % 2 == 0 ? 1e6 : 0.0);
+      }
+      sim.Step();
     }
-    sim.Step();
-  }
-  g_counting.store(false);
-  return g_allocs.load();
+  });
 }
 
 // A simulator of `q` on workers 0-3 of a five-worker cluster, warmed for 1000 ticks until
@@ -119,6 +128,22 @@ TEST(ZeroAllocTest, FlushPathOnlyGrowsTheTable) {
   uint64_t replayed = sim.replayed_ticks();
   uint64_t allocs = CountAllocsDuringSteps(sim, 20000, /*force_full_solve=*/false);
   EXPECT_EQ(sim.replayed_ticks(), replayed + 20000) << "a steady tick ran the full solve";
+  EXPECT_LE(allocs, 64u);
+}
+
+// RunFor(1 s) replays a steady interval whole by copying the last flushed row, which must
+// stay within the same bound as the per-tick flush path.
+TEST(ZeroAllocTest, IntervalReplayOnlyGrowsTheTable) {
+  FluidSimulator sim = WarmSimulator(BuildQ3Inf(), /*metrics_interval_s=*/1.0);
+  uint64_t replayed = sim.replayed_ticks();
+  uint64_t flushes = sim.replayed_flushes();
+  uint64_t allocs = CountAllocs([&] {
+    for (int i = 0; i < 2000; ++i) {
+      sim.RunFor(1.0);
+    }
+  });
+  EXPECT_EQ(sim.replayed_ticks(), replayed + 20000) << "a steady tick ran the full solve";
+  EXPECT_GT(sim.replayed_flushes(), flushes + 1000) << "most intervals were stepped";
   EXPECT_LE(allocs, 64u);
 }
 
