@@ -53,7 +53,6 @@ int Main() {
     DeployOptions deploy;
     deploy.policy = policy;
     deploy.use_ds2_sizing = true;
-    deploy.search_threads = options.search_threads;
     deploy.seed = options.seed;
     std::vector<int> load =
         CapsysController(cluster, deploy).Deploy(q).placement.LoadByWorker(cluster);

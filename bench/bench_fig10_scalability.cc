@@ -9,9 +9,8 @@
 //       (32..1024 tasks), 1 s per-probe budget (the paper used 5 s), every probe on one
 //       thread. Paper: 1.16 s at 64 tasks up to 125 s at 1024 tasks.
 //
-// The paper runs this on a 20-core CloudLab c220g2 with 20 search threads; the (a) search
-// thread count is configurable below and the search parallelizes across subtrees, but on a
-// single-core host the speedup is nominal.
+// The paper runs this on a 20-core CloudLab c220g2 with 20 search threads; here every
+// search runs on one thread (DESIGN.md §6).
 #include <chrono>
 #include <cstdio>
 #include <vector>
@@ -27,39 +26,10 @@
 namespace capsys {
 namespace {
 
-constexpr int kThreads = 4;
-
-// Scales Q2-join so its physical graph has exactly `total_tasks` tasks, keeping operator
-// proportions via largest-remainder apportionment, with target rates scaled so per-task
-// demands stay constant as the problem grows.
-QuerySpec ScaledQ2(int total_tasks) {
-  QuerySpec q = BuildQ2Join();
-  int base_total = q.graph.total_parallelism();
-  double factor = static_cast<double>(total_tasks) / base_total;
-  std::vector<int> parallelism;
-  std::vector<std::pair<double, size_t>> fractions;  // (-frac, op) for descending sort
-  int assigned = 0;
-  for (const auto& op : q.graph.operators()) {
-    double exact = op.parallelism * factor;
-    int p = std::max(1, static_cast<int>(exact));
-    parallelism.push_back(p);
-    fractions.emplace_back(-(exact - p), parallelism.size() - 1);
-    assigned += p;
-  }
-  std::sort(fractions.begin(), fractions.end());
-  for (size_t i = 0; assigned < total_tasks; i = (i + 1) % fractions.size()) {
-    ++parallelism[fractions[i].second];
-    ++assigned;
-  }
-  q.graph.SetParallelism(parallelism);
-  q.ScaleRates(factor);
-  return q;
-}
-
-// CAPSYS_BENCH_JSON mode: one quick find-first measurement (64 tasks, mid threshold,
-// single-threaded) for the perf-regression harness instead of the full figure sweep.
+// CAPSYS_BENCH_JSON mode: one quick find-first measurement (64 tasks, mid threshold) for
+// the perf-regression harness instead of the full figure sweep.
 int RunPerfJson() {
-  QuerySpec q = ScaledQ2(64);
+  QuerySpec q = BuildScaledQ2Join(64);
   Cluster cluster(16, WorkerSpec::R5dXlarge(4));
   PhysicalGraph graph = PhysicalGraph::Expand(q.graph);
   auto rates = PropagateRates(q.graph, q.source_rates);
@@ -70,7 +40,6 @@ int RunPerfJson() {
     SearchOptions options;
     options.alpha = ResourceVector{0.50, 0.35, 0.70};
     options.find_first = true;
-    options.num_threads = 1;
     options.timeout_s = 10.0;
     CapsSearch search(model, options);
     SearchResult r = search.Run();
@@ -101,7 +70,7 @@ int Main() {
   std::printf("%-10s %-24s %-14s %-12s %-10s\n", "tasks", "thresholds", "time (ms)", "nodes",
               "found");
   for (int tasks : {16, 32, 64, 128, 256}) {
-    QuerySpec q = ScaledQ2(tasks);
+    QuerySpec q = BuildScaledQ2Join(tasks);
     Cluster cluster(tasks / 4, WorkerSpec::R5dXlarge(4));
     PhysicalGraph graph = PhysicalGraph::Expand(q.graph);
     auto rates = PropagateRates(q.graph, q.source_rates);
@@ -110,7 +79,6 @@ int Main() {
       SearchOptions options;
       options.alpha = a.alpha;
       options.find_first = true;
-      options.num_threads = kThreads;
       options.timeout_s = 10.0;
       CapsSearch search(model, options);
       SearchResult r = search.Run();
@@ -126,7 +94,7 @@ int Main() {
   for (int workers : {8, 16}) {
     for (int slots : {4, 16, 64}) {
       int tasks = workers * slots;
-      QuerySpec q = ScaledQ2(tasks);
+      QuerySpec q = BuildScaledQ2Join(tasks);
       Cluster cluster(workers, WorkerSpec::R5dXlarge(slots));
       PhysicalGraph graph = PhysicalGraph::Expand(q.graph);
       auto rates = PropagateRates(q.graph, q.source_rates);

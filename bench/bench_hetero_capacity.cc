@@ -22,8 +22,7 @@ namespace capsys {
 namespace {
 
 Placement SolveWith(const CostModel& model) {
-  return PlanPlacement(model, std::nullopt, AutoTuneOptions{}, /*search_threads=*/1,
-                       /*find_first_above_tasks=*/1 << 30)
+  return PlanPlacement(model, std::nullopt, AutoTuneOptions{}, /*find_first_above_tasks=*/1 << 30)
       .placement;
 }
 

@@ -18,30 +18,6 @@
 namespace capsys {
 namespace {
 
-QuerySpec ScaledQ2(int total_tasks) {
-  QuerySpec q = BuildQ2Join();
-  int base_total = q.graph.total_parallelism();
-  double factor = static_cast<double>(total_tasks) / base_total;
-  std::vector<int> parallelism;
-  std::vector<std::pair<double, size_t>> fractions;
-  int assigned = 0;
-  for (const auto& op : q.graph.operators()) {
-    double exact = op.parallelism * factor;
-    int p = std::max(1, static_cast<int>(exact));
-    parallelism.push_back(p);
-    fractions.emplace_back(-(exact - p), parallelism.size() - 1);
-    assigned += p;
-  }
-  std::sort(fractions.begin(), fractions.end());
-  for (size_t i = 0; assigned < total_tasks; i = (i + 1) % fractions.size()) {
-    ++parallelism[fractions[i].second];
-    ++assigned;
-  }
-  q.graph.SetParallelism(parallelism);
-  q.ScaleRates(factor);
-  return q;
-}
-
 double MaxCost(const CostModel& model, const Placement& plan) {
   return model.Cost(plan).Max();
 }
@@ -52,7 +28,7 @@ int Main() {
   std::printf("%-8s %-14s %-12s %-12s %-14s\n", "tasks", "method", "time (s)", "max-cost",
               "feasible");
   for (int tasks : {128, 256, 512, 1024}) {
-    QuerySpec q = ScaledQ2(tasks);
+    QuerySpec q = BuildScaledQ2Join(tasks);
     Cluster cluster(tasks / 16 + 4, WorkerSpec::R5dXlarge(16));  // slack for the ceilings
     PhysicalGraph graph = PhysicalGraph::Expand(q.graph);
     auto rates = PropagateRates(q.graph, q.source_rates);
@@ -71,7 +47,6 @@ int Main() {
       SearchOptions options;
       options.alpha = tuned.feasible ? tuned.alpha : ResourceVector{1.0, 1.0, 1.0};
       options.find_first = true;
-      options.num_threads = 1;
       options.timeout_s = 10.0;
       SearchResult r = CapsSearch(model, options).Run();
       double elapsed =
@@ -85,7 +60,6 @@ int Main() {
       options.num_partitions = k;
       options.autotune.timeout_s = 30.0;
       options.autotune.probe_timeout_s = 0.5;
-      options.num_threads = 4;
       PartitionedResult r = PartitionedPlacementSearch(graph, cluster, demands, options);
       std::printf("%-8d %-14s %-12.2f %-12.3f %s\n", tasks, Sprintf("K=%d", k).c_str(),
                   r.elapsed_s, r.found ? MaxCost(model, r.placement) : -1.0,

@@ -163,8 +163,7 @@ PartitionedResult PartitionedPlacementSearch(const PhysicalGraph& graph,
 
     CostModel sub_model(sub_graph, sub_cluster, sub_demands);
     PlannedPlacement planned =
-        PlanPlacement(sub_model, std::nullopt, options.autotune, options.num_threads,
-                      /*find_first_above_tasks=*/0);
+        PlanPlacement(sub_model, std::nullopt, options.autotune, /*find_first_above_tasks=*/0);
     result.alphas.push_back(planned.alpha);
     const Placement& sub_plan = planned.placement;
 

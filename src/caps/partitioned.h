@@ -21,10 +21,9 @@ namespace capsys {
 
 struct PartitionedOptions {
   int num_partitions = 2;
-  AutoTuneOptions autotune;
   // Each partition is one PlanPlacement in find-first mode: alpha comes from per-partition
   // tuning, and the greedy incumbent wins over the first plan when its utilization is lower.
-  int num_threads = 2;
+  AutoTuneOptions autotune;
 };
 
 struct PartitionedResult {

@@ -5,8 +5,7 @@
 namespace capsys {
 
 PlannedPlacement PlanPlacement(const CostModel& model, std::optional<ResourceVector> alpha,
-                               const AutoTuneOptions& autotune, int search_threads,
-                               int find_first_above_tasks) {
+                               const AutoTuneOptions& autotune, int find_first_above_tasks) {
   bool find_first = model.graph().num_tasks() > find_first_above_tasks;
   if (!alpha.has_value()) {
     // The branch and bound's utilization box does the pruning the thresholds would do, so
@@ -21,7 +20,6 @@ PlannedPlacement PlanPlacement(const CostModel& model, std::optional<ResourceVec
   }
   SearchOptions search_options;
   search_options.alpha = *alpha;
-  search_options.num_threads = search_threads;
   search_options.max_nodes = kFinalSearchNodeBudget;
   search_options.find_first = find_first;
   search_options.incumbent = GreedyBalancedPlacement(model);

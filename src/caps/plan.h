@@ -23,7 +23,7 @@ struct PlannedPlacement {
 };
 
 // Inner-search nodes a final search may expand (SearchOptions::max_nodes). Unlike a wall
-// clock, it stops a single-threaded search at the same node on every machine.
+// clock, it stops the search at the same node on every machine.
 inline constexpr uint64_t kFinalSearchNodeBudget = 2'000'000;
 
 // Plans `model` with the CAPS search under `alpha`. Instances with more than
@@ -36,8 +36,7 @@ inline constexpr uint64_t kFinalSearchNodeBudget = 2'000'000;
 // among the candidates within kUtilBand of the lowest MaxUtilization, the lowest max cost
 // and then the lowest cost sum, each tied within 1e-9 (SearchOptions::incumbent).
 PlannedPlacement PlanPlacement(const CostModel& model, std::optional<ResourceVector> alpha,
-                               const AutoTuneOptions& autotune, int search_threads,
-                               int find_first_above_tasks);
+                               const AutoTuneOptions& autotune, int find_first_above_tasks);
 
 }  // namespace capsys
 

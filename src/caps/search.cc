@@ -84,7 +84,7 @@ std::string SearchStats::ToString() const {
                  timed_out ? " TIMED_OUT" : "", budget_hit ? " NODE_BUDGET_HIT" : "");
 }
 
-// Per-branch mutable search state. Copyable so subtrees can be offloaded to pool threads.
+// The mutable state of the walk, changed on the way down and restored on the way back.
 //
 // op_placed, op_workers, free_slots and num_violating are *incremental* mirrors of
 // information that older revisions recomputed by scanning all workers on every
@@ -115,11 +115,6 @@ struct CapsSearch::Ctx {
   std::vector<ResourceVector> limit;
   double bound_util = kInf;
   double bound_tie_cost = kInf;
-  // Branch and bound: the context's copy of CapsSearch::lead_ as of `lead_version`. The
-  // subtree tie cut reads it at every inner node, so its utilization and costs are one
-  // candidate's, never a mix of two. The bound rows above follow it at layer entry.
-  Lead lead;
-  uint64_t lead_version = 0;
   // Branch and bound: the largest load per dimension over the workers, which the subtree
   // tie cut compares with the lead. ApplyPlacement raises it for the workers it touches,
   // and the caller restores it after UndoPlacement.
@@ -307,28 +302,22 @@ CapsSearch::CapsSearch(const CostModel& model, SearchOptions options)
   }
 }
 
-CapsSearch::~CapsSearch() = default;
-
 bool CapsSearch::ShouldStop() {
-  if (stop_.load(std::memory_order_relaxed)) {
+  if (stop_) {
     return true;
   }
-  if (nodes_.load(std::memory_order_relaxed) > options_.max_nodes) {
-    budget_hit_.store(true);
-    stop_.store(true);
+  if (nodes_ > options_.max_nodes) {
+    budget_hit_ = true;
+    stop_ = true;
     return true;
   }
-  // Sample the clock occasionally. The gate counts calls *per thread*: gating on the
-  // globally shared node counter let a thread skip the deadline check for unbounded
-  // stretches under multi-threaded search (it only saw the counter at multiples of 1024 by
-  // luck), so timeouts could fire arbitrarily late.
-  thread_local uint64_t calls = 0;
-  if ((++calls & 0x3ff) == 0) {
+  // Sample the clock occasionally.
+  if ((++stop_checks_ & 0x3ff) == 0) {
     double elapsed = std::chrono::duration<double>(std::chrono::steady_clock::now() - start_)
                          .count();
     if (elapsed > options_.timeout_s) {
-      timed_out_.store(true);
-      stop_.store(true);
+      timed_out_ = true;
+      stop_ = true;
       return true;
     }
   }
@@ -645,23 +634,13 @@ CapsSearch::Cuts CapsSearch::EnterLayer(Ctx& ctx, size_t layer) {
 }
 
 bool CapsSearch::AdoptBounds(Ctx& ctx) {
-  bool adopted = false;
-  if (lead_version_.load(std::memory_order_acquire) != ctx.lead_version) {
-    std::lock_guard<std::mutex> lock(result_mu_);
-    ctx.lead = lead_;
-    ctx.lead_version = lead_version_.load(std::memory_order_relaxed);
-    adopted = true;
+  if (lead_.u_min < ctx.bound_util || lead_.tie_cost < ctx.bound_tie_cost) {
+    SetBounds(ctx, lead_.u_min, lead_.tie_cost);
   }
-  if (ctx.lead.u_min < ctx.bound_util || ctx.lead.tie_cost < ctx.bound_tie_cost) {
-    SetBounds(ctx, ctx.lead.u_min, ctx.lead.tie_cost);
-  }
-  // The count that led here passed the tie cut against the context's lead, so the cut only
-  // needs to run again against a newly adopted one.
-  return ctx.num_violating == 0 && !(adopted && CannotBeatLead(ctx, 0.0));
+  return ctx.num_violating == 0;
 }
 
 bool CapsSearch::CannotBeatLead(const Ctx& ctx, double future_net) const {
-  const Lead& lead = ctx.lead;
   ResourceVector peak = ctx.peak;
   peak.net = std::max(peak.net, future_net);
   // Every plan below has at least these costs, so it cannot win the tie-break ...
@@ -673,8 +652,8 @@ bool CapsSearch::CannotBeatLead(const Ctx& ctx, double future_net) const {
   double max = cost.Max();
   double sum = cost.Sum();
   bool loses_sum =
-      lead.incumbent ? sum > lead.sum + kPickTolerance : sum >= lead.sum - kPickTolerance;
-  if (max <= lead.max + kPickTolerance && (max < lead.max - kPickTolerance || !loses_sum)) {
+      lead_.incumbent ? sum > lead_.sum + kPickTolerance : sum >= lead_.sum - kPickTolerance;
+  if (max <= lead_.max + kPickTolerance && (max < lead_.max - kPickTolerance || !loses_sum)) {
     return false;
   }
   // ... and at least this utilization, so whenever it is in the band the lead candidate is
@@ -682,7 +661,7 @@ bool CapsSearch::CannotBeatLead(const Ctx& ctx, double future_net) const {
   // dimension has at most the largest capacity in it, so this is at most the bottleneck
   // utilization, and equal to it on a homogeneous cluster.
   return std::max({peak.cpu / max_capacity_.cpu, peak.io / max_capacity_.io,
-                   peak.net / max_capacity_.net}) >= lead.util;
+                   peak.net / max_capacity_.net}) >= lead_.util;
 }
 
 void CapsSearch::PlaceOp(Ctx& ctx, size_t layer, bool backtracked) {
@@ -690,7 +669,7 @@ void CapsSearch::PlaceOp(Ctx& ctx, size_t layer, bool backtracked) {
     return;
   }
   if (branch_and_bound_ && !AdoptBounds(ctx)) {
-    pruned_.fetch_add(1, std::memory_order_relaxed);
+    ++pruned_;
     return;
   }
   if (layer == order_.size()) {
@@ -703,7 +682,7 @@ void CapsSearch::PlaceOp(Ctx& ctx, size_t layer, bool backtracked) {
   Cuts cuts = lookahead_ && backtracked ? EnterLayer(ctx, layer) : Cuts::kNone;
   switch (cuts) {
     case Cuts::kDead:
-      pruned_.fetch_add(1, std::memory_order_relaxed);
+      ++pruned_;
       return;
     case Cuts::kNone:
       InnerSearch<Cuts::kNone>(ctx, layer, 0, tasks,
@@ -722,21 +701,14 @@ void CapsSearch::PlaceOp(Ctx& ctx, size_t layer, bool backtracked) {
 template <CapsSearch::Cuts kCuts>
 void CapsSearch::InnerSearch(Ctx& ctx, size_t layer, WorkerId w, int remaining,
                              int later_cap, bool backtracked, LayerPath path) {
-  nodes_.fetch_add(1, std::memory_order_relaxed);
+  ++nodes_;
   if (ShouldStop()) {
     return;
   }
   int num_workers = static_cast<int>(ctx.num_workers());
   if (w == num_workers) {
     if (remaining == 0) {
-      size_t next = layer + 1;
-      if (pool_ != nullptr && next < order_.size() && pool_->HasIdleThread()) {
-        // Dynamic work offloading (§5.1): hand the subtree to an idle thread.
-        auto copy = std::make_shared<Ctx>(ctx);
-        pool_->Submit([this, copy, next, backtracked] { PlaceOp(*copy, next, backtracked); });
-      } else {
-        PlaceOp(ctx, next, backtracked);
-      }
+      PlaceOp(ctx, layer + 1, backtracked);
     }
     return;
   }
@@ -840,18 +812,18 @@ void CapsSearch::InnerSearch(Ctx& ctx, size_t layer, WorkerId w, int remaining,
                                                       (remaining - c) * gain);
     }
     if (kCuts == Cuts::kNet && loses_host(c, next)) {
-      pruned_.fetch_add(1, std::memory_order_relaxed);
+      ++pruned_;
     } else if (c < dead_above) {
       ResourceVector peak = ctx.peak;
       ApplyPlacement(ctx, layer, w, c);
       if (ctx.num_violating > 0) {
-        pruned_.fetch_add(1, std::memory_order_relaxed);
+        ++pruned_;
         dead_above = c;
       } else if (kCuts == Cuts::kNet && breaks_later(c, next)) {
-        pruned_.fetch_add(1, std::memory_order_relaxed);
+        ++pruned_;
       } else if (branch_and_bound_ && CannotBeatLead(ctx, next.future_net)) {
         // Not a dead_above: a larger count raises the loads but lowers future_net.
-        pruned_.fetch_add(1, std::memory_order_relaxed);
+        ++pruned_;
       } else {
         // Without cuts: free capacity of workers beyond w+1 is untouched by placements at w.
         int next_later = kCuts == Cuts::kNone && w + 1 < num_workers
@@ -865,7 +837,7 @@ void CapsSearch::InnerSearch(Ctx& ctx, size_t layer, WorkerId w, int remaining,
       ctx.peak = peak;
     }
     first = false;
-    return !stop_.load(std::memory_order_relaxed);
+    return !stop_;
   };
 
   // Value ordering: try counts closest to the proportional (balanced) share first, so the
@@ -901,13 +873,12 @@ void CapsSearch::AddCandidate(double util, const ResourceVector& cost, bool incu
                               Build build) {
   double max = cost.Max();
   double sum = cost.Sum();
-  Lead lead = lead_;
-  lead.u_min = std::min(lead.u_min, util);
+  lead_.u_min = std::min(lead_.u_min, util);
   // Every plan's utilization is at least the floor, so a candidate within the band of the
   // floor stays in the band: the pick wins or ties its tie-break, and so has a max cost at
   // most this one's plus the tolerance.
   if (util <= util_floor_ * (1.0 + kUtilBand)) {
-    lead.tie_cost = std::min(lead.tie_cost, max);
+    lead_.tie_cost = std::min(lead_.tie_cost, max);
   }
   // True when front candidate `c` comes before the new one in the tie-break: it wins it,
   // or ties it as a leaf, since leaves come in DFS order and the incumbent, which is always
@@ -919,7 +890,7 @@ void CapsSearch::AddCandidate(double util, const ResourceVector& cost, bool incu
   };
   // A candidate that another one beats on both utilization and the tie-break is never
   // picked: whenever it is in the band, so is the other one.
-  double edge = BandEdge(lead.u_min);
+  double edge = BandEdge(lead_.u_min);
   bool beaten = util > edge || std::any_of(front_.begin(), front_.end(), [&](const Candidate& c) {
                   return c.util <= util && comes_first(c);
                 });
@@ -930,16 +901,10 @@ void CapsSearch::AddCandidate(double util, const ResourceVector& cost, bool incu
     front_.push_back(Candidate{.plan = ScoredPlan{build(), cost}, .util = util,
                                .incumbent = incumbent});
     const Candidate& pick = front_[BandPick()];
-    lead.util = pick.util;
-    lead.max = pick.plan.cost.Max();
-    lead.sum = pick.plan.cost.Sum();
-    lead.incumbent = pick.incumbent;
-  }
-  if (lead.u_min != lead_.u_min || lead.util != lead_.util || lead.max != lead_.max ||
-      lead.sum != lead_.sum || lead.tie_cost != lead_.tie_cost ||
-      lead.incumbent != lead_.incumbent) {
-    lead_ = lead;
-    lead_version_.fetch_add(1, std::memory_order_release);
+    lead_.util = pick.util;
+    lead_.max = pick.plan.cost.Max();
+    lead_.sum = pick.plan.cost.Sum();
+    lead_.incumbent = pick.incumbent;
   }
 }
 
@@ -963,7 +928,7 @@ size_t CapsSearch::BandPick() const {
 }
 
 void CapsSearch::AtLeaf(Ctx& ctx) {
-  leaves_.fetch_add(1, std::memory_order_relaxed);
+  ++leaves_;
   // Cost and utilization from the incrementally tracked loads.
   ResourceVector max_load;
   for (const auto& l : ctx.load) {
@@ -1003,29 +968,22 @@ void CapsSearch::AtLeaf(Ctx& ctx) {
     return plan;
   };
 
-  std::lock_guard<std::mutex> lock(result_mu_);
   if (options_.incumbent.has_value()) {
     AddCandidate(util, cost, /*incumbent=*/false, build_plan);
   } else if (!result_.found || BetterCost(cost, result_.best.cost)) {
     result_.best = ScoredPlan{build_plan(), cost};
   }
   result_.found = true;
-  if (branch_and_bound_) {
-    // The walk goes on from this leaf with the lead it set.
-    ctx.lead = lead_;
-    ctx.lead_version = lead_version_.load(std::memory_order_relaxed);
-  }
   if (options_.collect_plans && result_.collected.size() < kMaxCollected) {
     result_.collected.push_back(ScoredPlan{build_plan(), cost});
   }
   if (options_.find_first) {
-    stop_.store(true);
+    stop_ = true;
   }
 }
 
 SearchResult CapsSearch::Run() {
   Span span("caps.search.run");
-  span.AddAttr("threads", options_.num_threads);
   span.AddAttr("find_first", options_.find_first ? "true" : "false");
   span.AddAttr("alpha", options_.alpha.ToString());
   start_ = std::chrono::steady_clock::now();
@@ -1053,8 +1011,6 @@ SearchResult CapsSearch::Run() {
                  /*incumbent=*/true, [&] { return incumbent; });
   }
   // One full scan seeds the violation count; Apply/UndoPlacement keep it exact after.
-  root.lead = lead_;
-  root.lead_version = lead_version_.load();
   // A search that is no branch and bound takes the incumbent only into the final pick.
   if (branch_and_bound_) {
     SetBounds(root, lead_.u_min, lead_.tie_cost);
@@ -1064,25 +1020,17 @@ SearchResult CapsSearch::Run() {
 
   {
     Span explore("caps.search.explore");
-    if (options_.num_threads > 1) {
-      pool_ = std::make_unique<ThreadPool>(options_.num_threads);
-      auto shared_root = std::make_shared<Ctx>(std::move(root));
-      pool_->Submit([this, shared_root] { PlaceOp(*shared_root, 0, false); });
-      pool_->Wait();
-      pool_.reset();
-    } else {
-      PlaceOp(root, 0, false);
-    }
+    PlaceOp(root, 0, false);
   }
 
   if (options_.incumbent.has_value()) {
     result_.best = std::move(front_[BandPick()].plan);
   }
-  result_.stats.nodes = nodes_.load();
-  result_.stats.leaves = leaves_.load();
-  result_.stats.pruned = pruned_.load();
-  result_.stats.timed_out = timed_out_.load();
-  result_.stats.budget_hit = budget_hit_.load();
+  result_.stats.nodes = nodes_;
+  result_.stats.leaves = leaves_;
+  result_.stats.pruned = pruned_;
+  result_.stats.timed_out = timed_out_;
+  result_.stats.budget_hit = budget_hit_;
   result_.stats.elapsed_s =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start_).count();
   span.AddAttr("nodes", result_.stats.nodes);

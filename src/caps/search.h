@@ -42,19 +42,15 @@
 #ifndef SRC_CAPS_SEARCH_H_
 #define SRC_CAPS_SEARCH_H_
 
-#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <limits>
-#include <memory>
-#include <mutex>
 #include <optional>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "src/caps/cost_model.h"
-#include "src/common/thread_pool.h"
 
 namespace capsys {
 
@@ -80,12 +76,10 @@ struct SearchOptions {
   bool find_first = false;
   // Retain every satisfying plan, up to 2^22 of them (exhaustive studies, Fig. 2 / Fig. 5).
   bool collect_plans = false;
-  // Worker threads for parallel subtree exploration; 1 = fully deterministic.
-  int num_threads = 1;
   double timeout_s = 1e18;
   // Inner-search nodes the walk may expand; the search stops once it has expanded more.
-  // Unlike timeout_s this budget does not depend on the machine: a single-threaded search
-  // stops one node past it on every run (n threads: up to n nodes past it).
+  // Unlike timeout_s this budget does not depend on the machine: the search stops one node
+  // past it on every run.
   uint64_t max_nodes = std::numeric_limits<uint64_t>::max();
   // A plan to beat, not a tuning knob. When set, SearchResult::best is the band pick among
   // it and the satisfying leaves: the lowest max cost, then the lowest cost sum, among the
@@ -130,7 +124,6 @@ class CapsSearch {
  public:
   // `model` must outlive the search. Its graph must be CapsSearchable; this is CHECKed.
   CapsSearch(const CostModel& model, SearchOptions options);
-  ~CapsSearch();
 
   SearchResult Run();
 
@@ -163,8 +156,7 @@ class CapsSearch {
 
   // `backtracked` is false only on the DFS's first path, where every choice so far was the
   // first count tried. Layers entered on that path set up no lookahead cuts, so searches
-  // that never backtrack do not pay for them. It is a function of the path, not of the
-  // visit history, so offloaded subtrees make the same cuts as the sequential walk.
+  // that never backtrack do not pay for them.
   void PlaceOp(Ctx& ctx, size_t layer, bool backtracked);
   // Lookahead state of the current path through one layer's inner search.
   struct LayerPath {
@@ -207,8 +199,7 @@ class CapsSearch {
   void AtLeaf(Ctx& ctx);
   // Band pick: enters a candidate with utilization `util` and cost `cost`, the incumbent or
   // a leaf, into front_ unless a candidate there beats it on both utilization and the
-  // tie-break, building its plan with `build` only then, and updates lead_. Called under
-  // result_mu_ or before the search starts.
+  // tie-break, building its plan with `build` only then, and updates lead_.
   template <typename Build>
   void AddCandidate(double util, const ResourceVector& cost, bool incumbent, Build build);
   // The index in front_ of the band pick among its candidates.
@@ -218,11 +209,10 @@ class CapsSearch {
   // utilization `u_min` (its band edge boxes the loads) and the tie-break bound `tie_cost`
   // (infinite: Eq. 10 alone) and recounts its violating workers.
   void SetBounds(Ctx& ctx, double u_min, double tie_cost) const;
-  // Branch and bound, at layer entry: adopts the lead and the boxes of better candidates
-  // found since the context last looked, by this thread or another. False when a worker
-  // already breaks them or the subtree tie cut applies, which kills the subtree since loads
-  // only grow. Kept out of PlaceOp's body, which stays small enough for the compiler to
-  // keep the recursion fast.
+  // Branch and bound, at layer entry: tightens the context's bound rows to the boxes of
+  // better candidates found since it last looked. False when a worker already breaks them,
+  // which kills the subtree since loads only grow. Kept out of PlaceOp's body, which stays
+  // small enough for the compiler to keep the recursion fast.
   bool AdoptBounds(Ctx& ctx);
   // Subtree tie cut: true when no plan below the context's state can become the pick. Its
   // bottleneck utilization already reaches the lead candidate's own, so that candidate is
@@ -280,18 +270,18 @@ class CapsSearch {
   // same class (all zero for homogeneous clusters).
   std::vector<int> worker_class_;
 
-  std::unique_ptr<ThreadPool> pool_;
-  std::atomic<bool> stop_{false};
-  std::atomic<uint64_t> nodes_{0};
-  std::atomic<uint64_t> leaves_{0};
-  std::atomic<uint64_t> pruned_{0};
-  std::atomic<bool> timed_out_{false};
-  std::atomic<bool> budget_hit_{false};
+  bool stop_ = false;
+  uint64_t nodes_ = 0;
+  uint64_t leaves_ = 0;
+  uint64_t pruned_ = 0;
+  bool timed_out_ = false;
+  bool budget_hit_ = false;
+  // ShouldStop calls so far; every 1024th samples the clock. Counted per search, so when a
+  // timed search first reads the clock does not depend on earlier searches.
+  uint64_t stop_checks_ = 0;
   // Branch and bound: what a plan must beat, from the candidates so far (the incumbent,
-  // then the leaves). Written under result_mu_, and every change bumps lead_version_;
-  // contexts, offloaded subtrees included, copy it at layer entry when the version moved.
+  // then the leaves).
   Lead lead_;
-  std::atomic<uint64_t> lead_version_{0};
   // A utilization no plan goes below (branch and bound only): a candidate within the band
   // of it stays in the band whatever lower utilization turns up later.
   double util_floor_ = 0.0;
@@ -301,7 +291,6 @@ class CapsSearch {
   ResourceVector cost_scale_;
   std::chrono::steady_clock::time_point start_;
 
-  std::mutex result_mu_;
   SearchResult result_;
   // With an incumbent: the candidates within the band that no other candidate beats on
   // both utilization and the tie-break, in the order they turned up. Small, since within

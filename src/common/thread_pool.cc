@@ -36,17 +36,10 @@ void ThreadPool::Wait() {
   done_cv_.wait(lock, [this] { return queue_.empty() && active_ == 0; });
 }
 
-bool ThreadPool::HasIdleThread() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return idle_ > 0 && queue_.empty();
-}
-
 void ThreadPool::WorkerLoop() {
   std::unique_lock<std::mutex> lock(mu_);
   while (true) {
-    ++idle_;
     work_cv_.wait(lock, [this] { return stop_ || !queue_.empty(); });
-    --idle_;
     if (stop_ && queue_.empty()) {
       return;
     }

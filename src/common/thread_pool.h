@@ -1,6 +1,5 @@
-// Fixed-size thread pool with a shared work queue. The CAPS parallel search uses this to
-// spread subtree exploration across threads (paper §5.1: "CAPS parallelizes the search by
-// leveraging a configurable thread pool ... threads can dynamically offload work").
+// Fixed-size thread pool with a shared work queue. Threshold precomputation runs its
+// independent scenario searches on it, and the placement service its planners.
 #ifndef SRC_COMMON_THREAD_POOL_H_
 #define SRC_COMMON_THREAD_POOL_H_
 
@@ -27,11 +26,6 @@ class ThreadPool {
   // Blocks until all submitted tasks (including ones spawned by tasks) have finished.
   void Wait();
 
-  // True when the queue is non-empty is NOT what this reports; it reports whether some
-  // thread is currently idle, which CAPS uses to decide whether offloading a subtree is
-  // worthwhile.
-  bool HasIdleThread() const;
-
   int num_threads() const { return static_cast<int>(threads_.size()); }
 
  private:
@@ -43,7 +37,6 @@ class ThreadPool {
   std::deque<std::function<void()>> queue_;
   std::vector<std::thread> threads_;
   int active_ = 0;
-  int idle_ = 0;
   bool stop_ = false;
 };
 

@@ -59,7 +59,6 @@ ChaosRun RunChaosExperiment(const QuerySpec& query, const Cluster& cluster,
   DeployOptions deploy_options;
   deploy_options.policy = options.policy;
   deploy_options.use_ds2_sizing = true;
-  deploy_options.search_threads = options.search_threads;
   deploy_options.seed = options.seed;
   CapsysController controller(cluster, deploy_options);
   Deployment d = controller.Deploy(query);

@@ -44,7 +44,9 @@ struct ChaosExperimentOptions {
   // Minimum gap before re-upscaling onto restored workers (prevents reconfiguration storms
   // when workers churn).
   double upscale_cooldown_s = 30.0;
-  int search_threads = 1;  // DeployOptions::search_threads
+  // Read by nothing: the search runs on one thread. Kept only because the repository
+  // benchmark assigns it; a benchmark change drops that line, and then this field.
+  int search_threads = 1;
   uint64_t seed = 1;
 };
 

@@ -113,8 +113,7 @@ Placement CapsysController::Place(const PhysicalGraph& physical,
           cached = entry->alpha;
         }
       }
-      planned = PlanPlacement(model, cached, options_.autotune, options_.search_threads,
-                              kFindFirstAboveTasks);
+      planned = PlanPlacement(model, cached, options_.autotune, kFindFirstAboveTasks);
       break;
     }
     case PlacementPolicy::kFlinkDefault:

@@ -27,8 +27,8 @@ struct DeployOptions {
   // Size parallelism with DS2 from the profiled costs; when false, the query's configured
   // parallelism is kept (the motivation-study setups fix parallelism explicitly).
   bool use_ds2_sizing = false;
-  // Threads of the final search. One thread picks the same plan on every run; more make
-  // the pick depend on which thread reaches a tied plan first.
+  // Read by nothing: the search runs on one thread. Kept only because the repository
+  // benchmark assigns it; a benchmark change drops that line, and then this field.
   int search_threads = 1;
   AutoTuneOptions autotune;
   uint64_t seed = 1;  // randomness for the Flink baseline policies

@@ -1,5 +1,9 @@
 #include "src/nexmark/queries.h"
 
+#include <algorithm>
+#include <utility>
+#include <vector>
+
 #include "src/common/logging.h"
 
 namespace capsys {
@@ -65,6 +69,30 @@ QuerySpec BuildQ2Join() {
   q.graph.AddEdge(map_a, join, PartitionScheme::kHash);
   q.source_rates[src_p] = 30000;
   q.source_rates[src_a] = 80000;
+  return q;
+}
+
+QuerySpec BuildScaledQ2Join(int total_tasks) {
+  QuerySpec q = BuildQ2Join();
+  int base_total = q.graph.total_parallelism();
+  double factor = static_cast<double>(total_tasks) / base_total;
+  std::vector<int> parallelism;
+  std::vector<std::pair<double, size_t>> fractions;  // (-frac, op) for descending sort
+  int assigned = 0;
+  for (const auto& op : q.graph.operators()) {
+    double exact = op.parallelism * factor;
+    int p = std::max(1, static_cast<int>(exact));
+    parallelism.push_back(p);
+    fractions.emplace_back(-(exact - p), parallelism.size() - 1);
+    assigned += p;
+  }
+  std::sort(fractions.begin(), fractions.end());
+  for (size_t i = 0; assigned < total_tasks; i = (i + 1) % fractions.size()) {
+    ++parallelism[fractions[i].second];
+    ++assigned;
+  }
+  q.graph.SetParallelism(parallelism);
+  q.ScaleRates(factor);
   return q;
 }
 

@@ -54,6 +54,11 @@ QuerySpec BuildQ4Join();
 QuerySpec BuildQ5Aggregate();
 QuerySpec BuildQ6Session();
 
+// Q2-join scaled to exactly `total_tasks` tasks (the scalability study, Fig. 10): operator
+// proportions are kept by largest-remainder apportionment, and target rates scale so
+// per-task demands stay constant as the problem grows.
+QuerySpec BuildScaledQ2Join(int total_tasks);
+
 // All six queries in paper order.
 std::vector<QuerySpec> BuildAllQueries();
 

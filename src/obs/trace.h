@@ -2,10 +2,9 @@
 //
 // A Span is an RAII scope: construction stamps a monotonic start time, destruction records
 // the completed span into the global Tracer. Spans nest via a thread-local stack, so a span
-// opened inside another span's scope (on the same thread) records it as its parent —
-// including across the search's worker threads, where each offloaded subtree starts a fresh
-// root on its own thread. Collection is thread-safe; the only cost on a hot path with
-// tracing disabled is one relaxed atomic load per span (measured by bench_obs_overhead).
+// opened inside another span's scope (on the same thread) records it as its parent.
+// Collection is thread-safe; the only cost on a hot path with tracing disabled is one
+// relaxed atomic load per span (measured by bench_obs_overhead).
 //
 // Completed spans export to Chrome trace_event JSON (exporters.h) and open directly in
 // chrome://tracing or Perfetto.

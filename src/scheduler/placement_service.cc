@@ -553,7 +553,7 @@ void PlacementService::RunPlanner(PlanRequest req) {
       CostModel model(physical, residual,
                       TaskDemands(physical, PropagateRates(req.graph, req.source_rates)));
       outcome->planned = PlanPlacement(model, req.tuned_alpha, options_.autotune,
-                                       /*search_threads=*/1, options_.find_first_above_tasks);
+                                       options_.find_first_above_tasks);
       if (options_.enable_plan_cache) {
         cache_.Insert(key, CachedPlan{outcome->planned.placement, outcome->planned.alpha,
                                       outcome->planned.cost});

@@ -4,10 +4,8 @@
 
 #include <algorithm>
 #include <atomic>
-#include <chrono>
 #include <cmath>
 #include <set>
-#include <thread>
 
 #include "src/common/rng.h"
 #include "src/common/stats.h"
@@ -214,13 +212,6 @@ TEST(ThreadPoolTest, TasksCanSpawnTasks) {
 TEST(ThreadPoolTest, WaitOnIdlePoolReturnsImmediately) {
   ThreadPool pool(2);
   pool.Wait();
-  // Workers may still be starting up; they must settle into the idle state shortly.
-  bool idle = false;
-  for (int i = 0; i < 200 && !idle; ++i) {
-    idle = pool.HasIdleThread();
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  EXPECT_TRUE(idle);
 }
 
 TEST(ThreadPoolTest, MultipleWaitCycles) {

@@ -279,18 +279,14 @@ TEST_P(AutoTuneGoldenTest, SameAlphaFromFewerNodes) {
   EXPECT_LE(r.nodes, g.nodes_before / 2);
 }
 
-// Probes run on one thread whatever the final search gets: a parallel find-first stops at
-// whichever leaf a thread reaches first, so its witness, and with it α, would depend on
-// thread timing.
-TEST_P(AutoTuneGoldenTest, AlphaDoesNotDependOnSearchThreads) {
+// A find-first PlanPlacement plans under the golden α.
+TEST_P(AutoTuneGoldenTest, PlanPlacementTunesTheGoldenAlpha) {
   const TuneGolden& g = GetParam();
-  for (int threads : {1, 2, 4}) {
-    PlannedPlacement planned = PlanPlacement(*model_, std::nullopt, tune_, threads,
-                                             /*find_first_above_tasks=*/0);
-    EXPECT_EQ(planned.alpha.cpu, g.alpha.cpu) << threads << " threads";
-    EXPECT_EQ(planned.alpha.io, g.alpha.io) << threads << " threads";
-    EXPECT_EQ(planned.alpha.net, g.alpha.net) << threads << " threads";
-  }
+  PlannedPlacement planned =
+      PlanPlacement(*model_, std::nullopt, tune_, /*find_first_above_tasks=*/0);
+  EXPECT_EQ(planned.alpha.cpu, g.alpha.cpu);
+  EXPECT_EQ(planned.alpha.io, g.alpha.io);
+  EXPECT_EQ(planned.alpha.net, g.alpha.net);
 }
 
 // Every probe stops at its node budget long before the default wall-clock budgets, so the

@@ -140,7 +140,6 @@ TEST(PrecomputedThresholdsTest, ThresholdsOfAnotherCapacityShapeAreRetuned) {
   DeployOptions options;
   options.policy = PlacementPolicy::kCaps;
   options.use_ds2_sizing = false;  // keep the parallelism the cache was filled for
-  options.search_threads = 1;
   Deployment fresh = CapsysController(four, options).Deploy(q);
 
   PlanCache cache;

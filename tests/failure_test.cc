@@ -78,7 +78,6 @@ ChaosRun RunSingleCrash(const QuerySpec& q, const Cluster& cluster,
   DeployOptions deploy;
   deploy.policy = options.policy;
   deploy.use_ds2_sizing = true;
-  deploy.search_threads = options.search_threads;
   deploy.seed = options.seed;
   std::vector<int> load =
       CapsysController(cluster, deploy).Deploy(q).placement.LoadByWorker(cluster);

@@ -408,7 +408,6 @@ TEST(ChaosExperimentTest, SameSeedYieldsByteIdenticalEventLog) {
   s.CheckpointFailureStorm(50.0, 20.0);
   s.MetricDropout(40.0, 0.4, 30.0);
   ChaosExperimentOptions o = FastChaos();
-  o.search_threads = 1;  // multi-threaded search ties break non-deterministically
   EventLog& log = EventLog::Global();
   log.Enable();
   log.Reset();

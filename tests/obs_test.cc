@@ -230,7 +230,6 @@ TEST_F(ObsTest, ChaosRunEmitsDecisionsFaultsAndNestedSpans) {
   options.policy = PlacementPolicy::kCaps;  // so controller.place nests the CAPS search
   options.run_s = 90.0;
   options.seed = 3;
-  options.search_threads = 1;
   ChaosRun run = RunChaosExperiment(q, cluster, schedule, options);
 
   // Structured events: at least the initial placement and the injected crash/restore.

@@ -4,9 +4,9 @@
 // count, suffix slot capacities) and the simulator's arena-based tick are pure
 // restructurings: they must not change a single bit of any result. These tests pin
 // hexfloat goldens captured from the pre-refactor implementation — search stats, best costs
-// and the pareto front of the satisfying plans' costs on the three NEXMark queries (including the exact orbit counts
-// 80/665/950), and full QuerySummary values — plus multi-thread-vs-single-thread
-// determinism of the search.
+// and the pareto front of the satisfying plans' costs on the three NEXMark queries
+// (including the exact orbit counts 80/665/950), and full QuerySummary values — plus one
+// find-first row of Fig. 10a.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -36,10 +36,9 @@ struct Fixture {
 };
 
 // Collects the satisfying plans, which changes no visit, node or pruned count.
-SearchResult RunSearch(const Fixture& f, ResourceVector alpha, int num_threads = 1) {
+SearchResult RunSearch(const Fixture& f, ResourceVector alpha) {
   SearchOptions options;
   options.alpha = alpha;
-  options.num_threads = num_threads;
   options.collect_plans = true;
   CapsSearch search(f.model, options);
   return search.Run();
@@ -144,23 +143,23 @@ TEST(SearchEquivalence, Q3TightThresholdGolden) {
   ExpectCost(r.best.cost, 0x1.7333edfcb19f2p-4, 0x0p+0, 0x1.8p-2);
 }
 
-// Parallel subtree exploration must land on a best plan of the same BetterCost rank and
-// the same exact leaf/pruned counts as the deterministic single-threaded run (the
-// enumeration and threshold pruning are exact under any work interleaving; only the visit
-// order changes). The cost RANK is compared to a few ulps, not bit-exactly: loads are
-// maintained incrementally (`+=` on apply, `-=` on undo), and that pair does not cancel
-// bitwise in floating point, so a leaf's low bits depend on the entire visit history.
-// An offloaded subtree starts from a forked context copy whose history differs from the
-// sequential one, shifting costs by ~1 ulp (this predates the incremental-state refactor;
-// single-threaded order is deterministic, which is what the goldens above pin bit-exactly).
-TEST(SearchEquivalence, MultiThreadMatchesSingleThread) {
-  Fixture f(BuildQ2Join());
-  SearchResult st = RunSearch(f, {0.5, 0.35, 0.7}, 1);
-  SearchResult mt = RunSearch(f, {0.5, 0.35, 0.7}, 4);
-  EXPECT_NEAR(mt.best.cost.Max(), st.best.cost.Max(), 1e-12);
-  EXPECT_NEAR(mt.best.cost.Sum(), st.best.cost.Sum(), 1e-12);
-  EXPECT_EQ(mt.stats.leaves, st.stats.leaves);
-  EXPECT_EQ(mt.stats.pruned, st.stats.pruned);
+// Fig. 10a at its largest size under its tightest thresholds: Q2-join scaled to 256 tasks
+// on 64 workers with 4 slots, α1, stopping at the first satisfying plan. The walk is
+// deterministic, so its node and leaf counts and its cost are pinned like the goldens above.
+TEST(SearchEquivalence, Fig10aFindFirstGolden) {
+  QuerySpec q = BuildScaledQ2Join(256);
+  PhysicalGraph graph = PhysicalGraph::Expand(q.graph);
+  Cluster cluster(64, WorkerSpec::R5dXlarge(4));
+  CostModel model(graph, cluster, TaskDemands(graph, PropagateRates(q.graph, q.source_rates)));
+  SearchOptions options;
+  options.alpha = ResourceVector{0.35, 0.20, 0.50};
+  options.find_first = true;
+  SearchResult r = CapsSearch(model, options).Run();
+  ASSERT_TRUE(r.found);
+  EXPECT_EQ(r.stats.nodes, 66175u);
+  EXPECT_EQ(r.stats.leaves, 1u);
+  EXPECT_EQ(r.stats.pruned, 949u);
+  ExpectCost(r.best.cost, 0x1.35f127c25a277p-2, 0x1.93d4bb7e327e6p-4, 0x1.41b1042e7602fp-2);
 }
 
 QuerySummary RunSim(const QuerySpec& q) {

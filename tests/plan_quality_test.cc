@@ -143,11 +143,11 @@ void ExpectNoLoss(const char* group, const std::vector<Instance>& instances) {
   for (const Instance& inst : instances) {
     CostModel model(inst.physical, inst.cluster, inst.demands);
     PlannedPlacement planned =
-        PlanPlacement(model, std::nullopt, tune, 1, inst.find_first_above_tasks);
+        PlanPlacement(model, std::nullopt, tune, inst.find_first_above_tasks);
     AutoTuneResult tuned = AutoTuneThresholds(model, tune);
     PlannedPlacement reference =
         PlanPlacement(model, tuned.feasible ? tuned.alpha : ResourceVector{1.0, 1.0, 1.0}, tune,
-                      1, inst.find_first_above_tasks);
+                      inst.find_first_above_tasks);
     double plan = ThroughputRatio(inst, planned.placement);
     double ref = ThroughputRatio(inst, reference.placement);
     ++t.instances;

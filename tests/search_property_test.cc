@@ -238,7 +238,7 @@ ResourceVector AlphaAt(const ScoredPlan& plan) {
 
 // The lookahead cuts remove only subtrees without a satisfying leaf and keep the DFS order:
 // the plans collected at `alpha` are, in order, the unpruned search's plans with cost within
-// `alpha`; the find-first plan is the first of them; a 4-thread run finds as many leaves.
+// `alpha`; the find-first plan is the first of them.
 void ExpectLookaheadKeepsPlansInOrder(const CostModel& model, const ResourceVector& alpha,
                                       bool reorder) {
   SearchOptions unpruned;
@@ -268,11 +268,6 @@ void ExpectLookaheadKeepsPlansInOrder(const CostModel& model, const ResourceVect
   if (f.found) {
     EXPECT_TRUE(f.best.placement == expected.front());
   }
-
-  SearchOptions threaded = pruned;
-  threaded.collect_plans = false;
-  threaded.num_threads = 4;
-  EXPECT_EQ(CapsSearch(model, threaded).Run().stats.leaves, expected.size());
 }
 
 TEST_P(RandomInstanceSweep, LookaheadKeepsPlansInOrder) {
@@ -326,9 +321,9 @@ void ExpectPickIsOptimal(const CostModel& model, const ResourceVector& alpha,
   EXPECT_NEAR(r.best.cost.Sum(), sum, 1e-9) << "cost " << r.best.cost.ToString();
 }
 
-// The pick is optimal at 1 and 4 threads, with the greedy incumbent PlanPlacement passes
-// and with the plan of the highest utilization, which leaves the bounds to tighten over
-// many improving leaves, as does turning value ordering off.
+// The pick is optimal with the greedy incumbent PlanPlacement passes and with the plan of
+// the highest utilization, which leaves the bounds to tighten over many improving leaves,
+// as does turning value ordering off.
 void ExpectIncumbentPickIsOptimal(const CostModel& model, const ResourceVector& alpha) {
   std::vector<ScoredPlan> plans = EnumerateAllPlans(model);
   auto worst = std::max_element(plans.begin(), plans.end(), [&](const auto& a, const auto& b) {
@@ -336,16 +331,12 @@ void ExpectIncumbentPickIsOptimal(const CostModel& model, const ResourceVector& 
   });
   for (const Placement& incumbent : {GreedyBalancedPlacement(model), worst->placement}) {
     for (bool value_ordering : {true, false}) {
-      for (int threads : {1, 4}) {
-        SCOPED_TRACE("alpha " + alpha.ToString() + ", " + std::to_string(threads) +
-                     " threads, value ordering " + (value_ordering ? "on" : "off") +
-                     ", incumbent utilization " +
-                     std::to_string(MaxUtilization(model, incumbent)));
-        SearchOptions options;
-        options.value_ordering = value_ordering;
-        options.num_threads = threads;
-        ExpectPickIsOptimal(model, alpha, incumbent, options);
-      }
+      SCOPED_TRACE("alpha " + alpha.ToString() + ", value ordering " +
+                   (value_ordering ? "on" : "off") + ", incumbent utilization " +
+                   std::to_string(MaxUtilization(model, incumbent)));
+      SearchOptions options;
+      options.value_ordering = value_ordering;
+      ExpectPickIsOptimal(model, alpha, incumbent, options);
     }
   }
 }
